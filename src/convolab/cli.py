@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InconclusiveError, NoConvergenceError
 from .fourier import make_mollifier, mollify_sweep, stechkin_check
-from .grid import Grid, make_grid, sample
+from .grid import Grid, GridFunction, make_grid, sample
 from .limitops import (
     LimitSweepConfig,
     band_limited_probe,
@@ -134,6 +134,8 @@ def _cmd_mollify(exp: Experiment) -> int:
     else:
         start = sec.getfloat("delta_start", 1.0)
         count = sec.getint("halvings", 6)
+        if count < 0:
+            raise ConfigError(f"[mollify] halvings must be >= 0, got {count}")
         deltas = [start / 2**i for i in range(count + 1)]
     phi = make_mollifier(kind, exp.grid)
     rows = mollify_sweep(f, phi, deltas, exp.space)
@@ -165,14 +167,14 @@ def _cmd_stechkin(exp: Experiment) -> int:
 def _cmd_maximal_check(exp: Experiment) -> int:
     sec = exp.section("maximal-check")
     trials = sec.getint("trials", 20)
+    if trials < 1:
+        raise ConfigError(f"[maximal-check] trials must be >= 1, got {trials}")
     rng = np.random.default_rng(exp.seed)
     rows, ok = [], True
 
     worst = 0.0
     for _ in range(trials):
         vals = rng.normal(size=exp.grid.size)
-        from .grid import GridFunction
-
         f = GridFunction(exp.grid, vals)
         fast = maximal_function(f, "fast").values.real
         oracle = maximal_function(f, "oracle").values.real

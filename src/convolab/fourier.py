@@ -58,10 +58,7 @@ def _running_radial_max(grid: Grid, av: np.ndarray) -> np.ndarray:
     """Phi(t_j) = max of av over nodes with |t_i| >= |t_j|."""
     order = np.argsort(-np.abs(grid.t), kind="stable")
     out = np.empty_like(av)
-    running = 0.0
-    for i in order:
-        running = max(running, av[i])
-        out[i] = running
+    out[order] = np.maximum.accumulate(av[order])
     return out
 
 
@@ -156,6 +153,8 @@ def mollify_sweep(
     if f.grid != phi.grid:
         raise ValueError("grid mismatch between function and mollifier")
     deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ValueError("deltas must hold at least one scale")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be sorted strictly decreasing")
     mf = maximal_function(f, "fast").values.real

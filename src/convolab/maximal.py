@@ -12,7 +12,10 @@ windows with a prefix-sum scan.  ``fast`` is a divide-and-conquer over the
 prefix-sum graph: the best window containing a node is the steepest chord
 of the prefix sums across the node, so windows crossing the midpoint are
 resolved by tangent queries against convex hulls of the prefix points.
-Both routes must agree to 1e-12; the oracle defines correctness.
+The recursion stops at blocks of at most ``_BASE_SIZE`` nodes, which the
+oracle's all-windows scan solves outright; the hull merge handles only the
+windows that cross a midpoint above that size.  Both routes must agree
+to 1e-12; the oracle defines correctness.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import numpy as np
 from .grid import Grid, GridFunction, random_mixture
 from .spaces import SpaceNorm, space_norm
 
-_BASE_SIZE = 1
+# Blocks of at most this many nodes are solved by the all-windows scan.
+# Kept below 256 so that the quick grid (n = 256) still runs a hull merge.
+_BASE_SIZE = 128
 
 
 def _oracle_scan(av: np.ndarray) -> np.ndarray:
@@ -116,7 +121,7 @@ def _fast_scan(av: np.ndarray) -> np.ndarray:
 
     def solve(lo: int, hi: int) -> None:
         if hi - lo + 1 <= _BASE_SIZE:
-            out[lo] = max(out[lo], av[lo])
+            out[lo:hi + 1] = _oracle_scan(av[lo:hi + 1])
             return
         mid = (lo + hi) // 2
         solve(lo, mid)

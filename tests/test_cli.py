@@ -149,3 +149,28 @@ def test_run_experiment_wrapper(config_path, tmp_path):
                           out=str(tmp_path / "w"), seed=1)
     assert code == 0
     assert (tmp_path / "w" / "stechkin.json").exists()
+
+
+def test_zero_maximal_trials_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "zero.ini"
+    path.write_text(CONFIG.replace("trials = 8", "trials = 0"))
+    out = tmp_path / "o"
+    code = main(["maximal-check", "--config", str(path), "--out", str(out)])
+    assert code == USAGE_ERROR
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert not (out / "maximal-check.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "setting,message",
+    [("halvings = -1", "halvings must be >= 0"),
+     ("deltas =", "at least one scale")],
+)
+def test_empty_mollify_scales_are_usage_error(setting, message, tmp_path, capsys):
+    path = tmp_path / "scales.ini"
+    path.write_text(CONFIG.replace("halvings = 4", setting))
+    out = tmp_path / "o"
+    code = main(["mollify", "--config", str(path), "--out", str(out)])
+    assert code == USAGE_ERROR
+    assert message in capsys.readouterr().err
+    assert not (out / "mollify.csv").exists()

@@ -165,6 +165,21 @@ class TestMollifier:
         with pytest.raises(ValueError, match="kind"):
             make_mollifier("sinc", fine_grid)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "bump_spectrum"])
+    @pytest.mark.parametrize("grid_name", ["std_grid", "fine_grid"])
+    def test_majorant_matches_loop_reference(self, kind, grid_name, request):
+        grid = request.getfixturevalue(grid_name)
+        phi = make_mollifier(kind, grid)
+        av = np.abs(phi.kernel.values)
+        expected = np.empty_like(av)
+        running = 0.0
+        for i in np.argsort(-np.abs(grid.t), kind="stable"):
+            running = max(running, av[i])
+            expected[i] = running
+        got = phi.majorant.values
+        assert got.real.tobytes() == expected.tobytes()
+        assert not got.imag.any()
+
 
 class TestMollifySweep:
     DELTAS = [1 / 2**i for i in range(7)]
@@ -204,6 +219,12 @@ class TestMollifySweep:
         phi = make_mollifier("gaussian", fine_grid)
         with pytest.raises(ValueError, match="decreasing"):
             mollify_sweep(f, phi, [0.5, 1.0], L2)
+
+    def test_deltas_must_be_nonempty(self, fine_grid):
+        f = sample("gaussian", fine_grid)
+        phi = make_mollifier("gaussian", fine_grid)
+        with pytest.raises(ValueError, match="at least one"):
+            mollify_sweep(f, phi, [], L2)
 
     def test_delta_below_resolution(self, fine_grid):
         f = sample("gaussian", fine_grid)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convolab.maximal as maximal
 from convolab import (
     GridFunction,
     SpaceNorm,
@@ -52,6 +53,28 @@ class TestAgainstBruteForce:
             fast = maximal_function(f, "fast").values.real
             oracle = maximal_function(f, "oracle").values.real
             assert np.max(np.abs(fast - oracle)) <= 1e-12
+
+
+def _assert_scans_agree(n, rng):
+    # the scans themselves: grids have even sizes, the blocks need not
+    noise = np.abs(rng.normal(size=n))
+    plateaus = (rng.uniform(size=n) > 0.6).astype(float)
+    for av in (noise, plateaus):
+        gap = np.max(np.abs(maximal._fast_scan(av) - maximal._oracle_scan(av)))
+        assert gap <= 1e-12
+
+
+class TestBlockedScan:
+    """The hull merge above the all-windows leaves, checked on its own."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_pure_divide_and_conquer_matches_oracle(self, n, rng, monkeypatch):
+        monkeypatch.setattr(maximal, "_BASE_SIZE", 1)
+        _assert_scans_agree(n, rng)
+
+    @pytest.mark.parametrize("n", [129, 257, 1000, 4096])
+    def test_sizes_straddling_block_edges_match_oracle(self, n, rng):
+        _assert_scans_agree(n, rng)
 
 
 class TestDiscreteModel:
