@@ -52,7 +52,6 @@ from .spaces import (
     AxiomCheck,
     SpaceNorm,
     associate_space,
-    axioms_report_json,
     space_norm,
     verify_axioms,
     weight_values,

@@ -48,7 +48,10 @@ def _fmt(x: float) -> str:
 
 def _load_config(path: str) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     return cfg

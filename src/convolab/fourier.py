@@ -179,9 +179,9 @@ def multiplier_norm_lower_bound(
     """Max Rayleigh ratio ``|W(a) f| / |f|`` over probe functions.
 
     Always a lower bound for the operator norm.  At (p=2, gamma=0) the
-    operator is diagonal in frequency, so the probe set additionally runs
-    power iteration on the diagonal modulus and a pure-frequency probe at
-    the argmax node, where the ratio attains ``max_k |a(x_k)|`` exactly.
+    operator is diagonal in frequency, so the probe set additionally holds
+    a pure-frequency probe at the argmax node, where the ratio attains
+    ``max_k |a(x_k)|`` exactly.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -199,17 +199,6 @@ def multiplier_norm_lower_bound(
 
     if space.p == 2.0 and space.gamma == 0.0:
         mod = np.abs(a(grid.xi))
-        # power iteration on the diagonal frequency representation
-        v = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
-        est = 0.0
-        for _ in range(256):
-            w = mod * v
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0:
-                break
-            est = norm_w / float(np.linalg.norm(v))
-            v = w / norm_w
-        best = max(best, est)
         # pure frequency probe at the argmax node: equality case
         spike = np.zeros(grid.size, dtype=complex)
         spike[int(np.argmax(mod))] = 1.0

@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -122,9 +122,17 @@ def make_grid(half_width: float, size: int) -> Grid:
 _CALL_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z_0-9]*)\s*(?:\((.*)\))?\s*$")
 
 
-def _split_args(text: str) -> list[str]:
+def parse_call(text: str, kind: str) -> tuple[str, list[str]]:
+    """Split a ``kind`` descriptor ``name`` or ``name(arg, ...)``.
+
+    Arguments are split at top-level commas only, so nested calls such as
+    ``shift(indicator(6,7),6)`` keep their inner arguments together.
+    """
+    m = _CALL_RE.match(text)
+    if not m:
+        raise ValueError(f"cannot parse {kind} descriptor {text!r}")
     parts, depth, cur = [], 0, ""
-    for ch in text:
+    for ch in m.group(2) or "":
         if ch == "(":
             depth += 1
         elif ch == ")":
@@ -136,7 +144,28 @@ def _split_args(text: str) -> list[str]:
             cur += ch
     if cur.strip():
         parts.append(cur)
-    return [p.strip() for p in parts]
+    return m.group(1), [p.strip() for p in parts]
+
+
+def float_args(
+    name: str, args: list[str], defaults: tuple[Optional[float], ...]
+) -> list[float]:
+    """Finite float values of ``args``, padded from ``defaults``.
+
+    ``defaults`` has one entry per parameter of ``name``; ``None`` marks a
+    required one.  Extra, missing and non-finite arguments are rejected.
+    """
+    if len(args) > len(defaults):
+        raise ValueError(
+            f"{name} takes at most {len(defaults)} arguments, got {len(args)}"
+        )
+    vals = [float(a) for a in args] + list(defaults[len(args):])
+    if None in vals:
+        required = sum(d is None for d in defaults)
+        raise ValueError(f"{name} needs {required} arguments, got {len(args)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"{name} arguments must be finite, got {args}")
+    return vals
 
 
 def bump_profile(x: np.ndarray, center: float = 0.0, width: float = 1.0) -> np.ndarray:
@@ -168,37 +197,32 @@ def parse_profile(text: str) -> Profile:
     - ``rational_decay(s)``    ``(1+x^2)^(-s)``
     - ``const(k)``             the constant ``k``
     """
-    m = _CALL_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse function descriptor {text!r}")
-    name, argtext = m.group(1), m.group(2)
-    args = [float(a) for a in _split_args(argtext)] if argtext else []
-
+    name, args = parse_call(text, "function")
     if name == "indicator":
-        if len(args) != 2 or args[0] >= args[1]:
+        c, d = float_args(name, args, (None, None))
+        if c >= d:
             raise ValueError(f"indicator needs two ordered arguments, got {args}")
-        return indicator_profile(*args)
+        return indicator_profile(c, d)
     if name == "gaussian":
-        mu = args[0] if args else 0.0
-        sigma = args[1] if len(args) > 1 else 1.0
+        mu, sigma = float_args(name, args, (0.0, 1.0))
         if sigma <= 0:
             raise ValueError("gaussian width must be positive")
         return lambda x: np.exp(-((np.asarray(x, float) - mu) ** 2) / (2 * sigma**2))
     if name == "bump":
-        c = args[0] if args else 0.0
-        w = args[1] if len(args) > 1 else 1.0
+        c, w = float_args(name, args, (0.0, 1.0))
         if w <= 0:
             raise ValueError("bump width must be positive")
         return lambda x: bump_profile(x, c, w)
     if name == "xgaussian":
+        float_args(name, args, ())
         return lambda x: np.asarray(x, float) * np.exp(-np.asarray(x, float) ** 2)
     if name == "rational_decay":
-        s = args[0] if args else 1.0
+        (s,) = float_args(name, args, (1.0,))
         if s <= 0:
             raise ValueError("rational_decay exponent must be positive")
         return lambda x: (1.0 + np.asarray(x, float) ** 2) ** (-s)
     if name == "const":
-        k = args[0] if args else 1.0
+        (k,) = float_args(name, args, (1.0,))
         return lambda x: np.full_like(np.asarray(x, float), k, dtype=float)
     raise ValueError(f"unknown function descriptor {name!r}")
 
@@ -235,30 +259,18 @@ def _phase_signs(n: int) -> np.ndarray:
     return np.where(k % 2 == 0, 1.0, -1.0)
 
 
-def dft_pair(f: GridFunction, direction: str, method: str = "fft") -> GridFunction:
+def dft_pair(f: GridFunction, direction: str) -> GridFunction:
     """Apply the discrete realization of the transform pair.
 
     forward:  ``hat f(x_k) = dx * sum_j f(t_j) e^{+i t_j x_k}``
     inverse:  ``f(t_j) = (dxi/(2*pi)) * sum_k hat f(x_k) e^{-i t_j x_k}``
 
-    ``method="direct"`` evaluates the O(n^2) sums literally; the FFT path
-    must agree with it to 1e-12.  The round trip is the identity to machine
-    precision because ``dx*dxi = 2*pi/n``.
+    Both are one FFT with the boundary phase folded in.  The round trip is
+    the identity to machine precision because ``dx*dxi = 2*pi/n``.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    if method not in ("fft", "direct"):
-        raise ValueError(f"method must be 'fft' or 'direct', got {method!r}")
     g = f.grid
-    if method == "direct":
-        # literal summation against the node-wise kernel matrix
-        phase = np.outer(g.t, g.xi)
-        if direction == "forward":
-            vals = g.dx * (np.exp(1j * phase).T @ f.values)
-        else:
-            vals = (g.dxi / (2 * math.pi)) * (np.exp(-1j * phase) @ f.values)
-        return GridFunction(g, vals)
-
     signs = _phase_signs(g.size)
     if direction == "forward":
         base = np.fft.ifft(f.values) * g.size          # sum_j f_j e^{2 pi i jk/n}

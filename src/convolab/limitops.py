@@ -40,6 +40,18 @@ def is_on_lattice(grid: Grid, h: float) -> bool:
     return abs(m - round(m)) <= _LATTICE_RTOL * max(1.0, abs(m))
 
 
+def _out_of_band_mass(f: GridFunction, band: tuple[float, float]) -> float:
+    """Spectral energy of ``f`` outside the closed ``band``, relative to all.
+
+    Infinite for the zero function, which is confined to no band.
+    """
+    hat = dft_pair(f, "forward").values
+    inside = (f.grid.xi >= band[0]) & (f.grid.xi <= band[1])
+    total = float(np.sum(np.abs(hat) ** 2))
+    outside = float(np.sum(np.abs(hat[~inside]) ** 2))
+    return outside / total if total else math.inf
+
+
 @dataclass(frozen=True)
 class ConjugatedResult:
     result: GridFunction
@@ -137,14 +149,11 @@ class LimitSweepConfig:
                 )
         if hi + max(self.shifts) >= grid.freq_edge:
             raise ValueError("band + max shift leaves the frequency window")
-        hat = dft_pair(self.probe, "forward").values
-        inside = (grid.xi >= lo) & (grid.xi <= hi)
-        total = float(np.sum(np.abs(hat) ** 2))
-        outside = float(np.sum(np.abs(hat[~inside]) ** 2))
-        if total == 0.0 or outside > 1e-10 * total:
+        mass_out = _out_of_band_mass(self.probe, self.band)
+        if mass_out > 1e-10:
             raise ValueError(
                 "probe spectrum is not confined to the declared band "
-                f"(relative out-of-band mass {outside / max(total, 1e-300):.3e})"
+                f"(relative out-of-band mass {mass_out:.3e})"
             )
 
 
@@ -213,10 +222,7 @@ def s0_test_function(
     phi = make_mollifier("bump_spectrum", grid)
     f = convolve(g, phi.scaled(delta))
     lo, hi = max(-1.0 / delta, -grid.freq_edge), min(1.0 / delta, grid.freq_edge)
-    hat = dft_pair(f, "forward").values
-    inside = (grid.xi >= lo) & (grid.xi <= hi)
-    total = float(np.sum(np.abs(hat) ** 2))
-    mass_out = float(np.sum(np.abs(hat[~inside]) ** 2)) / total
+    mass_out = _out_of_band_mass(f, (lo, hi))
     if mass_out >= 1e-9:
         raise ValueError(f"band-limit failed: out-of-band mass {mass_out:.3e}")
     return S0Probe(f, (lo, hi), mass_out)
@@ -253,8 +259,10 @@ def density_experiment(
     ``|g * phi_delta - g| < eps/2``.  The returned approximant has exactly
     vanishing spectrum outside the certified band.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not np.any(f.values):
+        raise ValueError("f is zero: the density check would pass vacuously")
     grid = f.grid
     gauss = make_mollifier("gaussian", grid)
     bump = make_mollifier("bump_spectrum", grid)
@@ -292,9 +300,7 @@ def density_experiment(
         delta /= 2
 
     band = (-1.0 / delta, 1.0 / delta)
-    hat = dft_pair(approx, "forward").values
-    inside = (grid.xi >= band[0]) & (grid.xi <= band[1])
-    total = float(np.sum(np.abs(hat) ** 2))
-    mass_out = float(np.sum(np.abs(hat[~inside]) ** 2)) / total if total else 0.0
     achieved = space_norm(space, approx - f)
-    return DensityResult(smooth, approx, delta, achieved, band, mass_out)
+    return DensityResult(
+        smooth, approx, delta, achieved, band, _out_of_band_mass(approx, band)
+    )

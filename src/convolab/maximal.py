@@ -11,11 +11,13 @@ Two routes are provided.  ``oracle`` enumerates the means of all O(n^2)
 windows with a prefix-sum scan.  ``fast`` is a divide-and-conquer over the
 prefix-sum graph: the best window containing a node is the steepest chord
 of the prefix sums across the node, so windows crossing the midpoint are
-resolved by tangent queries against convex hulls of the prefix points.
-The recursion stops at blocks of at most ``_BASE_SIZE`` nodes, which the
-oracle's all-windows scan solves outright; the hull merge handles only the
-windows that cross a midpoint above that size.  Both routes must agree
-to 1e-12; the oracle defines correctness.
+resolved by tangent queries against the upper hull of the prefix points.
+The sums are counted from that midpoint, so rounding does not grow with
+the length of the whole array, and one routine serves both halves: the
+right half runs it on the reversed block.  The recursion stops at blocks
+of at most ``_BASE_SIZE`` nodes, which the oracle's all-windows scan
+solves outright.  Both routes must agree to 1e-12; the oracle defines
+correctness.
 """
 
 from __future__ import annotations
@@ -58,19 +60,6 @@ def _upper_hull(xs: np.ndarray, ys: np.ndarray):
     return np.asarray(hx), np.asarray(hy)
 
 
-def _lower_hull(xs: np.ndarray, ys: np.ndarray):
-    hx, hy = [], []
-    for x, y in zip(xs, ys):
-        while len(hx) >= 2 and (
-            (hy[-1] - hy[-2]) * (x - hx[-1]) >= (y - hy[-1]) * (hx[-1] - hx[-2])
-        ):
-            hx.pop()
-            hy.pop()
-        hx.append(x)
-        hy.append(y)
-    return np.asarray(hx), np.asarray(hy)
-
-
 def _steepest_to_upper(pxs, pys, hx, hy):
     """Max slope from each left point to a concave chain on its right.
 
@@ -94,30 +83,26 @@ def _steepest_to_upper(pxs, pys, hx, hy):
     return (hy[lo] - pys) / (hx[lo] - pxs)
 
 
-def _steepest_from_lower(qxs, qys, hx, hy):
-    """Max slope from a convex chain on the left to each right point."""
-    m = hx.size
-    lo = np.zeros(qxs.size, dtype=np.int64)
-    hi = np.full(qxs.size, m - 1, dtype=np.int64)
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) // 2
-        nxt = np.minimum(mid + 1, m - 1)
-        s1 = (qys - hy[mid]) * (qxs - hx[nxt])
-        s2 = (qys - hy[nxt]) * (qxs - hx[mid])
-        move = active & (s1 < s2)
-        lo = np.where(move, mid + 1, lo)
-        hi = np.where(active & ~move, mid, hi)
-    return (qys - hy[lo]) / (qxs - hx[lo])
+def _crossing_means(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Best mean, per start in ``left``, of a window that ends in ``right``.
+
+    Sums are counted from the split between the halves, so they grow with
+    the window, not with the position in the whole array.  The window
+    ``left[a:] + right[:j+1]`` has as its mean the slope of the chord from
+    the left point ``(a - m, -sum(left[a:]))`` to the right point
+    ``(j + 1, sum(right[:j+1]))``, whose steepest value is a tangent to the
+    upper hull of the right points.
+    """
+    m = left.size
+    rx = np.arange(1, right.size + 1, dtype=float)
+    hx, hy = _upper_hull(rx, np.cumsum(right))
+    px = np.arange(-m, 0, dtype=float)
+    py = -np.cumsum(left[::-1])[::-1]
+    return _steepest_to_upper(px, py, hx, hy)
 
 
 def _fast_scan(av: np.ndarray) -> np.ndarray:
-    n = av.size
-    S = np.concatenate(([0.0], np.cumsum(av)))
-    idx = np.arange(n + 1, dtype=float)
-    out = np.zeros(n)
+    out = np.zeros(av.size)
 
     def solve(lo: int, hi: int) -> None:
         if hi - lo + 1 <= _BASE_SIZE:
@@ -126,20 +111,16 @@ def _fast_scan(av: np.ndarray) -> np.ndarray:
         mid = (lo + hi) // 2
         solve(lo, mid)
         solve(mid + 1, hi)
-        # windows [a..b] with a <= mid < b: means are chord slopes of the
-        # prefix sums from p = a to q = b + 1
-        ps = np.arange(lo, mid + 1)
-        qs = np.arange(mid + 2, hi + 2)
-        rx, ry = _upper_hull(idx[qs], S[qs])
-        best_p = _steepest_to_upper(idx[ps], S[ps], rx, ry)
-        np.maximum(out[lo:mid + 1], np.maximum.accumulate(best_p),
-                   out=out[lo:mid + 1])
-        lx, ly = _lower_hull(idx[ps], S[ps])
-        best_q = _steepest_from_lower(idx[qs], S[qs], lx, ly)
-        suff = np.maximum.accumulate(best_q[::-1])[::-1]
-        np.maximum(out[mid + 1:hi + 1], suff, out=out[mid + 1:hi + 1])
+        # windows crossing the split: the best one holding a left node
+        # starts at or before it; reversing the block gives the same
+        # windows and slopes for the right nodes
+        left, right = av[lo:mid + 1], av[mid + 1:hi + 1]
+        best_l = np.maximum.accumulate(_crossing_means(left, right))
+        best_r = np.maximum.accumulate(_crossing_means(right[::-1], left[::-1]))
+        np.maximum(out[lo:mid + 1], best_l, out=out[lo:mid + 1])
+        np.maximum(out[mid + 1:hi + 1], best_r[::-1], out=out[mid + 1:hi + 1])
 
-    solve(0, n - 1)
+    solve(0, av.size - 1)
     return out
 
 

@@ -9,7 +9,6 @@ maximal operator bounded on the space and on its associate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -192,7 +191,3 @@ def verify_axioms(
         AxiomCheck("A4", a4_ok, a4_worst),
         AxiomCheck("A5", a5_ok, a5_worst),
     ]
-
-
-def axioms_report_json(checks: list[AxiomCheck]) -> str:
-    return json.dumps([c.to_json() for c in checks], indent=2)

@@ -17,13 +17,13 @@ sums that converge from below, with exact analytic tail contributions.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InconclusiveError, NoConvergenceError
+from .grid import float_args, parse_call
 
 # relative offset used to probe one-sided values next to a breakpoint
 _SIDE_EPS = 1e-9
@@ -77,26 +77,6 @@ class SymbolNorms(NamedTuple):
 # ---------------------------------------------------------------------------
 # grammar
 
-_CALL_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z_0-9]*)\s*(?:\((.*)\))?\s*$")
-
-
-def _split_top_level(text: str) -> list[str]:
-    parts, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append(cur)
-    return [p.strip() for p in parts]
-
-
 def indicator_symbol(c: float, d: float) -> Symbol:
     """Characteristic function of the closed interval [c, d]."""
     if not c < d:
@@ -139,28 +119,22 @@ def parse_symbol(text: str) -> Symbol:
     ``indicator(c,d)`` | ``const(k)`` | ``arctan`` | ``rational_decay(s)``
     | ``shift(<sym>,h)`` | ``truncate(<sym>,N)``
     """
-    m = _CALL_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse symbol descriptor {text!r}")
-    name, argtext = m.group(1), m.group(2)
-    args = _split_top_level(argtext) if argtext else []
-
+    name, args = parse_call(text, "symbol")
     if name == "indicator":
-        return indicator_symbol(float(args[0]), float(args[1]))
+        return indicator_symbol(*float_args(name, args, (None, None)))
     if name == "const":
-        return const_symbol(float(args[0]) if args else 1.0)
+        return const_symbol(*float_args(name, args, (1.0,)))
     if name == "arctan":
+        float_args(name, args, ())
         return arctan_symbol()
     if name == "rational_decay":
-        return rational_decay_symbol(float(args[0]) if args else 1.0)
-    if name == "shift":
+        return rational_decay_symbol(*float_args(name, args, (1.0,)))
+    if name in ("shift", "truncate"):
         if len(args) != 2:
-            raise ValueError("shift needs (<symbol>, h)")
-        return shift_symbol(parse_symbol(args[0]), float(args[1]))
-    if name == "truncate":
-        if len(args) != 2:
-            raise ValueError("truncate needs (<symbol>, N)")
-        return tail_truncate(parse_symbol(args[0]), float(args[1]))
+            raise ValueError(f"{name} needs (<symbol>, number), got {args}")
+        (x,) = float_args(name, args[1:], (None,))
+        inner = parse_symbol(args[0])
+        return shift_symbol(inner, x) if name == "shift" else tail_truncate(inner, x)
     raise ValueError(f"unknown symbol descriptor {name!r}")
 
 

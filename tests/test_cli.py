@@ -128,6 +128,30 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
     assert "unknown symbol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,setting",
+    [("stechkin", "symbol = indicator(1)"),
+     ("stechkin", "symbol = shift(arctan,nan)"),
+     ("density", "f = indicator(nan,1)"),
+     ("density", "epsilon = nan"),
+     ("density", "f = const(0)")],
+)
+def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{command}]\n{setting}\n")
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == USAGE_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_without_section_header_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "flat.ini"
+    path.write_text("n = 256\n")
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == USAGE_ERROR
+    assert "section header" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error(config_path, tmp_path, capsys):
     code = main(["frobnicate", "--config", str(config_path)])
     assert code == USAGE_ERROR

@@ -250,3 +250,12 @@ class TestDensityExperiment:
     def test_epsilon_validated(self, std_grid):
         with pytest.raises(ValueError):
             density_experiment(sample("bump", std_grid), 0.0, L2)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, std_grid, eps):
+        with pytest.raises(ValueError, match="finite"):
+            density_experiment(sample("bump", std_grid), eps, L2)
+
+    def test_zero_function_rejected(self, std_grid):
+        with pytest.raises(ValueError, match="vacuously"):
+            density_experiment(sample("const(0)", std_grid), 0.1, L2)

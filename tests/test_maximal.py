@@ -77,6 +77,28 @@ class TestBlockedScan:
         _assert_scans_agree(n, rng)
 
 
+def _longdouble_scan(av):
+    """All-windows scan in extended precision: reference for rounding drift."""
+    av = np.asarray(av, dtype=np.longdouble)
+    n = av.size
+    S = np.concatenate((np.zeros(1, dtype=np.longdouble), np.cumsum(av)))
+    out = np.zeros(n, dtype=np.longdouble)
+    for a in range(n):
+        means = (S[a + 1:] - S[a]) / np.arange(1, n - a + 1)
+        np.maximum(out[a:], np.maximum.accumulate(means[::-1])[::-1], out=out[a:])
+    return out
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than float64 here")
+def test_fast_scan_error_does_not_grow_with_n():
+    # sums counted from each split keep the merge error at a few ulp; sums
+    # over the whole array drift like n (1.7e-13 at this size)
+    av = np.abs(np.random.default_rng(0).normal(size=4096))
+    err = np.max(np.abs(maximal._fast_scan(av) - _longdouble_scan(av)))
+    assert err < 2e-14
+
+
 class TestDiscreteModel:
     def test_indicator_average_at_two(self):
         # brute force over intervals containing t=2 gives the [-1, 2] window

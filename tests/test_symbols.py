@@ -45,6 +45,15 @@ class TestGrammar:
         with pytest.raises(ValueError, match="unknown symbol"):
             parse_symbol("mystery(1)")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["indicator(1)", "indicator(nan,1)", "shift(arctan,nan)",
+         "truncate(arctan,inf)", "arctan(5)", "const(1,2)"],
+    )
+    def test_bad_arguments_rejected(self, text):
+        with pytest.raises(ValueError, match="arguments"):
+            parse_symbol(text)
+
     def test_indicator_is_closed(self):
         a = parse_symbol("indicator(-1,1)")
         assert list(a(np.array([-1.0, 1.0, 1.0 + 1e-12])).real) == [1.0, 1.0, 0.0]
