@@ -37,6 +37,10 @@ COMMANDS = ("sweep", "mollify", "stechkin", "maximal-check", "density", "axioms"
 
 USAGE_ERROR, ASSERTION_FAILURE = 1, 2
 
+# Largest grid size a run accepts: the oracle scan of maximal-check takes
+# O(n^2) time and every command allocates several n-point arrays.
+MAX_GRID_N = 2**16
+
 
 class ConfigError(Exception):
     pass
@@ -48,11 +52,7 @@ def _fmt(x: float) -> str:
 
 def _load_config(path: str) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
-    try:
-        read = cfg.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not read:
+    if not cfg.read(path):
         raise ConfigError(f"config file not found: {path}")
     return cfg
 
@@ -68,6 +68,9 @@ class Experiment:
             "grid", "L", fallback=8.0)
         grid_n = args.grid_n if args.grid_n is not None else cfg.getint(
             "grid", "n", fallback=256)
+        if grid_n > MAX_GRID_N:
+            raise ConfigError(
+                f"grid size n must be at most {MAX_GRID_N}, got {grid_n}")
         self.grid: Grid = make_grid(grid_l, grid_n)
         p_raw = cfg.get("space", "p", fallback="2")
         p = float("inf") if p_raw.strip() in ("inf", "oo") else float(p_raw)
@@ -274,11 +277,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    # configparser raises parse errors when the file is read and
+    # interpolation errors (a bare '%') when a value is read
     try:
         cfg = _load_config(args.config)
         exp = Experiment(cfg, args)
         return _HANDLERS[args.command](exp)
-    except (ConfigError, ValueError, InconclusiveError) as exc:
+    except (ConfigError, configparser.Error, ValueError, InconclusiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -8,15 +8,19 @@ continuum ``Mf >= |f|``).  Windows are confined to ``[-L, L]``: outside the
 domain the function is modeled as zero, which only lowers averages.
 
 Two routes are provided.  ``oracle`` enumerates the means of all O(n^2)
-windows with a prefix-sum scan.  ``fast`` is a divide-and-conquer over the
-prefix-sum graph: the best window containing a node is the steepest chord
-of the prefix sums across the node, so windows crossing the midpoint are
-resolved by tangent queries against the upper hull of the prefix points.
-The sums are counted from that midpoint, so rounding does not grow with
-the length of the whole array, and one routine serves both halves: the
-right half runs it on the reversed block.  The recursion stops at blocks
-of at most ``_BASE_SIZE`` nodes, which the oracle's all-windows scan
-solves outright.  Both routes must agree to 1e-12; the oracle defines
+windows with a prefix-sum scan.  It takes the start nodes in blocks of
+rows, each block one matrix of window means with a suffix maximum along
+its rows; every mean is the same subtraction and division as in a scan of
+one start node at a time, so the result is bit-identical to that scan.
+``fast`` is a divide-and-conquer over the prefix-sum graph: the best
+window containing a node is the steepest chord of the prefix sums across
+the node, so windows crossing the midpoint are resolved by tangent queries
+against the upper hull of the prefix points, built in a loop over Python
+floats.  The sums are counted from that midpoint, so rounding does not
+grow with the length of the whole array, and one routine serves both
+halves: the right half runs it on the reversed block.  The recursion stops
+at blocks of at most ``_BASE_SIZE`` nodes, which the oracle's all-windows
+scan solves outright.  Both routes must agree to 1e-12; the oracle defines
 correctness.
 """
 
@@ -34,22 +38,40 @@ from .spaces import SpaceNorm, space_norm
 # Kept below 256 so that the quick grid (n = 256) still runs a hull merge.
 _BASE_SIZE = 128
 
+# The all-windows scan takes rows in blocks of at most this many entries,
+# so its buffers stay small at every n.
+_ROW_BLOCK = 2**14
+
 
 def _oracle_scan(av: np.ndarray) -> np.ndarray:
     n = av.size
     S = np.concatenate(([0.0], np.cumsum(av)))
     out = np.zeros(n)
-    for a in range(n):
-        means = (S[a + 1:] - S[a]) / np.arange(1, n - a + 1)
-        # suffix max over the right endpoint: best window [a..b] with b >= j
-        suff = np.maximum.accumulate(means[::-1])[::-1]
-        np.maximum(out[a:], suff, out=out[a:])
+    rows = max(1, _ROW_BLOCK // n)
+    # row i of a block starts at a0 + i and column k ends at a0 + k; a
+    # window that ends before it starts gets length 1 and a mean <= 0
+    # (av >= 0), so it never raises a real window's suffix max
+    span = np.arange(n) - np.arange(rows)[:, None] + 1
+    lens = np.maximum(span, 1).astype(float)
+    before = span < 1
+    buf = np.empty((rows, n))
+    for a0 in range(0, n, rows):
+        r, w = min(rows, n - a0), n - a0
+        means = buf[:r, :w]
+        np.subtract(S[a0 + 1:], S[a0:a0 + r, None], out=means)
+        np.divide(means, lens[:r, :w], out=means)
+        # suffix max over the end node: best window [a..b] with b >= j
+        rev = means[:, ::-1]
+        np.maximum.accumulate(rev, axis=1, out=rev)
+        # a window that starts after node a0 + k does not hold it
+        means[before[:r, :w]] = 0.0
+        np.maximum(out[a0:], means.max(axis=0), out=out[a0:])
     return out
 
 
 def _upper_hull(xs: np.ndarray, ys: np.ndarray):
     hx, hy = [], []
-    for x, y in zip(xs, ys):
+    for x, y in zip(xs.tolist(), ys.tolist()):
         while len(hx) >= 2 and (
             (hy[-1] - hy[-2]) * (x - hx[-1]) <= (y - hy[-1]) * (hx[-1] - hx[-2])
         ):

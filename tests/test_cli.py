@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from convolab import cli
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main, run_experiment
 
 CONFIG = """
@@ -150,6 +151,36 @@ def test_config_without_section_header_is_usage_error(tmp_path, capsys):
     code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == USAGE_ERROR
     assert "section header" in capsys.readouterr().err
+
+
+def test_bare_percent_in_config_value_is_usage_error(tmp_path, capsys):
+    # configparser raises the interpolation error only when L is read
+    path = tmp_path / "percent.ini"
+    path.write_text(CONFIG.replace("L = 8", "L = 8%"))
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", str(path), "--out", str(out)])
+    assert code == USAGE_ERROR
+    assert "'%' must be followed by" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_grid_size_above_cap_is_usage_error(source, tmp_path, capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a grid was built above the cap")
+
+    monkeypatch.setattr(cli, "make_grid", no_grid)
+    path = tmp_path / "big.ini"
+    text, argv = CONFIG, []
+    if source == "flag":
+        argv = ["--grid-n", str(cli.MAX_GRID_N + 2)]
+    else:
+        text = CONFIG.replace("n = 256", f"n = {cli.MAX_GRID_N + 2}")
+    path.write_text(text)
+    code = main(["maximal-check", "--config", str(path), "--out",
+                 str(tmp_path / "o"), *argv])
+    assert code == USAGE_ERROR
+    assert f"at most {cli.MAX_GRID_N}" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error(config_path, tmp_path, capsys):

@@ -77,16 +77,43 @@ class TestBlockedScan:
         _assert_scans_agree(n, rng)
 
 
-def _longdouble_scan(av):
-    """All-windows scan in extended precision: reference for rounding drift."""
-    av = np.asarray(av, dtype=np.longdouble)
+def _row_loop_scan(av, dtype=np.float64):
+    """All-windows scan one start node at a time, in ``dtype``.
+
+    In float64 it is the reference the blocked oracle must match bit for
+    bit; in extended precision it is the reference for rounding drift.
+    """
+    av = np.asarray(av, dtype=dtype)
     n = av.size
-    S = np.concatenate((np.zeros(1, dtype=np.longdouble), np.cumsum(av)))
-    out = np.zeros(n, dtype=np.longdouble)
+    S = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(av)))
+    out = np.zeros(n, dtype=dtype)
     for a in range(n):
         means = (S[a + 1:] - S[a]) / np.arange(1, n - a + 1)
         np.maximum(out[a:], np.maximum.accumulate(means[::-1])[::-1], out=out[a:])
     return out
+
+
+def _scan_inputs(n, rng):
+    t = np.linspace(-8.0, 8.0, n)
+    noise = np.abs(rng.normal(size=n))
+    plateaus = (rng.uniform(size=n) > 0.6).astype(float)
+    return noise, plateaus, np.exp(-t * t / 2)
+
+
+class TestOracleRowBlocks:
+    """The blocked all-windows scan repeats the row loop's arithmetic exactly."""
+
+    @pytest.mark.parametrize("row_block", [None, 64])
+    @pytest.mark.parametrize("sizes", [range(1, 301), (1000, 1024, 4096)],
+                             ids=["n1-300", "n1000-4096"])
+    def test_bit_identical_to_row_loop(self, sizes, row_block, rng, monkeypatch):
+        # 64 entries per block: ragged last blocks below n = 64, one row
+        # per block above it
+        if row_block is not None:
+            monkeypatch.setattr(maximal, "_ROW_BLOCK", row_block)
+        for n in sizes:
+            for av in _scan_inputs(n, rng):
+                assert np.array_equal(maximal._oracle_scan(av), _row_loop_scan(av)), n
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
@@ -95,7 +122,7 @@ def test_fast_scan_error_does_not_grow_with_n():
     # sums counted from each split keep the merge error at a few ulp; sums
     # over the whole array drift like n (1.7e-13 at this size)
     av = np.abs(np.random.default_rng(0).normal(size=4096))
-    err = np.max(np.abs(maximal._fast_scan(av) - _longdouble_scan(av)))
+    err = np.max(np.abs(maximal._fast_scan(av) - _row_loop_scan(av, np.longdouble)))
     assert err < 2e-14
 
 
