@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -57,7 +58,10 @@ def _load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.replace(",", " ").split()]
+    vals = [float(v) for v in text.replace(",", " ").split()]
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"values must be finite, got {text!r}")
+    return vals
 
 
 class Experiment:
@@ -109,6 +113,8 @@ def _cmd_sweep(exp: Experiment) -> int:
     k1, k2 = sec.getfloat("k1", 1.0), sec.getfloat("k2", 2.0)
     targets = _floats(sec.get("h", "4 8 16 32"))
     dxi = exp.grid.dxi
+    if not all(math.isfinite(t / dxi) for t in targets):
+        raise ConfigError(f"[sweep] h must be below {sys.float_info.max * dxi:.6g}")
     shifts = tuple(sorted({max(1, round(t / dxi)) * dxi for t in targets}))
     profile = sec.get("profile", "bump")
     probe = band_limited_probe(exp.grid, (k1, k2), profile, exp.seed)
@@ -142,7 +148,11 @@ def _cmd_mollify(exp: Experiment) -> int:
         count = sec.getint("halvings", 6)
         if count < 0:
             raise ConfigError(f"[mollify] halvings must be >= 0, got {count}")
-        deltas = [start / 2**i for i in range(count + 1)]
+        # ldexp(start, -i) is start / 2**i without the overflow of 2**i
+        if not math.ldexp(start, -count) > 0.0:
+            raise ConfigError("[mollify] delta_start / 2**halvings must be a "
+                              f"positive float, got {start} / 2**{count}")
+        deltas = [math.ldexp(start, -i) for i in range(count + 1)]
     phi = make_mollifier(kind, exp.grid)
     rows = mollify_sweep(f, phi, deltas, exp.space)
     exp.write_csv(

@@ -2,8 +2,8 @@
 
 The multiplier operator is realized diagonally: transform, multiply by the
 symbol sampled at the frequency nodes (no cell averaging, so indicator
-supports stay sharp), transform back.  Convolution goes through the same
-transform pair, where it is exact multiplication of the discrete spectra;
+supports stay sharp), transform back, as one FFT pair (``filter_spectrum``).
+Convolution multiplies by the kernel's spectrum in the same way, exactly;
 against direct quadrature convolution this differs only by circular wrap
 near the domain boundary, so tests keep supports in the middle half.
 """
@@ -23,6 +23,7 @@ from .grid import (
     ProfileLike,
     bump_profile,
     dft_pair,
+    filter_spectrum,
     indicator_profile,
     make_grid,
     quadrature,
@@ -30,7 +31,7 @@ from .grid import (
     sample,
 )
 from .maximal import maximal_function
-from .spaces import SpaceNorm, space_norm
+from .spaces import DEFAULT_GRID, SpaceNorm, space_norm
 from .symbols import Symbol, symbol_norms
 
 # smallest kernel scale the grid can renormalize reliably, in units of dx
@@ -39,19 +40,14 @@ _MIN_DELTA_CELLS = 0.5
 
 def apply_multiplier(a: Symbol, f: GridFunction) -> GridFunction:
     """Apply the convolution operator with symbol ``a`` to ``f``."""
-    hat = dft_pair(f, "forward")
-    filtered = GridFunction(f.grid, hat.values * a(f.grid.xi))
-    return dft_pair(filtered, "inverse")
+    return filter_spectrum(f, a(f.grid.xi))
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """Convolution via the transform pair (spectra multiply exactly)."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch between convolution operands")
-    hf = dft_pair(f, "forward")
-    hg = dft_pair(g, "forward")
-    prod = GridFunction(f.grid, hf.values * hg.values)
-    return dft_pair(prod, "inverse")
+    return filter_spectrum(f, dft_pair(g, "forward").values)
 
 
 def _running_radial_max(grid: Grid, av: np.ndarray) -> np.ndarray:
@@ -96,33 +92,27 @@ class Mollifier:
                 f"delta={delta} below grid resolution ({_MIN_DELTA_CELLS} * dx "
                 f"= {_MIN_DELTA_CELLS * g.dx})"
             )
-        if self.kind == "gaussian":
-            vals = np.exp(-(g.t / delta) ** 2 / 2.0) / (
-                delta * math.sqrt(2 * math.pi)
-            )
-            raw = GridFunction(g, vals)
-        else:
-            raw = dft_pair(GridFunction(g, bump_profile(delta * g.xi)), "inverse")
-        mass = quadrature(raw)
-        if abs(mass) < 1e-14:
-            raise ValueError("degenerate kernel normalization at this scale")
-        return GridFunction(g, raw.values / mass)
+        return _unit_mass_kernel(self.kind, g, delta)
+
+
+def _unit_mass_kernel(kind: str, grid: Grid, delta: float) -> GridFunction:
+    """The ``kind`` kernel at scale ``delta``, renormalized to unit quadrature."""
+    if kind == "gaussian":
+        vals = np.exp(-(grid.t / delta) ** 2 / 2.0) / (delta * math.sqrt(2 * math.pi))
+        raw = GridFunction(grid, vals)
+    else:
+        raw = dft_pair(GridFunction(grid, bump_profile(delta * grid.xi)), "inverse")
+    mass = quadrature(raw)
+    if abs(mass) < 1e-14:
+        raise ValueError(f"degenerate kernel normalization at delta={delta}")
+    return GridFunction(grid, raw.values / mass)
 
 
 def make_mollifier(kind: str, grid: Grid) -> Mollifier:
     """Construct the kernel, its radial majorant, and the majorant's mass."""
     if kind not in ("gaussian", "bump_spectrum"):
         raise ValueError(f"kind must be 'gaussian' or 'bump_spectrum', got {kind!r}")
-    if kind == "gaussian":
-        raw = GridFunction(
-            grid, np.exp(-grid.t**2 / 2.0) / math.sqrt(2 * math.pi)
-        )
-    else:
-        raw = dft_pair(GridFunction(grid, bump_profile(grid.xi)), "inverse")
-    mass = quadrature(raw)
-    if abs(mass) < 1e-14:
-        raise ValueError("degenerate kernel normalization (grid too coarse)")
-    kernel = GridFunction(grid, raw.values / mass)
+    kernel = _unit_mass_kernel(kind, grid, 1.0)
     majorant = GridFunction(grid, _running_radial_max(grid, np.abs(kernel.values)))
     majorant_l1 = float(quadrature(majorant).real)
     return Mollifier(kind, grid, kernel, majorant, majorant_l1)
@@ -185,8 +175,6 @@ def multiplier_norm_lower_bound(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    from .spaces import DEFAULT_GRID
-
     grid = grid or DEFAULT_GRID
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -292,15 +280,12 @@ def schwartz_embedding_check(
     A descriptor whose ``|x f(x)|`` does not decay over the window is
     rejected as inconclusive.
     """
-    from .spaces import DEFAULT_GRID
-
     grid = grid or DEFAULT_GRID
-    fn = f_expr
-    f = sample(fn, grid)
+    f = sample(f_expr, grid)
 
     # dense sampling (8x the grid) for the two decay seminorms
     dense = np.linspace(-grid.half_width, grid.half_width, 8 * grid.size + 1)
-    fd = sample(fn, make_grid(grid.half_width, 8 * grid.size)).values
+    fd = sample(f_expr, make_grid(grid.half_width, 8 * grid.size)).values
     dense = dense[:-1]
     sup_f = float(np.max(np.abs(fd)))
     xf = np.abs(dense * fd)

@@ -73,14 +73,13 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.array(self.values, dtype=complex)
         if vals.shape != (self.grid.size,):
             raise ValueError(
                 f"values must have shape ({self.grid.size},), got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("GridFunction values must be finite")
-        vals = vals.copy()
+            raise ValueError("GridFunction has a non-finite value at a node")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -233,10 +232,6 @@ def sample(expr: ProfileLike, grid: Grid) -> GridFunction:
     vals = np.asarray(fn(grid.t), dtype=complex)
     if vals.ndim == 0:
         vals = np.full(grid.size, complex(vals))
-    if vals.shape != (grid.size,):
-        raise ValueError("descriptor did not evaluate to one value per node")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("descriptor evaluated to a non-finite value at a node")
     return GridFunction(grid, vals)
 
 
@@ -279,6 +274,17 @@ def dft_pair(f: GridFunction, direction: str) -> GridFunction:
         base = np.fft.ifftshift(signs * f.values)
         vals = (g.dxi / (2 * math.pi)) * np.fft.fft(base)
     return GridFunction(g, vals)
+
+
+def filter_spectrum(f: GridFunction, m: np.ndarray) -> GridFunction:
+    """``inverse(forward(f) * m)`` for spectral samples ``m`` taken at ``grid.xi``.
+
+    Between the two transforms of :func:`dft_pair` the phase signs cancel,
+    the shifts undo each other and the scales multiply to
+    ``dx * n * dxi/(2*pi) = 1``, which leaves one FFT pair; where ``dx`` and
+    ``n`` are powers of two the result is bit-identical to the two calls.
+    """
+    return GridFunction(f.grid, np.fft.fft(np.fft.ifft(f.values) * np.fft.ifftshift(m)))
 
 
 def to_csv(f: GridFunction) -> str:

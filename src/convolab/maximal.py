@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid, GridFunction, random_mixture
-from .spaces import SpaceNorm, space_norm
+from .spaces import DEFAULT_GRID, SpaceNorm, space_norm
 
 # Blocks of at most this many nodes are solved by the all-windows scan.
 # Kept below 256 so that the quick grid (n = 256) still runs a hull merge.
@@ -172,8 +172,6 @@ def maximal_norm_estimate(
         raise ValueError("trials must be >= 1")
     if math.isinf(space.p) or not space.p > 1.0:
         raise ValueError("maximal norm estimate requires 1 < p < inf")
-    from .spaces import DEFAULT_GRID
-
     grid = grid or DEFAULT_GRID
     rng = np.random.default_rng(seed)
     best = 0.0

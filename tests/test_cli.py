@@ -135,14 +135,19 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
      ("stechkin", "symbol = shift(arctan,nan)"),
      ("density", "f = indicator(nan,1)"),
      ("density", "epsilon = nan"),
-     ("density", "f = const(0)")],
+     ("density", "f = const(0)"),
+     ("sweep", "h = inf"),
+     ("sweep", "h = 1e308"),
+     ("mollify", "deltas = 1, inf")],
 )
 def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(f"[{command}]\n{setting}\n")
-    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main([command, "--config", str(path), "--out", str(out)])
     assert code == USAGE_ERROR
     assert "error:" in capsys.readouterr().err
+    assert not list(out.glob(f"{command}.*"))
 
 
 def test_config_without_section_header_is_usage_error(tmp_path, capsys):
@@ -219,7 +224,9 @@ def test_zero_maximal_trials_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "setting,message",
     [("halvings = -1", "halvings must be >= 0"),
-     ("deltas =", "at least one scale")],
+     ("deltas =", "at least one scale"),
+     ("halvings = 1024", "below grid resolution"),
+     ("halvings = 2000", "must be a positive float")],
 )
 def test_empty_mollify_scales_are_usage_error(setting, message, tmp_path, capsys):
     path = tmp_path / "scales.ini"

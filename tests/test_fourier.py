@@ -27,6 +27,43 @@ from conftest import dft_matrix
 L2 = SpaceNorm(2.0)
 
 
+def three_transform_multiplier(f, m):
+    """Reference route: forward transform, multiply by ``m``, inverse transform."""
+    hat = dft_pair(f, "forward")
+    return dft_pair(GridFunction(f.grid, hat.values * m), "inverse").values
+
+
+# (L, n): dx and n powers of two, so the cancelled scales are exact
+EXACT_GRIDS = [(8.0, 256), (16.0, 1024), (16.0, 4096)]
+ROUNDED_GRIDS = [(5.0, 200), (8.0, 1000)]
+REFERENCE_SYMBOLS = ["arctan", "indicator(-1,1)", "rational_decay(1)"]
+
+
+def _operator_pairs(L, n):
+    """(one FFT pair, three-transform reference) for each operator call."""
+    grid = make_grid(L, n)
+    rng = np.random.default_rng(n)
+    f = random_mixture(grid, rng, complex_values=True)
+    g = random_mixture(grid, rng, complex_values=True)
+    for text in REFERENCE_SYMBOLS:
+        a = parse_symbol(text)
+        yield apply_multiplier(a, f).values, three_transform_multiplier(f, a(grid.xi))
+    ref = three_transform_multiplier(f, dft_pair(g, "forward").values)
+    yield convolve(f, g).values, ref
+
+
+@pytest.mark.parametrize("L,n", EXACT_GRIDS)
+def test_one_fft_pair_is_bit_identical_on_power_of_two_grids(L, n):
+    for got, ref in _operator_pairs(L, n):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("L,n", ROUNDED_GRIDS)
+def test_one_fft_pair_matches_reference_to_rounding(L, n):
+    for got, ref in _operator_pairs(L, n):
+        assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+
 def direct_convolution(f, g):
     """Independent oracle: literal quadrature sum, zero outside the domain."""
     n = f.grid.size
@@ -160,6 +197,11 @@ class TestMollifier:
         bump = make_mollifier("bump_spectrum", fine_grid)
         with pytest.raises(ValueError, match="window"):
             bump.scaled(1.0 / (2 * fine_grid.freq_edge))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bump_spectrum"])
+    def test_unit_scale_is_the_kernel(self, kind, fine_grid):
+        phi = make_mollifier(kind, fine_grid)
+        assert np.array_equal(phi.scaled(1.0).values, phi.kernel.values)
 
     def test_unknown_kind(self, fine_grid):
         with pytest.raises(ValueError, match="kind"):

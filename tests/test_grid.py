@@ -151,6 +151,15 @@ class TestTransformPair:
         rhs = alpha * dft_pair(f, "forward").values + beta * dft_pair(h, "forward").values
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_values_are_a_private_copy(self, dtype):
+        src = np.arange(64, dtype=dtype)
+        f = GridFunction(make_grid(8.0, 64), src)
+        assert not np.shares_memory(f.values, src)
+        assert src.flags.writeable and not f.values.flags.writeable
+        src[0] = 7.0
+        assert f.values[0] == 0.0
+
     def test_grid_mismatch(self, rng):
         g1, g2 = make_grid(8.0, 64), make_grid(8.0, 128)
         f = GridFunction(g1, np.ones(64))
