@@ -111,11 +111,16 @@ def _cmd_sweep(exp: Experiment) -> int:
     sec = exp.section("sweep")
     symbol = parse_symbol(sec.get("symbol", "indicator(-1,1)"))
     k1, k2 = sec.getfloat("k1", 1.0), sec.getfloat("k2", 2.0)
-    targets = _floats(sec.get("h", "4 8 16 32"))
+    h_text = sec.get("h", "4 8 16 32")
+    targets = _floats(h_text)
     dxi = exp.grid.dxi
     if not all(math.isfinite(t / dxi) for t in targets):
         raise ConfigError(f"[sweep] h must be below {sys.float_info.max * dxi:.6g}")
-    shifts = tuple(sorted({max(1, round(t / dxi)) * dxi for t in targets}))
+    steps = [round(t / dxi) for t in targets]
+    if not all(k >= 1 for k in steps):
+        raise ConfigError(f"[sweep] h must be at least half a lattice step "
+                          f"({dxi / 2:.6g}), got {h_text!r}")
+    shifts = tuple(sorted({k * dxi for k in steps}))
     profile = sec.get("profile", "bump")
     probe = band_limited_probe(exp.grid, (k1, k2), profile, exp.seed)
     cfg = LimitSweepConfig(symbol, probe, (k1, k2), shifts, exp.space)

@@ -168,10 +168,10 @@ def multiplier_norm_lower_bound(
 ) -> float:
     """Max Rayleigh ratio ``|W(a) f| / |f|`` over probe functions.
 
-    Always a lower bound for the operator norm.  At (p=2, gamma=0) the
-    operator is diagonal in frequency, so the probe set additionally holds
-    a pure-frequency probe at the argmax node, where the ratio attains
-    ``max_k |a(x_k)|`` exactly.
+    Always a lower bound for the operator norm.  The probe set also holds
+    the pure-frequency probe at the argmax node: it is an eigenvector of
+    the operator with constant modulus, so in every lattice norm its ratio
+    is ``max_k |a(x_k)|``, which at (p=2, gamma=0) is the norm itself.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -185,16 +185,11 @@ def multiplier_norm_lower_bound(
             continue
         best = max(best, space_norm(space, apply_multiplier(a, f)) / nf)
 
-    if space.p == 2.0 and space.gamma == 0.0:
-        mod = np.abs(a(grid.xi))
-        # pure frequency probe at the argmax node: equality case
-        spike = np.zeros(grid.size, dtype=complex)
-        spike[int(np.argmax(mod))] = 1.0
-        probe = dft_pair(GridFunction(grid, spike), "inverse")
-        np_probe = space_norm(space, probe)
-        if np_probe > 0.0:
-            best = max(best, space_norm(space, apply_multiplier(a, probe)) / np_probe)
-    return best
+    spike = np.zeros(grid.size, dtype=complex)
+    spike[int(np.argmax(np.abs(a(grid.xi))))] = 1.0
+    probe = dft_pair(GridFunction(grid, spike), "inverse")
+    ratio = space_norm(space, apply_multiplier(a, probe)) / space_norm(space, probe)
+    return max(best, ratio)
 
 
 @dataclass(frozen=True)

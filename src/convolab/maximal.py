@@ -9,14 +9,22 @@ domain the function is modeled as zero, which only lowers averages.
 
 Two routes are provided.  ``oracle`` enumerates the means of all O(n^2)
 windows with a prefix-sum scan.  It takes the start nodes in blocks of
-rows, each block one matrix of window means with a suffix maximum along
-its rows; every mean is the same subtraction and division as in a scan of
-one start node at a time, so the result is bit-identical to that scan.
+``_ROW_BLOCK`` rows, each block one matrix of window means.  Past the
+block's first r columns every row starts at or before the node, so there
+the column max is taken first and then one suffix max over the end node;
+only an r x (r+1) head, whose last column is each row's max over the
+tail, needs the suffix max along its rows and the mask of windows that
+start after the node.  Every mean is the same subtraction and division as
+in a scan of one start node at a time and a max is exact, so the result
+is bit-identical to that scan.
 ``fast`` is a divide-and-conquer over the prefix-sum graph: the best
 window containing a node is the steepest chord of the prefix sums across
 the node, so windows crossing the midpoint are resolved by tangent queries
-against the upper hull of the prefix points, built in a loop over Python
-floats.  The sums are counted from that midpoint, so rounding does not
+against the upper hull of the prefix points.  Vectorised passes first drop
+the points that lie on or below the chord of their neighbours, which are
+no hull vertices, until a pass removes less than a quarter of them; a
+monotone-chain loop over Python floats builds the hull from the rest.
+The sums are counted from that midpoint, so rounding does not
 grow with the length of the whole array, and one routine serves both
 halves: the right half runs it on the reversed block.  The recursion stops
 at blocks of at most ``_BASE_SIZE`` nodes, which the oracle's all-windows
@@ -38,38 +46,63 @@ from .spaces import DEFAULT_GRID, SpaceNorm, space_norm
 # Kept below 256 so that the quick grid (n = 256) still runs a hull merge.
 _BASE_SIZE = 128
 
-# The all-windows scan takes rows in blocks of at most this many entries,
-# so its buffers stay small at every n.
-_ROW_BLOCK = 2**14
+# The all-windows scan takes its start nodes in blocks of this many rows.
+# A block of r rows pays a row-wise suffix max over r*(r+1) entries and a
+# fixed cost per block; r = 32 is close to the cheapest sum for n from 128
+# to 4096.
+_ROW_BLOCK = 32
 
 
 def _oracle_scan(av: np.ndarray) -> np.ndarray:
     n = av.size
     S = np.concatenate(([0.0], np.cumsum(av)))
     out = np.zeros(n)
-    rows = max(1, _ROW_BLOCK // n)
+    rows = min(_ROW_BLOCK, n)
     # row i of a block starts at a0 + i and column k ends at a0 + k; a
     # window that ends before it starts gets length 1 and a mean <= 0
     # (av >= 0), so it never raises a real window's suffix max
-    span = np.arange(n) - np.arange(rows)[:, None] + 1
-    lens = np.maximum(span, 1).astype(float)
-    before = span < 1
+    lens = np.arange(1.0, n + 1) - np.arange(rows)[:, None]
+    np.maximum(lens, 1.0, out=lens)
+    before = np.tri(rows, k=-1, dtype=bool)
     buf = np.empty((rows, n))
     for a0 in range(0, n, rows):
         r, w = min(rows, n - a0), n - a0
         means = buf[:r, :w]
         np.subtract(S[a0 + 1:], S[a0:a0 + r, None], out=means)
         np.divide(means, lens[:r, :w], out=means)
-        # suffix max over the end node: best window [a..b] with b >= j
-        rev = means[:, ::-1]
+        if w > r:
+            # every row starts before the nodes past the first r columns,
+            # so the best window holding one of them is a suffix max of
+            # the column max over the end node
+            tail = means[:, r:]
+            best = np.maximum.accumulate(tail.max(axis=0)[::-1])[::-1]
+            np.maximum(out[a0 + r:], best, out=out[a0 + r:])
+            # column r stands for the whole tail in the head's suffix max
+            means[:, r] = tail.max(axis=1)
+        # suffix max over the end node in the head and its tail column:
+        # best window [a..b] with b >= j
+        rev = means[:, r::-1]
         np.maximum.accumulate(rev, axis=1, out=rev)
         # a window that starts after node a0 + k does not hold it
-        means[before[:r, :w]] = 0.0
-        np.maximum(out[a0:], means.max(axis=0), out=out[a0:])
+        head = means[:, :r]
+        head[before[:r, :r]] = 0.0
+        np.maximum(out[a0:a0 + r], head.max(axis=0), out=out[a0:a0 + r])
     return out
 
 
 def _upper_hull(xs: np.ndarray, ys: np.ndarray):
+    # a point on or below the chord of its neighbours is no hull vertex,
+    # so whole passes of them are dropped before the loop; stopping after a
+    # pass that removes less than a quarter of the chain keeps the passes
+    # O(size)
+    while xs.size > 2:
+        keep = np.ones(xs.size, dtype=bool)
+        keep[1:-1] = ((ys[1:-1] - ys[:-2]) * (xs[2:] - xs[1:-1])
+                      > (ys[2:] - ys[1:-1]) * (xs[1:-1] - xs[:-2]))
+        size = xs.size
+        xs, ys = xs[keep], ys[keep]
+        if 4 * xs.size > 3 * size:
+            break
     hx, hy = [], []
     for x, y in zip(xs.tolist(), ys.tolist()):
         while len(hx) >= 2 and (

@@ -138,6 +138,7 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
      ("density", "f = const(0)"),
      ("sweep", "h = inf"),
      ("sweep", "h = 1e308"),
+     ("sweep", "h = -4, 0.1, 4"),
      ("mollify", "deltas = 1, inf")],
 )
 def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys):

@@ -301,6 +301,17 @@ class TestMultiplierNormLowerBound:
         )
         assert got == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("p, gamma", [(3.0, -0.5), (1.5, 0.0)])
+    def test_spike_probe_reaches_symbol_max_in_every_space(self, p, gamma):
+        # the pure-frequency probe is an eigenvector of W(a) with constant
+        # modulus; random probes alone stay far below max|a| for arctan
+        g = make_grid(8.0, 256)
+        a = parse_symbol("arctan")
+        peak = float(np.max(np.abs(a(g.xi))))
+        got = multiplier_norm_lower_bound(a, SpaceNorm(p, gamma), trials=5,
+                                          seed=1, grid=g)
+        assert got >= peak * (1 - 1e-12)
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_identity_symbol_any_exponent(self, p):
         got = multiplier_norm_lower_bound(

@@ -103,17 +103,73 @@ def _scan_inputs(n, rng):
 class TestOracleRowBlocks:
     """The blocked all-windows scan repeats the row loop's arithmetic exactly."""
 
-    @pytest.mark.parametrize("row_block", [None, 64])
-    @pytest.mark.parametrize("sizes", [range(1, 301), (1000, 1024, 4096)],
-                             ids=["n1-300", "n1000-4096"])
+    @pytest.mark.parametrize(
+        "sizes, row_block",
+        [(range(1, 301), None), (range(1, 301), 64),
+         ((1000, 1024, 4096), None), ((1000, 1024, 4096), 64),
+         ((1000, 1024, 4096), 1)],
+        ids=["n1-300-None", "n1-300-64", "n1000-4096-None", "n1000-4096-64",
+             "n1000-4096-1"])
     def test_bit_identical_to_row_loop(self, sizes, row_block, rng, monkeypatch):
-        # 64 entries per block: ragged last blocks below n = 64, one row
-        # per block above it
+        # rows per block: one block up to n = 32 (64), ragged last blocks
+        # above it, and one-row blocks whose head is a single column plus
+        # the tail's stand-in
         if row_block is not None:
             monkeypatch.setattr(maximal, "_ROW_BLOCK", row_block)
         for n in sizes:
             for av in _scan_inputs(n, rng):
                 assert np.array_equal(maximal._oracle_scan(av), _row_loop_scan(av)), n
+
+
+def _plain_upper_hull(xs, ys):
+    """Monotone-chain upper hull with no pruning pass before the loop."""
+    hx, hy = [], []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        while len(hx) >= 2 and (
+            (hy[-1] - hy[-2]) * (x - hx[-1]) <= (y - hy[-1]) * (hx[-1] - hx[-2])
+        ):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    return np.asarray(hx), np.asarray(hy)
+
+
+def _concave_then_spike(n):
+    # its prefix sums are concave up to the spike: no point of that run is
+    # below its neighbours' chord, so the pruning stops after one pass and
+    # the loop pops the whole run
+    return np.r_[np.exp(-np.linspace(0, 4, n - 1)), 50.0]
+
+
+class TestHullPruning:
+    """Pruning before the monotone-chain loop drops no hull vertex."""
+
+    @pytest.mark.parametrize("n", [3, 64, 1000, 4096])
+    def test_same_vertices_as_plain_chain(self, n, rng):
+        xs = np.arange(1, n + 1, dtype=float)
+        shapes = {
+            "noise": rng.normal(size=n),
+            "plateaus": (rng.uniform(size=n) > 0.6).astype(float),
+            "zeros": np.zeros(n),
+            # an exact slope keeps every triple collinear in floating point
+            "ramp": 0.5 * xs,
+            "spike": _concave_then_spike(n),
+        }
+        for name, arr in shapes.items():
+            for ys in (arr, np.cumsum(arr)):
+                got, want = maximal._upper_hull(xs, ys), _plain_upper_hull(xs, ys)
+                assert np.array_equal(got[0], want[0]), name
+                assert np.array_equal(got[1], want[1]), name
+
+    @pytest.mark.parametrize("n", [1000, 4096])
+    def test_fast_scan_matches_oracle_where_pruning_stalls(self, n):
+        # a constant 0.1 has near-collinear prefix sums, where the pruned
+        # and the plain chain may keep different vertices by rounding
+        t = np.linspace(0.0, 8.0, n)
+        for av in (_concave_then_spike(n), np.exp(-t * t / 2), np.full(n, 0.1)):
+            gap = np.max(np.abs(maximal._fast_scan(av) - maximal._oracle_scan(av)))
+            assert gap <= 1e-12
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
