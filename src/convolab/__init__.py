@@ -26,13 +26,13 @@ from .grid import (
     GridFunction,
     bump_profile,
     dft_pair,
+    filter_spectrum,
     indicator_profile,
     make_grid,
     parse_profile,
     quadrature,
     random_mixture,
     sample,
-    to_csv,
 )
 from .limitops import (
     ConjugatedResult,

@@ -279,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_experiment(command: str, config_path: str, **overrides) -> int:
-    argv = [command, "--config", config_path]
-    for key, val in overrides.items():
-        argv += [f"--{key.replace('_', '-')}", str(val)]
-    return main(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:

@@ -3,15 +3,18 @@
 The multiplier operator is realized diagonally: transform, multiply by the
 symbol sampled at the frequency nodes (no cell averaging, so indicator
 supports stay sharp), transform back, as one FFT pair (``filter_spectrum``).
-Convolution multiplies by the kernel's spectrum in the same way, exactly;
-against direct quadrature convolution this differs only by circular wrap
-near the domain boundary, so tests keep supports in the middle half.
+Convolution and mollification multiply by the kernel's spectrum in the
+same way, exactly; a mollifier carries its unit-mass spectrum, so no kernel
+is transformed.  Against direct quadrature convolution this differs only by
+circular wrap near the domain boundary, so tests keep supports in the middle
+half.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +37,7 @@ from .maximal import maximal_function
 from .spaces import DEFAULT_GRID, SpaceNorm, space_norm
 from .symbols import Symbol, symbol_norms
 
-# smallest kernel scale the grid can renormalize reliably, in units of dx
+# smallest kernel scale the grid resolves, in units of dx
 _MIN_DELTA_CELLS = 0.5
 
 
@@ -50,35 +53,30 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     return filter_spectrum(f, dft_pair(g, "forward").values)
 
 
-def _running_radial_max(grid: Grid, av: np.ndarray) -> np.ndarray:
-    """Phi(t_j) = max of av over nodes with |t_i| >= |t_j|."""
-    order = np.argsort(-np.abs(grid.t), kind="stable")
-    out = np.empty_like(av)
-    out[order] = np.maximum.accumulate(av[order])
-    return out
-
-
 @dataclass(frozen=True)
 class Mollifier:
-    """A unit-integral kernel with its radial majorant and scaling rule.
+    """A unit-mass kernel family given by its spectrum, with a majorant.
 
     ``gaussian`` is the control kernel (positive, radially decreasing, its
     own majorant).  ``bump_spectrum`` is the band-limited kernel whose
     transform is the compactly supported bump exp(1/(x^2-1)) on (-1, 1):
-    scaled copies are built directly from frequency samples of the dilated
-    bump, which keeps the band limit exact on the grid (a spatial resample
-    of the dilated kernel would leak outside the band through the finite
-    window).
+    its spectrum at scale delta is the dilated bump sampled at the
+    frequency nodes, which keeps the band limit exact on the grid (a
+    spatial resample of the dilated kernel would leak outside the band
+    through the finite window).  ``kernel`` is the unit-scale kernel,
+    ``majorant`` its radial majorant and ``majorant_l1`` the majorant's
+    mass.
     """
 
     kind: str
     grid: Grid
-    kernel: GridFunction
-    majorant: GridFunction
-    majorant_l1: float
 
-    def scaled(self, delta: float) -> GridFunction:
-        """The kernel at scale delta, renormalized to unit quadrature."""
+    def spectrum(self, delta: float) -> np.ndarray:
+        """Transform of the kernel at scale delta at ``grid.xi``, unit mass.
+
+        The samples are divided by their value at ``x = 0``, the kernel's
+        mass, so smoothing is ``filter_spectrum(f, spectrum(delta))``.
+        """
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
         g = self.grid
@@ -92,30 +90,36 @@ class Mollifier:
                 f"delta={delta} below grid resolution ({_MIN_DELTA_CELLS} * dx "
                 f"= {_MIN_DELTA_CELLS * g.dx})"
             )
-        return _unit_mass_kernel(self.kind, g, delta)
+        if self.kind == "gaussian":
+            raw = GridFunction(g, np.exp(-(g.t / delta) ** 2 / 2.0))
+            hat = dft_pair(raw, "forward").values
+        else:
+            hat = bump_profile(delta * g.xi)
+        return hat / hat[g.size // 2]
 
+    @cached_property
+    def kernel(self) -> GridFunction:
+        return dft_pair(GridFunction(self.grid, self.spectrum(1.0)), "inverse")
 
-def _unit_mass_kernel(kind: str, grid: Grid, delta: float) -> GridFunction:
-    """The ``kind`` kernel at scale ``delta``, renormalized to unit quadrature."""
-    if kind == "gaussian":
-        vals = np.exp(-(grid.t / delta) ** 2 / 2.0) / (delta * math.sqrt(2 * math.pi))
-        raw = GridFunction(grid, vals)
-    else:
-        raw = dft_pair(GridFunction(grid, bump_profile(delta * grid.xi)), "inverse")
-    mass = quadrature(raw)
-    if abs(mass) < 1e-14:
-        raise ValueError(f"degenerate kernel normalization at delta={delta}")
-    return GridFunction(grid, raw.values / mass)
+    @cached_property
+    def majorant(self) -> GridFunction:
+        # Phi(t_j) = max of |kernel| over nodes with |t_i| >= |t_j|
+        av = np.abs(self.kernel.values)
+        order = np.argsort(-np.abs(self.grid.t), kind="stable")
+        out = np.empty_like(av)
+        out[order] = np.maximum.accumulate(av[order])
+        return GridFunction(self.grid, out)
+
+    @cached_property
+    def majorant_l1(self) -> float:
+        return float(quadrature(self.majorant).real)
 
 
 def make_mollifier(kind: str, grid: Grid) -> Mollifier:
-    """Construct the kernel, its radial majorant, and the majorant's mass."""
+    """The ``kind`` mollifier family on ``grid``."""
     if kind not in ("gaussian", "bump_spectrum"):
         raise ValueError(f"kind must be 'gaussian' or 'bump_spectrum', got {kind!r}")
-    kernel = _unit_mass_kernel(kind, grid, 1.0)
-    majorant = GridFunction(grid, _running_radial_max(grid, np.abs(kernel.values)))
-    majorant_l1 = float(quadrature(majorant).real)
-    return Mollifier(kind, grid, kernel, majorant, majorant_l1)
+    return Mollifier(kind, grid)
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,7 @@ def mollify_sweep(
     ceiling = phi.majorant_l1 * mf + 1e-8
     rows = []
     for delta in deltas:
-        smoothed = convolve(f, phi.scaled(delta))
+        smoothed = filter_spectrum(f, phi.spectrum(delta))
         err = space_norm(space, smoothed - f)
         bnd = space_norm(space, smoothed)
         ok = bool(np.all(np.abs(smoothed.values) <= ceiling))
@@ -279,13 +283,12 @@ def schwartz_embedding_check(
     f = sample(f_expr, grid)
 
     # dense sampling (8x the grid) for the two decay seminorms
-    dense = np.linspace(-grid.half_width, grid.half_width, 8 * grid.size + 1)
-    fd = sample(f_expr, make_grid(grid.half_width, 8 * grid.size)).values
-    dense = dense[:-1]
+    dense = make_grid(grid.half_width, 8 * grid.size)
+    fd = sample(f_expr, dense).values
     sup_f = float(np.max(np.abs(fd)))
-    xf = np.abs(dense * fd)
+    xf = np.abs(dense.t * fd)
     sup_xf = float(np.max(xf))
-    outer = np.abs(dense) > 0.9 * grid.half_width
+    outer = np.abs(dense.t) > 0.9 * grid.half_width
     if sup_xf > 0 and float(np.max(xf[outer])) > 0.5 * sup_xf:
         raise InconclusiveError(
             "descriptor does not decay over the window: |x f(x)| is still "

@@ -5,10 +5,10 @@ Conventions
 The forward transform of ``f`` is ``hat f(x) = int f(t) e^{+itx} dt`` (note
 the positive exponent); the inverse carries the ``1/(2*pi)`` factor so that
 the round trip is the identity.  All integrals over the real line are
-truncated to ``[-L, L]``; callers choose ``L`` so the functions involved
-decay below 1e-12 at the boundary.  Indicator sampling uses the half-open
-convention ``[c, d)`` so a node sitting exactly on a boundary is resolved
-deterministically.
+truncated to ``[-L, L]`` and computed by the rectangle rule on the nodes;
+callers choose ``L`` so the functions involved decay below 1e-12 at the
+boundary.  Indicator sampling uses the half-open convention ``[c, d)`` so
+a node sitting exactly on a boundary is resolved deterministically.
 """
 
 from __future__ import annotations
@@ -236,13 +236,12 @@ def sample(expr: ProfileLike, grid: Grid) -> GridFunction:
 
 
 def quadrature(f: GridFunction) -> complex:
-    """Trapezoid rule on [-L, L], treating the function as 0 outside.
+    """Rectangle rule ``dx * sum f`` on [-L, L), the function 0 outside.
 
-    The grid stores nodes ``-L .. L-dx``; with the implicit zero at ``+L``
-    the trapezoid weights reduce to ``dx`` everywhere except a half weight
-    at the left endpoint.
+    This is the forward transform's value at ``x = 0``, so norms, kernel
+    masses and spectra share one mass convention.
     """
-    return f.grid.dx * (f.values.sum() - 0.5 * f.values[0])
+    return f.grid.dx * f.values.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +284,6 @@ def filter_spectrum(f: GridFunction, m: np.ndarray) -> GridFunction:
     ``n`` are powers of two the result is bit-identical to the two calls.
     """
     return GridFunction(f.grid, np.fft.fft(np.fft.ifft(f.values) * np.fft.ifftshift(m)))
-
-
-def to_csv(f: GridFunction) -> str:
-    """Serialize as CSV rows ``index,t,re,im`` (debugging aid)."""
-    lines = ["index,t,re,im"]
-    for j, (t, v) in enumerate(zip(f.grid.t, f.values)):
-        lines.append(f"{j},{t:.17g},{v.real:.17g},{v.imag:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 def random_mixture(

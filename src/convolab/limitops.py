@@ -22,8 +22,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergenceError
-from .fourier import apply_multiplier, convolve, make_mollifier
-from .grid import Grid, GridFunction, ProfileLike, bump_profile, dft_pair, sample
+from .fourier import apply_multiplier, make_mollifier
+from .grid import (
+    Grid,
+    GridFunction,
+    ProfileLike,
+    bump_profile,
+    dft_pair,
+    filter_spectrum,
+    sample,
+)
 from .spaces import SpaceNorm, space_norm
 from .symbols import Symbol, shift_symbol, symbol_norms, tail_sup, tail_truncate
 
@@ -103,7 +111,7 @@ def band_limited_probe(
         phase = np.pi * u[mask]
         for m in range(4):
             coef[mask] += (rng.normal() + 1j * rng.normal()) * np.cos(m * phase)
-        hat = env * (1.0 + 0.5 * coef / max(1, np.max(np.abs(coef)) or 1))
+        hat = env * (1.0 + 0.5 * coef / max(1, np.max(np.abs(coef))))
     elif profile == "bump":
         hat = env.astype(complex)
     else:
@@ -205,9 +213,10 @@ def s0_test_function(
 ) -> S0Probe:
     """Band-limit a smooth compactly supported function by mollification.
 
-    Convolving with the band-limited kernel at scale delta confines the
-    spectrum to ``[-1/delta, 1/delta]``; the relative out-of-band spectral
-    mass is verified below 1e-9 and returned.
+    Filtering with the unit-mass spectrum of the band-limited kernel at
+    scale delta confines the spectrum to ``(-1/delta, 1/delta)`` and keeps
+    the function's mass; the relative out-of-band spectral mass is
+    verified below 1e-9 and returned.
     """
     if 1.0 / delta >= grid.freq_edge:
         raise ValueError("band [-1/delta, 1/delta] exceeds the frequency window")
@@ -219,13 +228,12 @@ def s0_test_function(
     tails = body[np.abs(grid.t) > grid.half_width / 2]
     if peak == 0.0 or (tails.size and float(np.max(tails)) > 1e-12 * peak):
         raise ValueError("descriptor must be supported well inside [-L/2, L/2]")
-    phi = make_mollifier("bump_spectrum", grid)
-    f = convolve(g, phi.scaled(delta))
-    lo, hi = max(-1.0 / delta, -grid.freq_edge), min(1.0 / delta, grid.freq_edge)
-    mass_out = _out_of_band_mass(f, (lo, hi))
+    f = filter_spectrum(g, make_mollifier("bump_spectrum", grid).spectrum(delta))
+    band = (-1.0 / delta, 1.0 / delta)
+    mass_out = _out_of_band_mass(f, band)
     if mass_out >= 1e-9:
         raise ValueError(f"band-limit failed: out-of-band mass {mass_out:.3e}")
-    return S0Probe(f, (lo, hi), mass_out)
+    return S0Probe(f, band, mass_out)
 
 
 @dataclass(frozen=True)
@@ -270,7 +278,7 @@ def density_experiment(
     sigma, smooth, e1 = 1.0, None, math.inf
     floor = 0.5 * grid.dx
     while True:
-        cand = convolve(f, gauss.scaled(sigma))
+        cand = filter_spectrum(f, gauss.spectrum(sigma))
         e1 = space_norm(space, cand - f)
         if e1 < eps / 2:
             smooth = cand
@@ -286,7 +294,7 @@ def density_experiment(
     best = math.inf
     delta_min = 1.0 / (0.98 * grid.freq_edge)
     while True:
-        approx = convolve(smooth, bump.scaled(delta))
+        approx = filter_spectrum(smooth, bump.spectrum(delta))
         e2 = space_norm(space, approx - smooth)
         best = min(best, e2)
         if e2 < eps / 2:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from convolab import cli
-from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main, run_experiment
+from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
 
 CONFIG = """
 [grid]
@@ -203,13 +203,6 @@ def test_unreachable_density_target_is_assertion_failure(tmp_path, capsys):
     code = main(["density", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == ASSERTION_FAILURE
     assert "FAIL" in capsys.readouterr().out
-
-
-def test_run_experiment_wrapper(config_path, tmp_path):
-    code = run_experiment("stechkin", str(config_path),
-                          out=str(tmp_path / "w"), seed=1)
-    assert code == 0
-    assert (tmp_path / "w" / "stechkin.json").exists()
 
 
 def test_zero_maximal_trials_is_usage_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from convolab import (
     band_limited_probe,
     convolve,
     dft_pair,
+    filter_spectrum,
     make_grid,
     make_mollifier,
     mollify_sweep,
@@ -137,7 +138,7 @@ class TestConvolve:
         f = sample("gaussian", fine_grid)
         phi = make_mollifier("gaussian", fine_grid)
         errors = [
-            space_norm(L2, convolve(f, phi.scaled(w)) - f)
+            space_norm(L2, filter_spectrum(f, phi.spectrum(w)) - f)
             for w in (0.5, 0.25, 0.125)
         ]
         assert errors[2] < errors[1] < errors[0]
@@ -183,7 +184,7 @@ class TestMollifier:
         phi = make_mollifier("bump_spectrum", fine_grid)
         g = sample("bump", fine_grid)
         for delta in (1.0, 0.5):
-            out = convolve(g, phi.scaled(delta))
+            out = filter_spectrum(g, phi.spectrum(delta))
             hat = dft_pair(out, "forward")
             dead = np.abs(delta * fine_grid.xi) >= 1.0
             assert np.max(np.abs(hat.values[dead])) < 1e-9
@@ -191,17 +192,27 @@ class TestMollifier:
     def test_scale_validation(self, fine_grid):
         phi = make_mollifier("gaussian", fine_grid)
         with pytest.raises(ValueError, match="resolution"):
-            phi.scaled(0.1 * fine_grid.dx)
+            phi.spectrum(0.1 * fine_grid.dx)
         with pytest.raises(ValueError):
-            phi.scaled(-1.0)
+            phi.spectrum(-1.0)
         bump = make_mollifier("bump_spectrum", fine_grid)
         with pytest.raises(ValueError, match="window"):
-            bump.scaled(1.0 / (2 * fine_grid.freq_edge))
+            bump.spectrum(1.0 / (2 * fine_grid.freq_edge))
 
     @pytest.mark.parametrize("kind", ["gaussian", "bump_spectrum"])
     def test_unit_scale_is_the_kernel(self, kind, fine_grid):
         phi = make_mollifier(kind, fine_grid)
-        assert np.array_equal(phi.scaled(1.0).values, phi.kernel.values)
+        kernel = dft_pair(GridFunction(fine_grid, phi.spectrum(1.0)), "inverse")
+        assert np.array_equal(kernel.values, phi.kernel.values)
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5, 0.1])
+    def test_spectrum_unit_mass_and_exact_band(self, delta, fine_grid):
+        bump = make_mollifier("bump_spectrum", fine_grid).spectrum(delta)
+        gauss = make_mollifier("gaussian", fine_grid).spectrum(delta)
+        centre = fine_grid.size // 2
+        assert bump[centre] == 1.0 and gauss[centre] == 1.0
+        dead = np.abs(delta * fine_grid.xi) >= 1.0
+        assert dead.any() and not bump[dead].any()
 
     def test_unknown_kind(self, fine_grid):
         with pytest.raises(ValueError, match="kind"):

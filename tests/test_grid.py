@@ -11,7 +11,6 @@ from convolab import (
     make_grid,
     quadrature,
     sample,
-    to_csv,
 )
 from conftest import dft_matrix
 
@@ -166,14 +165,3 @@ class TestTransformPair:
         h = GridFunction(g2, np.ones(128))
         with pytest.raises(ValueError, match="mismatch"):
             _ = f + h
-
-
-def test_csv_serialization(std_grid):
-    f = sample("indicator(0,1)", std_grid)
-    text = to_csv(f)
-    lines = text.strip().split("\n")
-    assert lines[0] == "index,t,re,im"
-    assert len(lines) == std_grid.size + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == -std_grid.half_width

@@ -200,14 +200,13 @@ class TestS0TestFunction:
         assert wide.band == (-2.0, 2.0)
         assert wide.out_of_band_mass < 1e-9
 
-    def test_mass_preserved(self):
-        # the band-limited kernel decays only sub-exponentially, so its
-        # wrapped tail pollutes the quadrature edge weight unless the domain
-        # is generous; at L=64 the identity holds with two orders to spare
-        g = make_grid(64.0, 4096)
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    @pytest.mark.parametrize("L, n", [(8, 256), (16, 1024), (64, 4096)])
+    def test_mass_preserved(self, L, n, delta):
+        g = make_grid(float(L), n)
         f = sample("bump", g)
-        probe = s0_test_function("bump", 1.0, g)
-        assert abs(quadrature(probe.values) - quadrature(f)) < 1e-8
+        probe = s0_test_function("bump", delta, g)
+        assert abs(quadrature(probe.values) - quadrature(f)) < 1e-14
 
     def test_preconditions(self, fine_grid):
         with pytest.raises(ValueError, match="resolution"):
