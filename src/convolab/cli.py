@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
@@ -179,7 +180,7 @@ def _cmd_stechkin(exp: Experiment) -> int:
     symbol = parse_symbol(sec.get("symbol", "indicator(-1,1)"))
     trials = sec.getint("trials", 20)
     report = stechkin_check(symbol, exp.space, trials, exp.seed, exp.grid)
-    exp.write_json("stechkin", report.to_json())
+    exp.write_json("stechkin", dataclasses.asdict(report))
     print(f"stechkin: lower={report.lower:.3f} v_norm={report.v_norm:.3f} "
           f"ratio={report.ratio:.3f}")
     return ASSERTION_FAILURE if report.violation else 0

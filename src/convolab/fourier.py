@@ -204,15 +204,6 @@ class StechkinReport:
     calibration: str
     violation: bool
 
-    def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "v_norm": self.v_norm,
-            "ratio": self.ratio,
-            "calibration": self.calibration,
-            "violation": self.violation,
-        }
-
 
 def stechkin_check(
     a: Symbol,
@@ -252,18 +243,6 @@ class EmbeddingReport:
     lhs: float
     rhs: float
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "sup_f": self.sup_f,
-            "sup_xf": self.sup_xf,
-            "norm_f": self.norm_f,
-            "norm_indicator": self.norm_indicator,
-            "norm_maximal_indicator": self.norm_maximal_indicator,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ok": self.ok,
-        }
 
 
 def schwartz_embedding_check(

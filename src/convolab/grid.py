@@ -287,21 +287,17 @@ def filter_spectrum(f: GridFunction, m: np.ndarray) -> GridFunction:
 
 
 def random_mixture(
-    grid: Grid,
-    rng: np.random.Generator,
-    components: int = 4,
-    complex_values: bool = False,
-    support_fraction: float = 0.5,
+    grid: Grid, rng: np.random.Generator, complex_values: bool = False
 ) -> GridFunction:
-    """Random test function: a mixture of Gaussian bumps and one indicator.
+    """Random test function: a mixture of four Gaussian bumps and one indicator.
 
-    Supported well inside the domain (within ``support_fraction * L``) so
-    that convolution wrap-around and boundary truncation stay negligible.
+    Supported well inside the domain (within ``L/2``) so that convolution
+    wrap-around and boundary truncation stay negligible.
     """
-    L = grid.half_width * support_fraction
+    L = grid.half_width * 0.5
     t = grid.t
     vals = np.zeros(grid.size, dtype=complex)
-    for _ in range(components):
+    for _ in range(4):
         c = rng.uniform(-0.8 * L, 0.8 * L)
         w = rng.uniform(0.2, 1.5)
         amp = rng.normal()

@@ -33,7 +33,7 @@ from .grid import (
     sample,
 )
 from .spaces import SpaceNorm, space_norm
-from .symbols import Symbol, shift_symbol, symbol_norms, tail_sup, tail_truncate
+from .symbols import Symbol, shift_symbol, symbol_norms, tail_truncate
 
 _LATTICE_RTOL = 1e-9
 
@@ -177,11 +177,13 @@ def limit_operator_sweep(cfg: LimitSweepConfig) -> list[SweepRow]:
     """Measure the conjugated norms against the tail bound, shift by shift.
 
     For each shift h the row compares ``r = |e_h W(a) e_{-h} probe|``
-    against ``B = 3 * tail_sup(a, N) * |probe|`` with ``N = inf(band) + h``
-    (the largest cutoff whose complement contains the shifted band).  At
-    p = 2 the bound is a theorem for the discrete model and is asserted by
-    callers; for other exponents the same structural bound is reported with
-    the uncalibrated constant replaced by the tail variation norm.
+    against ``B = 3 * T * |probe|``.  ``T`` comes from one
+    :func:`symbol_norms` call on ``tail_truncate(a, N)`` with
+    ``N = inf(band) + h`` (the largest cutoff whose complement contains the
+    shifted band).  At p = 2 and gamma = 0 it is the sup norm, which is
+    :func:`tail_sup`, and the bound is a theorem for the discrete model,
+    asserted by callers; in other spaces it is the variation norm and the
+    bound is reported with no calibrated constant.
     """
     cfg.validate()
     p2 = cfg.space.p == 2.0 and cfg.space.gamma == 0.0
@@ -191,12 +193,8 @@ def limit_operator_sweep(cfg: LimitSweepConfig) -> list[SweepRow]:
         r = space_norm(
             cfg.space, conjugated_apply(cfg.symbol, h, cfg.probe).result
         )
-        cutoff = cfg.band[0] + h
-        if p2:
-            bound = 3.0 * tail_sup(cfg.symbol, cutoff) * nf
-        else:
-            tail_v = symbol_norms(tail_truncate(cfg.symbol, cutoff)).v_norm
-            bound = 3.0 * tail_v * nf
+        tail = symbol_norms(tail_truncate(cfg.symbol, cfg.band[0] + h))
+        bound = 3.0 * (tail.sup_norm if p2 else tail.v_norm) * nf
         rows.append(SweepRow(h, r, bound, bool(r <= bound + 1e-8)))
     return rows
 
@@ -303,7 +301,7 @@ def density_experiment(
             raise NoConvergenceError(
                 "band-limit scale hit the frequency window before reaching "
                 f"the eps/2 target (best second-stage error {best})",
-                best=space_norm(space, approx - f),
+                best=best,
             )
         delta /= 2
 

@@ -137,6 +137,8 @@ def verify_axioms(
         g = _random_nonneg(grid, rng)
         nf, ng = space_norm(space, f), space_norm(space, g)
         if nf == 0.0:
+            # f is a nonzero probe, and a lattice norm vanishes only on 0
+            a1_ok = False
             continue
 
         # A1: positive homogeneity and the triangle inequality
@@ -144,7 +146,7 @@ def verify_axioms(
         hom = abs(space_norm(space, alpha * f) - alpha * nf) / (alpha * nf)
         tri = (space_norm(space, f + g) - (nf + ng)) / (nf + ng)
         a1_worst = max(a1_worst, hom, tri)
-        if hom > 1e-9 or tri > 1e-9:
+        if not (hom <= 1e-9 and tri <= 1e-9):
             a1_ok = False
 
         # A2: |h| <= |f| pointwise implies norm(h) <= norm(f)
@@ -152,7 +154,7 @@ def verify_axioms(
         h = GridFunction(grid, f.values * damp)
         slack = space_norm(space, h) - nf
         a2_worst = max(a2_worst, slack)
-        if slack > 1e-12:
+        if not slack <= 1e-12:
             a2_ok = False
 
         # A3: truncations f * chi_[-mL/8, mL/8) increase to f
@@ -162,11 +164,11 @@ def verify_axioms(
             fm = GridFunction(grid, f.values * cut)
             nm = space_norm(space, fm)
             a3_worst = max(a3_worst, prev - nm)
-            if nm < prev - 1e-12:
+            if not nm >= prev - 1e-12:
                 a3_ok = False
             prev = nm
         a3_worst = max(a3_worst, abs(prev - nf))
-        if abs(prev - nf) > 1e-12:
+        if not abs(prev - nf) <= 1e-12:
             a3_ok = False
 
         # A4: indicator of a random finite interval has finite norm

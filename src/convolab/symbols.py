@@ -28,6 +28,8 @@ from .grid import float_args, parse_call
 # relative offset used to probe one-sided values next to a breakpoint
 _SIDE_EPS = 1e-9
 _MAX_PARTITION_NODES = 4_000_000
+# per-segment nodes of the first partition sum; doubled until it converges
+_START_REFINEMENT = 64
 
 
 @dataclass(frozen=True)
@@ -197,53 +199,34 @@ def _base_nodes(a: Symbol, window: float) -> np.ndarray:
 
 def _partition_sum(a: Symbol, base: np.ndarray, per_segment: int) -> float:
     """Sum of |consecutive differences| over the refined partition."""
-    pieces = [
-        np.linspace(base[i], base[i + 1], per_segment + 1)[:-1]
-        for i in range(len(base) - 1)
-    ]
-    nodes = np.concatenate(pieces + [base[-1:]])
-    vals = a(nodes)
+    inner = np.linspace(base[:-1], base[1:], per_segment + 1, axis=1)[:, :-1]
+    vals = a(np.concatenate([inner.ravel(), base[-1:]]))
     return float(np.abs(np.diff(vals)).sum())
 
 
-def _require_window(a: Symbol, window: Optional[float]) -> float:
-    bp_reach = max((abs(b) for b in a.breakpoints), default=0.0)
-    tail_reach = a.tail.radius if a.tail is not None else 0.0
-    if window is None:
-        return max(16.0, bp_reach + 1.0, tail_reach + 1.0)
-    if window < bp_reach:
-        raise ValueError(
-            f"window {window} does not contain all breakpoints (need >= {bp_reach})"
-        )
-    if window < tail_reach:
-        raise ValueError(
-            f"window {window} is inside the declared tail radius {tail_reach}"
-        )
-    return float(window)
-
-
-def symbol_norms(
-    a: Symbol, window: Optional[float] = None, refinement: int = 64
-) -> SymbolNorms:
+def symbol_norms(a: Symbol) -> SymbolNorms:
     """Sup norm, total variation, and their sum for a structured symbol.
 
-    The variation is the limit of partition sums over the breakpoint
-    partition refined uniformly, doubling the refinement until the increase
-    drops below 1e-9 (the sums increase to the true variation for piecewise
-    monotone symbols), plus the exact contributions of the declared
-    monotone tails.
+    The window ``[-W, W]`` holds every breakpoint and the declared tail
+    radius with a margin of 1 (and ``W >= 16``).  The variation is the
+    limit of partition sums over the breakpoint partition refined
+    uniformly, doubling the refinement until the increase drops below 1e-9
+    (the sums increase to the true variation for piecewise monotone
+    symbols), plus the exact contributions of the declared monotone tails.
+    The sup norm is the largest sampled value on the window (breakpoints
+    and their one-sided probes included) or a tail limit; beyond ``W`` the
+    monotone tails are bounded by their endpoint and limit values.
     """
-    if refinement < 2:
-        raise ValueError(f"refinement must be >= 2, got {refinement}")
     if a.tail is None:
         raise InconclusiveError(
             f"symbol {a.label} lacks a tail declaration; variation over the "
             "real line cannot be certified from window samples"
         )
-    window = _require_window(a, window)
+    bp_reach = max((abs(b) for b in a.breakpoints), default=0.0)
+    window = max(16.0, bp_reach + 1.0, a.tail.radius + 1.0)
     base = _base_nodes(a, window)
 
-    per_seg = int(refinement)
+    per_seg = _START_REFINEMENT
     var = _partition_sum(a, base, per_seg)
     while True:
         if per_seg * (len(base) - 1) > _MAX_PARTITION_NODES:
@@ -272,28 +255,9 @@ def symbol_norms(
 def tail_sup(a: Symbol, cutoff: float) -> float:
     """Supremum of |a| over ``|x| > N``.
 
-    Inside the declared tail radius the region is sampled on the breakpoint
-    structure (segment endpoints are exact suprema for monotone pieces);
-    beyond the radius the declared monotonicity bounds the supremum by the
-    endpoint and limit values.
+    This is the sup norm of ``tail_truncate(a, N)`` from
+    :func:`symbol_norms`, which samples the truncation's breakpoint
+    structure (``±N`` and their one-sided probes included) and bounds the
+    declared monotone tails by their endpoint and limit values.
     """
-    if not cutoff > 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    if a.tail is None:
-        raise InconclusiveError(
-            f"symbol {a.label} lacks a tail declaration; the supremum over "
-            f"|x| > {cutoff} cannot be certified"
-        )
-    reach = max(a.tail.radius, cutoff) + 1.0
-    probes = [
-        _side_probes([-cutoff, cutoff]),
-        _side_probes([b for b in a.breakpoints if abs(b) > cutoff]),
-        np.asarray([b for b in a.breakpoints if abs(b) > cutoff], float),
-        np.linspace(cutoff, reach, 257),
-        np.linspace(-reach, -cutoff, 257),
-        np.asarray([-reach, reach], float),
-    ]
-    pts = np.concatenate(probes)
-    pts = pts[np.abs(pts) > cutoff]
-    sup = float(np.max(np.abs(a(pts)))) if pts.size else 0.0
-    return max(sup, abs(a.tail.limit_neg), abs(a.tail.limit_pos))
+    return symbol_norms(tail_truncate(a, cutoff)).sup_norm

@@ -53,11 +53,20 @@ class TestSample:
 
     @pytest.mark.parametrize(
         "text", ["indicator(nan,1)", "indicator(1)", "gaussian(0,1,7)",
-                 "const(1,2)", "xgaussian(2)"],
+                 "const(1,2)", "xgaussian(2)", "rational_decay(1,2)"],
     )
     def test_bad_arguments_rejected(self, text, std_grid):
         with pytest.raises(ValueError, match="arguments"):
             sample(text, std_grid)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+    def test_rational_decay(self, std_grid, s):
+        f = sample(f"rational_decay({s})", std_grid)
+        np.testing.assert_allclose(f.values, (1.0 + std_grid.t**2) ** -s, rtol=1e-15)
+
+    def test_rational_decay_exponent_positive(self, std_grid):
+        with pytest.raises(ValueError, match="positive"):
+            sample("rational_decay(0)", std_grid)
 
     def test_non_finite_rejected(self, std_grid):
         with pytest.raises(ValueError, match="non-finite"):

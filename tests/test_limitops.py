@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,9 @@ from convolab import (
     s0_test_function,
     sample,
     space_norm,
+    symbol_norms,
+    tail_sup,
+    tail_truncate,
 )
 from conftest import dft_matrix
 
@@ -172,6 +177,21 @@ class TestLimitOperatorSweep:
         rows = limit_operator_sweep(cfg)
         assert all(r.bound > 0 for r in rows)
 
+    @pytest.mark.parametrize("space,tail", [
+        (L2, tail_sup),
+        (SpaceNorm(3.0), lambda a, n: symbol_norms(tail_truncate(a, n)).v_norm),
+    ])
+    def test_bound_is_three_tail_norms_times_probe(self, std_grid, space, tail):
+        a = parse_symbol("rational_decay(1)")
+        f = band_limited_probe(std_grid, (1.0, 2.0))
+        shifts = lattice_shifts(std_grid, (8.0, 16.0))
+        rows = limit_operator_sweep(
+            LimitSweepConfig(a, f, (1.0, 2.0), shifts, space)
+        )
+        nf = space_norm(space, f)
+        for row in rows:
+            assert row.bound == 3.0 * tail(a, 1.0 + row.shift) * nf
+
     def test_config_validation(self, std_grid):
         f = band_limited_probe(std_grid, (1.0, 2.0))
         good = lattice_shifts(std_grid, (4.0,))
@@ -245,6 +265,13 @@ class TestDensityExperiment:
         with pytest.raises(NoConvergenceError) as err:
             density_experiment(chi, 1e-6, L2)
         assert err.value.best is not None
+
+    def test_band_limit_window_reports_best_second_stage_error(self, fine_grid):
+        chi = sample("indicator(-1,1)", fine_grid)
+        with pytest.raises(NoConvergenceError, match="frequency window") as err:
+            density_experiment(chi, 0.1, L2)
+        reported = re.search(r"second-stage error ([^)]+)\)", str(err.value))
+        assert err.value.best == float(reported.group(1))
 
     def test_epsilon_validated(self, std_grid):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from convolab import (
@@ -11,8 +12,36 @@ from convolab import (
     random_mixture,
     sample,
     space_norm,
+    spaces,
     verify_axioms,
 )
+
+
+def _zero_norm(space, f):
+    return 0.0
+
+
+def _squared_norm(space, f):
+    # monotone, but not homogeneous
+    return space_norm(space, f) ** 2
+
+
+def _roughness_norm(space, f):
+    # a norm, but not a lattice norm: damping a function roughens it
+    return space_norm(space, f) + float(np.abs(np.diff(f.values)).sum())
+
+
+def _moment_norm(space, f):
+    # |int t f(t) dt| cancels between the half-lines, so truncations of a
+    # nonnegative f need not increase
+    return abs(float(quadrature(GridFunction(f.grid, f.grid.t * f.values)).real))
+
+
+def _unregularized_weight_norm(space, f):
+    # L2(|t|^-1/2) with the weight left infinite at the node t = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.abs(f.grid.t) ** -0.5
+        return float(np.sum(np.abs(f.values) ** 2 * w) * f.grid.dx) ** 0.5
 
 
 class TestSpaceNorm:
@@ -86,6 +115,19 @@ class TestAxiomHarness:
         checks = verify_axioms(SpaceNorm(p, gamma), trials=50, seed=7)
         assert [c.axiom for c in checks] == ["A1", "A2", "A3", "A4", "A5"]
         assert all(c.passed for c in checks)
+
+    @pytest.mark.parametrize("broken,failing", [
+        (_zero_norm, ["A1"]),
+        (_squared_norm, ["A1"]),
+        (_roughness_norm, ["A2", "A3"]),
+        (_moment_norm, ["A3"]),
+        # infinite and NaN norms fail every check they reach
+        (_unregularized_weight_norm, ["A1", "A2", "A3", "A4"]),
+    ])
+    def test_broken_norm_fails(self, monkeypatch, broken, failing):
+        monkeypatch.setattr(spaces, "space_norm", broken)
+        checks = verify_axioms(SpaceNorm(2.0), trials=20, seed=7)
+        assert [c.axiom for c in checks if not c.passed] == failing
 
     def test_homogeneity_exact(self, std_grid, rng):
         f = random_mixture(std_grid, rng)
