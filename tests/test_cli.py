@@ -4,6 +4,7 @@ import pytest
 
 from convolab import cli
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
+from convolab.limitops import SweepRow
 
 CONFIG = """
 [grid]
@@ -81,22 +82,47 @@ def test_csv_headers_record_run_parameters(config_path, tmp_path):
 
 
 def test_determinism_byte_identical(config_path, tmp_path):
-    outs = []
+    artifacts = []
     for name in ("a", "b"):
         out = tmp_path / name
-        main(["sweep", "--config", str(config_path), "--out", str(out)])
-        main(["mollify", "--config", str(config_path), "--out", str(out)])
-        outs.append(out)
-    for artifact in ("sweep.csv", "mollify.csv"):
-        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+        for command in cli.COMMANDS:
+            assert main([command, "--config", str(config_path),
+                         "--out", str(out)]) == 0
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(artifacts[0]) == 7 and artifacts[0] == artifacts[1]
 
 
 def test_flag_overrides_change_header(config_path, tmp_path):
     out = tmp_path / "out"
     main(["sweep", "--config", str(config_path), "--out", str(out),
-          "--seed", "7", "--grid-n", "512"])
+          "--seed", "7", "--grid-n", "512", "--grid-L", "4"])
     first = (out / "sweep.csv").read_text().splitlines()[0]
     assert "n=512" in first and "seed=7" in first
+    assert first.startswith("# L=4 ")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_bad_grid_half_width_is_usage_error(value, config_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", str(config_path), "--out", str(out),
+                 "--grid-L", value])
+    assert code == USAGE_ERROR
+    assert "half_width must be positive and finite" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("p,code", [(3, 0), (2, ASSERTION_FAILURE)])
+def test_sweep_fails_only_an_asserted_bound(p, code, tmp_path, capsys,
+                                            monkeypatch):
+    def exceeded(cfg):
+        return [SweepRow(cfg.shifts[0], 2.0, 1.0, False)]
+
+    monkeypatch.setattr(cli, "limit_operator_sweep", exceeded)
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG.replace("p = 2", f"p = {p}"))
+    assert main(["sweep", "--config", str(path), "--out",
+                 str(tmp_path / "o")]) == code
+    assert ("FAIL" in capsys.readouterr().out) == (code == ASSERTION_FAILURE)
 
 
 def test_stechkin_summary_line(config_path, tmp_path, capsys):
@@ -139,6 +165,17 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
      ("sweep", "h = inf"),
      ("sweep", "h = 1e308"),
      ("sweep", "h = -4, 0.1, 4"),
+     ("sweep", "k1 = 3"),
+     ("sweep", "k2 = 100"),
+     ("sweep", "profile = sinc"),
+     ("stechkin", "symbol = indicator(2,1)"),
+     ("stechkin", "symbol = rational_decay(0)"),
+     ("stechkin", "symbol = shift(arctan)"),
+     ("density", "f = indicator(1,1)"),
+     ("density", "f = gaussian(0,0)"),
+     ("density", "f = bump(0,0)"),
+     ("density", "f = nosuch(1)"),
+     ("density", "f = 1abc"),
      ("mollify", "deltas = 1, inf")],
 )
 def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys):
@@ -157,6 +194,16 @@ def test_config_without_section_header_is_usage_error(tmp_path, capsys):
     code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == USAGE_ERROR
     assert "section header" in capsys.readouterr().err
+
+
+def test_config_without_command_section_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "grid.ini"
+    path.write_text("[grid]\nL = 8\nn = 256\n")
+    out = tmp_path / "o"
+    code = main(["axioms", "--config", str(path), "--out", str(out)])
+    assert code == USAGE_ERROR
+    assert "missing the [axioms] section" in capsys.readouterr().err
+    assert not (out / "axioms.json").exists()
 
 
 def test_bare_percent_in_config_value_is_usage_error(tmp_path, capsys):

@@ -37,6 +37,10 @@ def _moment_norm(space, f):
     return abs(float(quadrature(GridFunction(f.grid, f.grid.t * f.values)).real))
 
 
+def _nan_norm(space, f):
+    return math.nan
+
+
 def _unregularized_weight_norm(space, f):
     # L2(|t|^-1/2) with the weight left infinite at the node t = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -123,6 +127,7 @@ class TestAxiomHarness:
         (_moment_norm, ["A3"]),
         # infinite and NaN norms fail every check they reach
         (_unregularized_weight_norm, ["A1", "A2", "A3", "A4"]),
+        (_nan_norm, ["A1", "A2", "A3", "A4", "A5"]),
     ])
     def test_broken_norm_fails(self, monkeypatch, broken, failing):
         monkeypatch.setattr(spaces, "space_norm", broken)
