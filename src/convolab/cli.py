@@ -193,6 +193,12 @@ def _cmd_maximal_check(exp: Experiment) -> int:
     trials = sec.getint("trials", 20)
     if trials < 1:
         raise ConfigError(f"[maximal-check] trials must be >= 1, got {trials}")
+    # the profile targets must lie in [-L, L), or their rows would read an
+    # edge node; such a grid also has nodes with |t| > 1 for the decay row
+    targets = (1.5, 2.0, 4.0)
+    if not exp.grid.half_width > max(targets):
+        raise ConfigError(f"[maximal-check] grid half width L must exceed "
+                          f"{_fmt(max(targets))}, got {_fmt(exp.grid.half_width)}")
     rng = np.random.default_rng(exp.seed)
     rows, ok = [], True
 
@@ -209,7 +215,7 @@ def _cmd_maximal_check(exp: Experiment) -> int:
 
     chi = sample("indicator(-1,1)", exp.grid)
     m = maximal_function(chi, "fast").values.real
-    for target in (1.5, 2.0, 4.0):
+    for target in targets:
         j = int(np.argmin(np.abs(exp.grid.t - target)))
         ref = 2.0 / (1.0 + abs(exp.grid.t[j]))
         err = abs(m[j] - ref)

@@ -16,20 +16,25 @@ only an r x (r+1) head, whose last column is each row's max over the
 tail, needs the suffix max along its rows and the mask of windows that
 start after the node.  Every mean is the same subtraction and division as
 in a scan of one start node at a time and a max is exact, so the result
-is bit-identical to that scan.
-``fast`` is a divide-and-conquer over the prefix-sum graph: the best
+is bit-identical to that scan; a 2-D stack of rows gets each row's scan,
+bit for bit.
+
+``fast`` merges blocks bottom-up over the prefix-sum graph: the best
 window containing a node is the steepest chord of the prefix sums across
-the node, so windows crossing the midpoint are resolved by tangent queries
-against the upper hull of the prefix points.  Vectorised passes first drop
-the points that lie on or below the chord of their neighbours, which are
-no hull vertices, until a pass removes less than a quarter of them; a
-monotone-chain loop over Python floats builds the hull from the rest.
-The sums are counted from that midpoint, so rounding does not
-grow with the length of the whole array, and one routine serves both
-halves: the right half runs it on the reversed block.  The recursion stops
-at blocks of at most ``_BASE_SIZE`` nodes, which the oracle's all-windows
-scan solves outright.  Both routes must agree to 1e-12; the oracle defines
-correctness.
+the node.  The array is zero-padded to k leaves of B <= ``_BASE_SIZE``
+nodes, k a power of two.  The pad is exact: a window that runs into it has
+the same float sum (>= 0) over a longer length, so its mean is never above
+that of the real window holding the same nodes.  One all-windows scan of the
+k x B stack solves every leaf.  Each level then pairs neighbouring blocks
+and resolves the windows crossing each split by tangent queries against
+the upper hull of the prefix points on the far side, with one hull call
+and one tangent search for all pairs; the right halves run as the
+reversed pairs.  Vectorised passes first drop the points that lie on or
+below the chord of their neighbours, until a pass removes less than a
+quarter of them; a monotone-chain loop over Python floats builds each
+hull from the rest.  The sums are counted from each split, so rounding
+does not grow with the length of the whole array.  Both routes must agree
+to 1e-12; the oracle defines correctness.
 """
 
 from __future__ import annotations
@@ -54,82 +59,94 @@ _ROW_BLOCK = 32
 
 
 def _oracle_scan(av: np.ndarray) -> np.ndarray:
-    n = av.size
-    S = np.concatenate(([0.0], np.cumsum(av)))
-    out = np.zeros(n)
+    # rows of a 2-D stack are scanned side by side, each as on its own
+    stack = np.atleast_2d(av)
+    k, n = stack.shape
+    S = np.concatenate((np.zeros((k, 1)), np.cumsum(stack, axis=1)), axis=1)
+    out = np.zeros((k, n))
     rows = min(_ROW_BLOCK, n)
-    # row i of a block starts at a0 + i and column k ends at a0 + k; a
+    # row i of a block starts at a0 + i and column j ends at a0 + j; a
     # window that ends before it starts gets length 1 and a mean <= 0
     # (av >= 0), so it never raises a real window's suffix max
     lens = np.arange(1.0, n + 1) - np.arange(rows)[:, None]
     np.maximum(lens, 1.0, out=lens)
     before = np.tri(rows, k=-1, dtype=bool)
-    buf = np.empty((rows, n))
+    buf = np.empty((k, rows, n))
     for a0 in range(0, n, rows):
         r, w = min(rows, n - a0), n - a0
-        means = buf[:r, :w]
-        np.subtract(S[a0 + 1:], S[a0:a0 + r, None], out=means)
+        means = buf[:, :r, :w]
+        np.subtract(S[:, None, a0 + 1:], S[:, a0:a0 + r, None], out=means)
         np.divide(means, lens[:r, :w], out=means)
         if w > r:
             # every row starts before the nodes past the first r columns,
             # so the best window holding one of them is a suffix max of
             # the column max over the end node
-            tail = means[:, r:]
-            best = np.maximum.accumulate(tail.max(axis=0)[::-1])[::-1]
-            np.maximum(out[a0 + r:], best, out=out[a0 + r:])
+            tail = means[:, :, r:]
+            cols = tail.max(axis=1)[:, ::-1]
+            best = np.maximum.accumulate(cols, axis=1)[:, ::-1]
+            np.maximum(out[:, a0 + r:], best, out=out[:, a0 + r:])
             # column r stands for the whole tail in the head's suffix max
-            means[:, r] = tail.max(axis=1)
+            means[:, :, r] = tail.max(axis=2)
         # suffix max over the end node in the head and its tail column:
         # best window [a..b] with b >= j
-        rev = means[:, r::-1]
-        np.maximum.accumulate(rev, axis=1, out=rev)
-        # a window that starts after node a0 + k does not hold it
-        head = means[:, :r]
-        head[before[:r, :r]] = 0.0
-        np.maximum(out[a0:a0 + r], head.max(axis=0), out=out[a0:a0 + r])
-    return out
+        rev = means[:, :, r::-1]
+        np.maximum.accumulate(rev, axis=2, out=rev)
+        # a window that starts after node a0 + j does not hold it
+        head = means[:, :, :r]
+        np.copyto(head, 0.0, where=before[:r, :r])
+        np.maximum(out[:, a0:a0 + r], head.max(axis=1), out=out[:, a0:a0 + r])
+    return out.reshape(av.shape)
 
 
-def _upper_hull(xs: np.ndarray, ys: np.ndarray):
+def _upper_hull(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray):
+    """Upper hull of each run of points, the runs laid end to end.
+
+    ``starts`` flags the first point of each run.  Returns the hull
+    vertices of all runs laid end to end, and the index where each begins.
+    """
     # a point on or below the chord of its neighbours is no hull vertex,
-    # so whole passes of them are dropped before the loop; stopping after a
-    # pass that removes less than a quarter of the chain keeps the passes
-    # O(size)
-    while xs.size > 2:
-        keep = np.ones(xs.size, dtype=bool)
-        keep[1:-1] = ((ys[1:-1] - ys[:-2]) * (xs[2:] - xs[1:-1])
-                      > (ys[2:] - ys[1:-1]) * (xs[1:-1] - xs[:-2]))
+    # so whole passes of them are dropped before the loop; the ends of each
+    # run are kept, since their neighbours across the run edge belong to
+    # another hull.  Stopping after a pass that removes less than a quarter
+    # of the points keeps the passes O(size)
+    ends = starts | np.append(starts[1:], True)
+    while True:
+        keep = ends.copy()
+        keep[1:-1] |= ((ys[1:-1] - ys[:-2]) * (xs[2:] - xs[1:-1])
+                       > (ys[2:] - ys[1:-1]) * (xs[1:-1] - xs[:-2]))
         size = xs.size
-        xs, ys = xs[keep], ys[keep]
+        xs, ys, starts, ends = xs[keep], ys[keep], starts[keep], ends[keep]
         if 4 * xs.size > 3 * size:
             break
-    hx, hy = [], []
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        while len(hx) >= 2 and (
+    hx, hy, first = [], [], []
+    base = 0
+    for x, y, s in zip(xs.tolist(), ys.tolist(), starts.tolist()):
+        if s:
+            base = len(hx)
+            first.append(base)
+        while len(hx) >= base + 2 and (
             (hy[-1] - hy[-2]) * (x - hx[-1]) <= (y - hy[-1]) * (hx[-1] - hx[-2])
         ):
             hx.pop()
             hy.pop()
         hx.append(x)
         hy.append(y)
-    return np.asarray(hx), np.asarray(hy)
+    return np.asarray(hx), np.asarray(hy), np.asarray(first)
 
 
-def _steepest_to_upper(pxs, pys, hx, hy):
+def _steepest_to_upper(pxs, pys, hx, hy, lo, hi):
     """Max slope from each left point to a concave chain on its right.
 
-    The slope along the chain is unimodal in the vertex index, so a
-    vectorized binary search finds the tangent vertex per query point.
+    Query ``i`` looks at the chain ``hx[lo[i]:hi[i] + 1]``.  The slope
+    along a chain is unimodal in the vertex index, so a vectorized binary
+    search finds the tangent vertex per query point.
     """
-    m = hx.size
-    lo = np.zeros(pxs.size, dtype=np.int64)
-    hi = np.full(pxs.size, m - 1, dtype=np.int64)
     while True:
         active = lo < hi
         if not active.any():
             break
         mid = (lo + hi) // 2
-        nxt = np.minimum(mid + 1, m - 1)
+        nxt = np.minimum(mid + 1, hi)
         s1 = (hy[mid] - pys) * (hx[nxt] - pxs)
         s2 = (hy[nxt] - pys) * (hx[mid] - pxs)
         move = active & (s1 < s2)
@@ -139,44 +156,53 @@ def _steepest_to_upper(pxs, pys, hx, hy):
 
 
 def _crossing_means(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Best mean, per start in ``left``, of a window that ends in ``right``.
+    """Best mean, per start in a row of ``left``, of a window that ends in
+    the same row of ``right``.
 
-    Sums are counted from the split between the halves, so they grow with
+    Sums are counted from the split between the two rows, so they grow with
     the window, not with the position in the whole array.  The window
     ``left[a:] + right[:j+1]`` has as its mean the slope of the chord from
     the left point ``(a - m, -sum(left[a:]))`` to the right point
     ``(j + 1, sum(right[:j+1]))``, whose steepest value is a tangent to the
-    upper hull of the right points.
+    upper hull of the right points.  All rows share one hull call and one
+    tangent search, each row's right points being one run.
     """
-    m = left.size
-    rx = np.arange(1, right.size + 1, dtype=float)
-    hx, hy = _upper_hull(rx, np.cumsum(right))
+    rows, m = left.shape
+    rx = np.tile(np.arange(1.0, m + 1), rows)
+    hx, hy, first = _upper_hull(rx, np.cumsum(right, axis=1).ravel(), rx == 1.0)
+    last = np.append(first[1:], hx.size) - 1
     px = np.arange(-m, 0, dtype=float)
-    py = -np.cumsum(left[::-1])[::-1]
-    return _steepest_to_upper(px, py, hx, hy)
+    py = -np.cumsum(left[:, ::-1], axis=1)[:, ::-1]
+    lo = np.repeat(first[:, None], m, axis=1)
+    hi = np.repeat(last[:, None], m, axis=1)
+    return _steepest_to_upper(px, py, hx, hy, lo, hi)
 
 
 def _fast_scan(av: np.ndarray) -> np.ndarray:
-    out = np.zeros(av.size)
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo + 1 <= _BASE_SIZE:
-            out[lo:hi + 1] = _oracle_scan(av[lo:hi + 1])
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        solve(mid + 1, hi)
-        # windows crossing the split: the best one holding a left node
-        # starts at or before it; reversing the block gives the same
-        # windows and slopes for the right nodes
-        left, right = av[lo:mid + 1], av[mid + 1:hi + 1]
-        best_l = np.maximum.accumulate(_crossing_means(left, right))
-        best_r = np.maximum.accumulate(_crossing_means(right[::-1], left[::-1]))
-        np.maximum(out[lo:mid + 1], best_l, out=out[lo:mid + 1])
-        np.maximum(out[mid + 1:hi + 1], best_r[::-1], out=out[mid + 1:hi + 1])
-
-    solve(0, av.size - 1)
-    return out
+    # k leaves of ``size`` nodes each, k a power of two; the zero pad at
+    # the end raises no real node's value (see the module docstring)
+    n = av.size
+    k = 1
+    while -(-n // k) > _BASE_SIZE:
+        k *= 2
+    size = -(-n // k)
+    a = np.zeros(k * size)
+    a[:n] = av
+    out = _oracle_scan(a.reshape(k, size)).ravel()
+    while size < a.size:
+        # windows crossing each split: the best one holding a left node
+        # starts at or before it; the reversed pair gives the same windows
+        # and slopes for the right nodes
+        pairs = a.reshape(-1, 2, size)
+        means = _crossing_means(
+            np.concatenate((pairs[:, 0], pairs[:, 1, ::-1])),
+            np.concatenate((pairs[:, 1], pairs[:, 0, ::-1])))
+        best = np.maximum.accumulate(means, axis=1)
+        halves = out.reshape(-1, 2, size)
+        np.maximum(halves[:, 0], best[:len(pairs)], out=halves[:, 0])
+        np.maximum(halves[:, 1], best[len(pairs):, ::-1], out=halves[:, 1])
+        size *= 2
+    return out[:n]
 
 
 def maximal_function(f: GridFunction, mode: str = "fast") -> GridFunction:

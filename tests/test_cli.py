@@ -176,7 +176,11 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
      ("density", "f = bump(0,0)"),
      ("density", "f = nosuch(1)"),
      ("density", "f = 1abc"),
-     ("mollify", "deltas = 1, inf")],
+     ("mollify", "deltas = 1, inf"),
+     # profile targets 2 and 4 off the grid; no node with |t| > 1; 4 at t = L
+     ("maximal-check", "trials = 1\n[grid]\nL = 1.5\nn = 8"),
+     ("maximal-check", "trials = 1\n[grid]\nL = 1"),
+     ("maximal-check", "trials = 1\n[grid]\nL = 4")],
 )
 def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys):
     path = tmp_path / "bad.ini"

@@ -67,12 +67,13 @@ def _assert_scans_agree(n, rng):
 class TestBlockedScan:
     """The hull merge above the all-windows leaves, checked on its own."""
 
-    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    # 1, 2, 3, 127, 1025 and 4097 nodes are zero-padded to whole leaves
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1, 2, 3, 127, 1025, 4097])
     def test_pure_divide_and_conquer_matches_oracle(self, n, rng, monkeypatch):
         monkeypatch.setattr(maximal, "_BASE_SIZE", 1)
         _assert_scans_agree(n, rng)
 
-    @pytest.mark.parametrize("n", [129, 257, 1000, 4096])
+    @pytest.mark.parametrize("n", [129, 257, 1000, 4096, 1, 2, 3, 127, 1025, 4097])
     def test_sizes_straddling_block_edges_match_oracle(self, n, rng):
         _assert_scans_agree(n, rng)
 
@@ -104,21 +105,33 @@ class TestOracleRowBlocks:
     """The blocked all-windows scan repeats the row loop's arithmetic exactly."""
 
     @pytest.mark.parametrize(
-        "sizes, row_block",
-        [(range(1, 301), None), (range(1, 301), 64),
-         ((1000, 1024, 4096), None), ((1000, 1024, 4096), 64),
-         ((1000, 1024, 4096), 1)],
+        "sizes, row_block, stacked",
+        [(range(1, 301), None, False), (range(1, 301), 64, False),
+         ((1000, 1024, 4096), None, False), ((1000, 1024, 4096), 64, False),
+         ((1000, 1024, 4096), 1, False),
+         (range(1, 301), None, True), (range(1, 301), 64, True),
+         ((1000, 1024, 4096), None, True), ((1000, 1024, 4096), 64, True),
+         ((1000, 1024, 4096), 1, True)],
         ids=["n1-300-None", "n1-300-64", "n1000-4096-None", "n1000-4096-64",
-             "n1000-4096-1"])
-    def test_bit_identical_to_row_loop(self, sizes, row_block, rng, monkeypatch):
+             "n1000-4096-1", "n1-300-None-stacked", "n1-300-64-stacked",
+             "n1000-4096-None-stacked", "n1000-4096-64-stacked",
+             "n1000-4096-1-stacked"])
+    def test_bit_identical_to_row_loop(self, sizes, row_block, stacked, rng,
+                                       monkeypatch):
         # rows per block: one block up to n = 32 (64), ragged last blocks
         # above it, and one-row blocks whose head is a single column plus
-        # the tail's stand-in
+        # the tail's stand-in; a 2-D stack scans each row as on its own
         if row_block is not None:
             monkeypatch.setattr(maximal, "_ROW_BLOCK", row_block)
         for n in sizes:
-            for av in _scan_inputs(n, rng):
-                assert np.array_equal(maximal._oracle_scan(av), _row_loop_scan(av)), n
+            inputs = _scan_inputs(n, rng)
+            if stacked:
+                got = maximal._oracle_scan(np.stack(inputs))
+                for row, av in zip(got, inputs):
+                    assert np.array_equal(row, maximal._oracle_scan(av)), n
+            else:
+                for av in inputs:
+                    assert np.array_equal(maximal._oracle_scan(av), _row_loop_scan(av)), n
 
 
 def _plain_upper_hull(xs, ys):
@@ -156,13 +169,25 @@ class TestHullPruning:
             "ramp": 0.5 * xs,
             "spike": _concave_then_spike(n),
         }
+        one_run = np.arange(n) == 0
         for name, arr in shapes.items():
             for ys in (arr, np.cumsum(arr)):
-                got, want = maximal._upper_hull(xs, ys), _plain_upper_hull(xs, ys)
+                got = maximal._upper_hull(xs, ys, one_run)
+                want = _plain_upper_hull(xs, ys)
                 assert np.array_equal(got[0], want[0]), name
                 assert np.array_equal(got[1], want[1]), name
+        # one call on every shape laid end to end as runs: each run gets
+        # the hull of that run alone, though x falls back at each run start
+        runs = [ys for arr in shapes.values() for ys in (arr, np.cumsum(arr))]
+        hx, hy, firsts = maximal._upper_hull(
+            np.tile(xs, len(runs)), np.concatenate(runs), np.tile(one_run, len(runs)))
+        assert firsts.size == len(runs)
+        for ys, gx, gy in zip(runs, np.split(hx, firsts[1:]), np.split(hy, firsts[1:])):
+            want = _plain_upper_hull(xs, ys)
+            assert np.array_equal(gx, want[0])
+            assert np.array_equal(gy, want[1])
 
-    @pytest.mark.parametrize("n", [1000, 4096])
+    @pytest.mark.parametrize("n", [1000, 1025, 4096])
     def test_fast_scan_matches_oracle_where_pruning_stalls(self, n):
         # a constant 0.1 has near-collinear prefix sums, where the pruned
         # and the plain chain may keep different vertices by rounding
