@@ -9,7 +9,6 @@ modulation-conjugated operators when the symbol dies off at infinity.
 
 from .errors import InconclusiveError, NoConvergenceError
 from .fourier import (
-    EmbeddingReport,
     Mollifier,
     MollifyRow,
     StechkinReport,
@@ -18,7 +17,6 @@ from .fourier import (
     make_mollifier,
     mollify_sweep,
     multiplier_norm_lower_bound,
-    schwartz_embedding_check,
     stechkin_check,
 )
 from .grid import (
@@ -35,17 +33,14 @@ from .grid import (
     sample,
 )
 from .limitops import (
-    ConjugatedResult,
     DensityResult,
     LimitSweepConfig,
-    S0Probe,
     SweepRow,
     band_limited_probe,
     conjugated_apply,
     density_experiment,
     limit_operator_sweep,
     modulate,
-    s0_test_function,
 )
 from .maximal import maximal_function, maximal_norm_estimate
 from .spaces import (
@@ -67,7 +62,6 @@ from .symbols import (
     rational_decay_symbol,
     shift_symbol,
     symbol_norms,
-    tail_sup,
     tail_truncate,
 )
 

@@ -15,26 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InconclusiveError
 from .grid import (
     Grid,
     GridFunction,
-    ProfileLike,
     bump_profile,
     dft_pair,
     filter_spectrum,
-    indicator_profile,
-    make_grid,
     quadrature,
     random_mixture,
-    sample,
 )
 from .maximal import maximal_function
-from .spaces import DEFAULT_GRID, SpaceNorm, space_norm
+from .spaces import SpaceNorm, space_norm
 from .symbols import Symbol, symbol_norms
 
 # smallest kernel scale the grid resolves, in units of dx
@@ -168,7 +163,7 @@ def multiplier_norm_lower_bound(
     space: SpaceNorm,
     trials: int,
     seed: int,
-    grid: Optional[Grid] = None,
+    grid: Grid,
 ) -> float:
     """Max Rayleigh ratio ``|W(a) f| / |f|`` over probe functions.
 
@@ -179,7 +174,6 @@ def multiplier_norm_lower_bound(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    grid = grid or DEFAULT_GRID
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
@@ -210,7 +204,7 @@ def stechkin_check(
     space: SpaceNorm,
     trials: int,
     seed: int,
-    grid: Optional[Grid] = None,
+    grid: Grid,
 ) -> StechkinReport:
     """Compare the operator-norm lower bound against the variation norm.
 
@@ -230,63 +224,4 @@ def stechkin_check(
         ratio=ratio,
         calibration="exact (c=1 at p=2)" if exact else "uncalibrated, empirical ratio",
         violation=violation,
-    )
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    sup_f: float
-    sup_xf: float
-    norm_f: float
-    norm_indicator: float
-    norm_maximal_indicator: float
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def schwartz_embedding_check(
-    f_expr: ProfileLike,
-    space: SpaceNorm,
-    grid: Optional[Grid] = None,
-) -> EmbeddingReport:
-    """Verify the rapid-decay embedding bound on a concrete space.
-
-    For decaying smooth ``f`` the norm is dominated by
-    ``sup|f| * |chi_[-1,1]| + sup|x f(x)| * |M chi_[-1,1]|``; both sides
-    are computed numerically and the inequality asserted with 1e-8 slack.
-    A descriptor whose ``|x f(x)|`` does not decay over the window is
-    rejected as inconclusive.
-    """
-    grid = grid or DEFAULT_GRID
-    f = sample(f_expr, grid)
-
-    # dense sampling (8x the grid) for the two decay seminorms
-    dense = make_grid(grid.half_width, 8 * grid.size)
-    fd = sample(f_expr, dense).values
-    sup_f = float(np.max(np.abs(fd)))
-    xf = np.abs(dense.t * fd)
-    sup_xf = float(np.max(xf))
-    outer = np.abs(dense.t) > 0.9 * grid.half_width
-    if sup_xf > 0 and float(np.max(xf[outer])) > 0.5 * sup_xf:
-        raise InconclusiveError(
-            "descriptor does not decay over the window: |x f(x)| is still "
-            "near its maximum in the outer 10% band"
-        )
-
-    chi = sample(indicator_profile(-1.0, 1.0), grid)
-    mchi = maximal_function(chi, "fast")
-    norm_f = space_norm(space, f)
-    norm_chi = space_norm(space, chi)
-    norm_mchi = space_norm(space, mchi)
-    rhs = sup_f * norm_chi + sup_xf * norm_mchi
-    return EmbeddingReport(
-        sup_f=sup_f,
-        sup_xf=sup_xf,
-        norm_f=norm_f,
-        norm_indicator=norm_chi,
-        norm_maximal_indicator=norm_mchi,
-        lhs=norm_f,
-        rhs=rhs,
-        ok=bool(norm_f <= rhs + 1e-8),
     )

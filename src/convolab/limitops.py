@@ -8,9 +8,9 @@ symbol is (numerically) equivalent to zero at infinity, pushing h toward
 decay row by row against the tail-supremum bound with the exact
 indicator variation constant 3.
 
-Modulations are exact only for shifts on the frequency lattice; off-lattice
-shifts are supported but flagged, since frequency leakage then breaks the
-identity between the two evaluation routes.
+Modulations are exact only for shifts on the frequency lattice, so
+``LimitSweepConfig.validate`` rejects off-lattice shifts: frequency leakage
+would otherwise break the identity with the shifted symbol.
 """
 
 from __future__ import annotations
@@ -23,17 +23,9 @@ import numpy as np
 
 from .errors import NoConvergenceError
 from .fourier import apply_multiplier, make_mollifier
-from .grid import (
-    Grid,
-    GridFunction,
-    ProfileLike,
-    bump_profile,
-    dft_pair,
-    filter_spectrum,
-    sample,
-)
+from .grid import Grid, GridFunction, bump_profile, dft_pair, filter_spectrum
 from .spaces import SpaceNorm, space_norm
-from .symbols import Symbol, shift_symbol, symbol_norms, tail_truncate
+from .symbols import Symbol, symbol_norms, tail_truncate
 
 _LATTICE_RTOL = 1e-9
 
@@ -60,28 +52,13 @@ def _out_of_band_mass(f: GridFunction, band: tuple[float, float]) -> float:
     return outside / total if total else math.inf
 
 
-@dataclass(frozen=True)
-class ConjugatedResult:
-    result: GridFunction
-    identity_residual: float
-    on_lattice: bool
+def conjugated_apply(a: Symbol, h: float, f: GridFunction) -> GridFunction:
+    """The conjugated operator ``e_h . W(a) . e_{-h}`` applied to ``f``.
 
-
-def conjugated_apply(a: Symbol, h: float, f: GridFunction) -> ConjugatedResult:
-    """Evaluate the conjugated operator and its shifted-symbol identity.
-
-    ``result`` is computed by the modulation route
-    ``e_h . W(a) . e_{-h}``; the residual is the L2 distance to the direct
-    route ``W(a(. + h))`` applied to ``f``.  On lattice shifts with a
-    band-limited ``f`` whose band stays inside the frequency window the
-    residual is at machine level; off-lattice shifts only set a flag.
+    On a lattice shift, with a band-limited ``f`` whose band stays inside
+    the frequency window, this equals ``W(a(. + h)) f`` to machine level.
     """
-    on_lattice = is_on_lattice(f.grid, h)
-    conj = modulate(apply_multiplier(a, modulate(f, -h)), h)
-    direct = apply_multiplier(shift_symbol(a, h), f)
-    diff = conj.values - direct.values
-    residual = float(math.sqrt((np.abs(diff) ** 2).sum() * f.grid.dx))
-    return ConjugatedResult(conj, residual, on_lattice)
+    return modulate(apply_multiplier(a, modulate(f, -h)), h)
 
 
 def band_limited_probe(
@@ -180,58 +157,21 @@ def limit_operator_sweep(cfg: LimitSweepConfig) -> list[SweepRow]:
     against ``B = 3 * T * |probe|``.  ``T`` comes from one
     :func:`symbol_norms` call on ``tail_truncate(a, N)`` with
     ``N = inf(band) + h`` (the largest cutoff whose complement contains the
-    shifted band).  At p = 2 and gamma = 0 it is the sup norm, which is
-    :func:`tail_sup`, and the bound is a theorem for the discrete model,
-    asserted by callers; in other spaces it is the variation norm and the
-    bound is reported with no calibrated constant.
+    shifted band).  At p = 2 and gamma = 0 it is the sup norm of the tail,
+    and the bound is a theorem for the discrete model, asserted by callers;
+    in other spaces it is the variation norm and the bound is reported with
+    no calibrated constant.
     """
     cfg.validate()
     p2 = cfg.space.p == 2.0 and cfg.space.gamma == 0.0
     nf = space_norm(cfg.space, cfg.probe)
     rows = []
     for h in cfg.shifts:
-        r = space_norm(
-            cfg.space, conjugated_apply(cfg.symbol, h, cfg.probe).result
-        )
+        r = space_norm(cfg.space, conjugated_apply(cfg.symbol, h, cfg.probe))
         tail = symbol_norms(tail_truncate(cfg.symbol, cfg.band[0] + h))
         bound = 3.0 * (tail.sup_norm if p2 else tail.v_norm) * nf
         rows.append(SweepRow(h, r, bound, bool(r <= bound + 1e-8)))
     return rows
-
-
-@dataclass(frozen=True)
-class S0Probe:
-    values: GridFunction
-    band: tuple[float, float]
-    out_of_band_mass: float
-
-
-def s0_test_function(
-    g_expr: ProfileLike, delta: float, grid: Grid
-) -> S0Probe:
-    """Band-limit a smooth compactly supported function by mollification.
-
-    Filtering with the unit-mass spectrum of the band-limited kernel at
-    scale delta confines the spectrum to ``(-1/delta, 1/delta)`` and keeps
-    the function's mass; the relative out-of-band spectral mass is
-    verified below 1e-9 and returned.
-    """
-    if 1.0 / delta >= grid.freq_edge:
-        raise ValueError("band [-1/delta, 1/delta] exceeds the frequency window")
-    if delta < 4.0 * grid.dx:
-        raise ValueError(f"delta={delta} below grid resolution (need >= 4*dx)")
-    g = sample(g_expr, grid)
-    body = np.abs(g.values)
-    peak = float(np.max(body))
-    tails = body[np.abs(grid.t) > grid.half_width / 2]
-    if peak == 0.0 or (tails.size and float(np.max(tails)) > 1e-12 * peak):
-        raise ValueError("descriptor must be supported well inside [-L/2, L/2]")
-    f = filter_spectrum(g, make_mollifier("bump_spectrum", grid).spectrum(delta))
-    band = (-1.0 / delta, 1.0 / delta)
-    mass_out = _out_of_band_mass(f, band)
-    if mass_out >= 1e-9:
-        raise ValueError(f"band-limit failed: out-of-band mass {mass_out:.3e}")
-    return S0Probe(f, band, mass_out)
 
 
 @dataclass(frozen=True)

@@ -40,12 +40,11 @@ to 1e-12; the oracle defines correctness.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from .grid import Grid, GridFunction, random_mixture
-from .spaces import DEFAULT_GRID, SpaceNorm, space_norm
+from .spaces import SpaceNorm, space_norm
 
 # Blocks of at most this many nodes are solved by the all-windows scan.
 # Kept below 256 so that the quick grid (n = 256) still runs a hull merge.
@@ -218,7 +217,7 @@ def maximal_norm_estimate(
     space: SpaceNorm,
     trials: int,
     seed: int,
-    grid: Optional[Grid] = None,
+    grid: Grid,
 ) -> float:
     """Lower bound for the operator norm of the maximal operator.
 
@@ -231,7 +230,6 @@ def maximal_norm_estimate(
         raise ValueError("trials must be >= 1")
     if math.isinf(space.p) or not space.p > 1.0:
         raise ValueError("maximal norm estimate requires 1 < p < inf")
-    grid = grid or DEFAULT_GRID
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):

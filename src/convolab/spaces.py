@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .grid import Grid, GridFunction, make_grid, quadrature, random_mixture
-
-DEFAULT_GRID = make_grid(8.0, 256)
+from .grid import Grid, GridFunction, quadrature, random_mixture
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,7 @@ def verify_axioms(
     space: SpaceNorm,
     trials: int,
     seed: int,
-    grid: Optional[Grid] = None,
+    grid: Grid,
 ) -> list[AxiomCheck]:
     """Property harness for the five lattice-norm axioms.
 
@@ -114,7 +110,6 @@ def verify_axioms(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    grid = grid or DEFAULT_GRID
     rng = np.random.default_rng(seed)
     L = grid.half_width
     # truncations f * chi_[-mL/8, mL/8), m = 1..8, increase to f

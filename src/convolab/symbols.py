@@ -250,14 +250,3 @@ def symbol_norms(a: Symbol) -> SymbolNorms:
     sup = float(np.max(np.abs(a(dense))))
     sup = max(sup, abs(a.tail.limit_neg), abs(a.tail.limit_pos))
     return SymbolNorms(sup, var, sup + var)
-
-
-def tail_sup(a: Symbol, cutoff: float) -> float:
-    """Supremum of |a| over ``|x| > N``.
-
-    This is the sup norm of ``tail_truncate(a, N)`` from
-    :func:`symbol_norms`, which samples the truncation's breakpoint
-    structure (``±N`` and their one-sided probes included) and bounds the
-    declared monotone tails by their endpoint and limit values.
-    """
-    return symbol_norms(tail_truncate(a, cutoff)).sup_norm

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from convolab import make_grid
+from convolab import (
+    SpaceNorm,
+    apply_multiplier,
+    conjugated_apply,
+    make_grid,
+    shift_symbol,
+    space_norm,
+    symbol_norms,
+    tail_truncate,
+)
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +34,15 @@ def dft_matrix(grid, direction):
     if direction == "forward":
         return grid.dx * np.exp(1j * phase).T
     return (grid.dxi / (2 * np.pi)) * np.exp(-1j * phase)
+
+
+def identity_residual(a, h, f):
+    """L2 distance from the conjugated operator to the direct route
+    ``W(a(. + h)) f`` of the shifted symbol (oracle of the identity)."""
+    direct = apply_multiplier(shift_symbol(a, h), f)
+    return space_norm(SpaceNorm(2.0), conjugated_apply(a, h, f) - direct)
+
+
+def tail_sup(a, cutoff):
+    """Supremum of |a| over ``|x| > cutoff``: the truncation's sup norm."""
+    return symbol_norms(tail_truncate(a, cutoff)).sup_norm

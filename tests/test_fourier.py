@@ -1,9 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from convolab import (
     GridFunction,
     InconclusiveError,
+    Grid,
     SpaceNorm,
     Symbol,
     apply_multiplier,
@@ -13,13 +16,13 @@ from convolab import (
     filter_spectrum,
     make_grid,
     make_mollifier,
+    maximal_function,
     mollify_sweep,
     multiplier_norm_lower_bound,
     parse_symbol,
     quadrature,
     random_mixture,
     sample,
-    schwartz_embedding_check,
     space_norm,
     stechkin_check,
 )
@@ -300,15 +303,15 @@ class TestMultiplierNormLowerBound:
             got = multiplier_norm_lower_bound(a, L2, trials=5, seed=3, grid=g)
             assert got == pytest.approx(oracle, abs=1e-10)
 
-    def test_indicator_diagonal_norm(self):
+    def test_indicator_diagonal_norm(self, std_grid):
         got = multiplier_norm_lower_bound(
-            parse_symbol("indicator(-1,1)"), L2, trials=5, seed=1
+            parse_symbol("indicator(-1,1)"), L2, trials=5, seed=1, grid=std_grid
         )
         assert got == pytest.approx(1.0, abs=1e-10)
 
-    def test_rational_peak_at_zero_node(self):
+    def test_rational_peak_at_zero_node(self, std_grid):
         got = multiplier_norm_lower_bound(
-            parse_symbol("rational_decay(1)"), L2, trials=5, seed=1
+            parse_symbol("rational_decay(1)"), L2, trials=5, seed=1, grid=std_grid
         )
         assert got == pytest.approx(1.0, abs=1e-10)
 
@@ -324,52 +327,107 @@ class TestMultiplierNormLowerBound:
         assert got >= peak * (1 - 1e-12)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_identity_symbol_any_exponent(self, p):
+    def test_identity_symbol_any_exponent(self, p, std_grid):
         got = multiplier_norm_lower_bound(
-            parse_symbol("const(1)"), SpaceNorm(p), trials=10, seed=2
+            parse_symbol("const(1)"), SpaceNorm(p), trials=10, seed=2, grid=std_grid
         )
         assert got == pytest.approx(1.0, abs=1e-10)
 
 
 class TestStechkin:
-    def test_indicator_at_p2(self):
+    def test_indicator_at_p2(self, std_grid):
         report = stechkin_check(parse_symbol("indicator(-1,1)"), L2,
-                                trials=10, seed=0)
+                                trials=10, seed=0, grid=std_grid)
         assert report.lower == pytest.approx(1.0, abs=1e-10)
         assert report.v_norm == pytest.approx(3.0, abs=1e-12)
         assert report.ratio == pytest.approx(1 / 3, abs=1e-10)
         assert not report.violation
 
-    def test_constant_is_equality_case(self):
-        report = stechkin_check(parse_symbol("const(2)"), L2, trials=5, seed=0)
+    def test_constant_is_equality_case(self, std_grid):
+        report = stechkin_check(parse_symbol("const(2)"), L2, trials=5, seed=0,
+                                grid=std_grid)
         assert report.lower == pytest.approx(2.0, abs=1e-10)
         assert report.v_norm == pytest.approx(2.0, abs=1e-12)
         assert report.ratio == pytest.approx(1.0, abs=1e-10)
         assert not report.violation
 
-    def test_other_exponents_recorded_not_asserted(self):
+    def test_other_exponents_recorded_not_asserted(self, std_grid):
         report = stechkin_check(parse_symbol("arctan"), SpaceNorm(3.0),
-                                trials=5, seed=0)
+                                trials=5, seed=0, grid=std_grid)
         assert report.calibration.startswith("uncalibrated")
         assert not report.violation
         assert 0.0 < report.ratio <= 1.0  # lower bound cannot beat v_norm here
 
 
+@dataclass(frozen=True)
+class EmbeddingReport:
+    sup_f: float
+    sup_xf: float
+    norm_f: float
+    norm_indicator: float
+    norm_maximal_indicator: float
+    lhs: float
+    rhs: float
+    ok: bool
+
+
+def schwartz_embedding_check(f_expr, space: SpaceNorm, grid: Grid) -> EmbeddingReport:
+    """Verify the rapid-decay embedding bound on a concrete space.
+
+    For decaying smooth ``f`` the norm is dominated by
+    ``sup|f| * |chi_[-1,1]| + sup|x f(x)| * |M chi_[-1,1]|``; both sides
+    are computed numerically and the inequality asserted with 1e-8 slack.
+    A descriptor whose ``|x f(x)|`` does not decay over the window is
+    rejected as inconclusive.
+    """
+    f = sample(f_expr, grid)
+
+    # dense sampling (8x the grid) for the two decay seminorms
+    dense = make_grid(grid.half_width, 8 * grid.size)
+    fd = sample(f_expr, dense).values
+    sup_f = float(np.max(np.abs(fd)))
+    xf = np.abs(dense.t * fd)
+    sup_xf = float(np.max(xf))
+    outer = np.abs(dense.t) > 0.9 * grid.half_width
+    if sup_xf > 0 and float(np.max(xf[outer])) > 0.5 * sup_xf:
+        raise InconclusiveError(
+            "descriptor does not decay over the window: |x f(x)| is still "
+            "near its maximum in the outer 10% band"
+        )
+
+    chi = sample("indicator(-1,1)", grid)
+    mchi = maximal_function(chi, "fast")
+    norm_f = space_norm(space, f)
+    norm_chi = space_norm(space, chi)
+    norm_mchi = space_norm(space, mchi)
+    rhs = sup_f * norm_chi + sup_xf * norm_mchi
+    return EmbeddingReport(
+        sup_f=sup_f,
+        sup_xf=sup_xf,
+        norm_f=norm_f,
+        norm_indicator=norm_chi,
+        norm_maximal_indicator=norm_mchi,
+        lhs=norm_f,
+        rhs=rhs,
+        ok=bool(norm_f <= rhs + 1e-8),
+    )
+
+
 class TestSchwartzEmbedding:
-    def test_gaussian_strict_slack(self):
-        report = schwartz_embedding_check("gaussian", L2)
+    def test_gaussian_strict_slack(self, std_grid):
+        report = schwartz_embedding_check("gaussian", L2, std_grid)
         assert report.ok
         assert report.lhs < report.rhs
 
-    def test_zero_function(self):
-        report = schwartz_embedding_check("const(0)", L2)
+    def test_zero_function(self, std_grid):
+        report = schwartz_embedding_check("const(0)", L2, std_grid)
         assert report.ok
         assert report.lhs == report.rhs == 0.0
 
-    def test_weighted_space(self):
-        report = schwartz_embedding_check("xgaussian", SpaceNorm(3.0, 1.0))
+    def test_weighted_space(self, std_grid):
+        report = schwartz_embedding_check("xgaussian", SpaceNorm(3.0, 1.0), std_grid)
         assert report.ok
 
-    def test_non_decaying_descriptor_inconclusive(self):
+    def test_non_decaying_descriptor_inconclusive(self, std_grid):
         with pytest.raises(InconclusiveError):
-            schwartz_embedding_check("const(1)", L2)
+            schwartz_embedding_check("const(1)", L2, std_grid)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,14 +20,14 @@ from convolab import (
     modulate,
     parse_symbol,
     quadrature,
-    s0_test_function,
     sample,
     space_norm,
     symbol_norms,
-    tail_sup,
     tail_truncate,
 )
-from conftest import dft_matrix
+from convolab import filter_spectrum, make_mollifier
+from convolab.limitops import _out_of_band_mass, is_on_lattice
+from conftest import dft_matrix, identity_residual, tail_sup
 
 L2 = SpaceNorm(2.0)
 
@@ -67,17 +68,17 @@ class TestConjugatedApply:
     def test_identity_symbol_commutes(self, std_grid):
         f = band_limited_probe(std_grid, (1.0, 2.0))
         h = 8 * std_grid.dxi
-        res = conjugated_apply(parse_symbol("const(1)"), h, f)
-        assert res.identity_residual < 1e-12
-        assert np.max(np.abs(res.result.values - f.values)) < 1e-12
+        a = parse_symbol("const(1)")
+        assert identity_residual(a, h, f) < 1e-12
+        assert np.max(np.abs(conjugated_apply(a, h, f).values - f.values)) < 1e-12
 
     def test_support_disjointness_annihilates(self, std_grid):
         # band [1,2] shifted by 5 misses supp a = [-1,1] entirely
         f = band_limited_probe(std_grid, (1.0, 2.0))
         h = round(5.0 / std_grid.dxi) * std_grid.dxi
         res = conjugated_apply(parse_symbol("indicator(-1,1)"), h, f)
-        assert space_norm(L2, res.result) < 1e-10
-        assert res.on_lattice
+        assert space_norm(L2, res) < 1e-10
+        assert is_on_lattice(std_grid, h)
 
     def test_residual_against_matrix_oracle(self):
         # dense check at n=32 that both evaluation routes realize the same map
@@ -89,8 +90,8 @@ class TestConjugatedApply:
         f = band_limited_probe(g, (1.0, 2.0), "random", seed=5)
         res = conjugated_apply(a, h, f)
         oracle_vals = direct_op @ f.values
-        assert np.max(np.abs(res.result.values - oracle_vals)) < 1e-10
-        assert res.identity_residual < 1e-10
+        assert np.max(np.abs(res.values - oracle_vals)) < 1e-10
+        assert identity_residual(a, h, f) < 1e-10
 
     def test_random_band_limited_triples(self, std_grid, rng):
         symbols = [parse_symbol(s) for s in
@@ -103,13 +104,10 @@ class TestConjugatedApply:
             h = rng.integers(1, 40) * std_grid.dxi
             if band[1] + h >= std_grid.freq_edge:
                 continue
-            res = conjugated_apply(a, h, f)
-            assert res.identity_residual < 1e-10
+            assert identity_residual(a, h, f) < 1e-10
 
     def test_off_lattice_flagged(self, std_grid):
-        f = band_limited_probe(std_grid, (1.0, 2.0))
-        res = conjugated_apply(parse_symbol("arctan"), 1.37 * std_grid.dxi, f)
-        assert not res.on_lattice
+        assert not is_on_lattice(std_grid, 1.37 * std_grid.dxi)
 
     def test_uniform_bound_via_shifted_diagonal(self):
         # conjugation re-diagonalizes with the shifted symbol: on the band
@@ -125,7 +123,7 @@ class TestConjugatedApply:
                 spike = np.zeros(g.size, dtype=complex)
                 spike[k] = 1.0
                 probe = dft_pair(GridFunction(g, spike), "inverse")
-                out = conjugated_apply(a, h, probe).result
+                out = conjugated_apply(a, h, probe)
                 cols.append(dft_pair(out, "forward").values)
             # frequency coefficients are isometric to L2 up to one constant
             # factor on both sides, so the plain spectral norm is the
@@ -204,6 +202,39 @@ class TestLimitOperatorSweep:
         with pytest.raises(ValueError, match="band"):
             LimitSweepConfig(parse_symbol("const(1)"), f, (40.0, 41.0),
                              good, L2).validate()
+
+
+@dataclass(frozen=True)
+class S0Probe:
+    values: GridFunction
+    band: tuple[float, float]
+    out_of_band_mass: float
+
+
+def s0_test_function(g_expr, delta, grid):
+    """Band-limit a smooth compactly supported function by mollification.
+
+    Filtering with the unit-mass spectrum of the band-limited kernel at
+    scale delta confines the spectrum to ``(-1/delta, 1/delta)`` and keeps
+    the function's mass; the relative out-of-band spectral mass is
+    verified below 1e-9 and returned.
+    """
+    if 1.0 / delta >= grid.freq_edge:
+        raise ValueError("band [-1/delta, 1/delta] exceeds the frequency window")
+    if delta < 4.0 * grid.dx:
+        raise ValueError(f"delta={delta} below grid resolution (need >= 4*dx)")
+    g = sample(g_expr, grid)
+    body = np.abs(g.values)
+    peak = float(np.max(body))
+    tails = body[np.abs(grid.t) > grid.half_width / 2]
+    if peak == 0.0 or (tails.size and float(np.max(tails)) > 1e-12 * peak):
+        raise ValueError("descriptor must be supported well inside [-L/2, L/2]")
+    f = filter_spectrum(g, make_mollifier("bump_spectrum", grid).spectrum(delta))
+    band = (-1.0 / delta, 1.0 / delta)
+    mass_out = _out_of_band_mass(f, band)
+    if mass_out >= 1e-9:
+        raise ValueError(f"band-limit failed: out-of-band mass {mass_out:.3e}")
+    return S0Probe(f, band, mass_out)
 
 
 class TestS0TestFunction:

@@ -274,8 +274,8 @@ class TestDecayInequality:
 
 
 class TestNormEstimate:
-    def test_at_least_one(self):
-        assert maximal_norm_estimate(SpaceNorm(2.0), trials=5, seed=1) >= 1.0
+    def test_at_least_one(self, std_grid):
+        assert maximal_norm_estimate(SpaceNorm(2.0), 5, 1, std_grid) >= 1.0
 
     def test_indicator_probe_ratio_exceeds_one(self, std_grid):
         chi = sample("indicator(0,1)", std_grid)
@@ -283,12 +283,12 @@ class TestNormEstimate:
         ratio = space_norm(space, maximal_function(chi)) / space_norm(space, chi)
         assert ratio > 1.0
 
-    def test_weighted_space(self):
-        est = maximal_norm_estimate(SpaceNorm(3.0, 1.0), trials=5, seed=2)
+    def test_weighted_space(self, std_grid):
+        est = maximal_norm_estimate(SpaceNorm(3.0, 1.0), 5, 2, std_grid)
         assert est >= 1.0 and math.isfinite(est)
 
-    def test_endpoints_rejected(self):
+    def test_endpoints_rejected(self, std_grid):
         with pytest.raises(ValueError):
-            maximal_norm_estimate(SpaceNorm(1.0), trials=2, seed=0)
+            maximal_norm_estimate(SpaceNorm(1.0), 2, 0, std_grid)
         with pytest.raises(ValueError):
-            maximal_norm_estimate(SpaceNorm(math.inf), trials=2, seed=0)
+            maximal_norm_estimate(SpaceNorm(math.inf), 2, 0, std_grid)

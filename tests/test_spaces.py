@@ -115,8 +115,9 @@ class TestAssociateSpace:
 
 class TestAxiomHarness:
     @pytest.mark.parametrize("p,gamma", [(2.0, 0.0), (3.0, 1.0), (1.5, 0.0)])
-    def test_all_axioms_pass(self, p, gamma):
-        checks = verify_axioms(SpaceNorm(p, gamma), trials=50, seed=7)
+    def test_all_axioms_pass(self, p, gamma, std_grid):
+        checks = verify_axioms(SpaceNorm(p, gamma), trials=50, seed=7,
+                               grid=std_grid)
         assert [c.axiom for c in checks] == ["A1", "A2", "A3", "A4", "A5"]
         assert all(c.passed for c in checks)
 
@@ -129,9 +130,9 @@ class TestAxiomHarness:
         (_unregularized_weight_norm, ["A1", "A2", "A3", "A4"]),
         (_nan_norm, ["A1", "A2", "A3", "A4", "A5"]),
     ])
-    def test_broken_norm_fails(self, monkeypatch, broken, failing):
+    def test_broken_norm_fails(self, monkeypatch, broken, failing, std_grid):
         monkeypatch.setattr(spaces, "space_norm", broken)
-        checks = verify_axioms(SpaceNorm(2.0), trials=20, seed=7)
+        checks = verify_axioms(SpaceNorm(2.0), trials=20, seed=7, grid=std_grid)
         assert [c.axiom for c in checks if not c.passed] == failing
 
     def test_homogeneity_exact(self, std_grid, rng):
@@ -147,12 +148,12 @@ class TestAxiomHarness:
         space = SpaceNorm(2.0)
         assert space_norm(space, half) <= space_norm(space, f)
 
-    def test_trials_validated(self):
+    def test_trials_validated(self, std_grid):
         with pytest.raises(ValueError):
-            verify_axioms(SpaceNorm(2.0), trials=0, seed=1)
+            verify_axioms(SpaceNorm(2.0), trials=0, seed=1, grid=std_grid)
 
-    def test_report_is_json_ready(self):
-        checks = verify_axioms(SpaceNorm(2.0), trials=5, seed=3)
+    def test_report_is_json_ready(self, std_grid):
+        checks = verify_axioms(SpaceNorm(2.0), trials=5, seed=3, grid=std_grid)
         for c in checks:
             d = c.to_json()
             assert set(d) == {"axiom", "pass", "worst_slack"}

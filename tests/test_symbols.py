@@ -11,9 +11,9 @@ from convolab import (
     parse_symbol,
     shift_symbol,
     symbol_norms,
-    tail_sup,
     tail_truncate,
 )
+from conftest import tail_sup
 
 
 def _scaled(a, alpha):
