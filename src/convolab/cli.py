@@ -213,21 +213,24 @@ def _cmd_maximal_check(exp: Experiment) -> int:
     ok &= agree
     rows.append(f"fast_vs_oracle,{_fmt(worst)},{_fmt(1e-12)},{int(agree)}")
 
+    # the discrete M chi in closed form: from a node j outside the nodes
+    # i0..i1 of the sampled chi, the best window runs to the far one of them
     chi = sample("indicator(-1,1)", exp.grid)
     m = maximal_function(chi, "fast").values.real
+    i0, i1 = np.flatnonzero(chi.values)[[0, -1]]
+    j = np.arange(exp.grid.size)
+    closed = (i1 - i0 + 1) / np.where(j > i1, j - i0 + 1,
+                                      np.where(j < i0, i1 - j + 1, i1 - i0 + 1))
     for target in targets:
-        j = int(np.argmin(np.abs(exp.grid.t - target)))
-        ref = 2.0 / (1.0 + abs(exp.grid.t[j]))
-        err = abs(m[j] - ref)
-        passed = err <= 2.0 * exp.grid.dx
+        k = int(np.argmin(np.abs(exp.grid.t - target)))
+        passed = abs(m[k] - closed[k]) <= 1e-12
         ok &= passed
-        rows.append(f"value_at_{target},{_fmt(m[j])},{_fmt(ref)},{int(passed)}")
+        rows.append(f"value_at_{target},{_fmt(m[k])},{_fmt(closed[k])},{int(passed)}")
 
     outside = np.abs(exp.grid.t) > 1.0
-    lhs = 1.0 / np.abs(exp.grid.t[outside])
-    ineq = bool(np.all(lhs <= m[outside] + 1e-12))
-    ok &= ineq
-    rows.append(f"decay_inequality,{_fmt(float(np.max(lhs - m[outside])))},0,{int(ineq)}")
+    decay = float(np.max(np.abs(m[outside] - closed[outside])))
+    ok &= decay <= 1e-12
+    rows.append(f"decay_inequality,{_fmt(decay)},0,{int(decay <= 1e-12)}")
 
     exp.write_csv("maximal-check", "check,value,reference,ok", rows)
     print(f"maximal-check: fast_vs_oracle_worst={_fmt(worst)} "

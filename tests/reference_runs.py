@@ -89,9 +89,10 @@ def differences(want, got, where: str = "") -> list[str]:
             return []
         return [f"{where}: {want!r} -> {got!r}"]
     if isinstance(want, dict) and isinstance(got, dict):
-        if want.keys() != got.keys():
-            return [f"{where}: keys {sorted(want)} -> {sorted(got)}"]
-        return [d for k in want for d in differences(want[k], got[k], f"{where}/{k}")]
+        return ([f"{where}/{k}: {'added' if k in got else 'removed'}"
+                 for k in sorted(want.keys() ^ got.keys())]
+                + [d for k in want if k in got
+                   for d in differences(want[k], got[k], f"{where}/{k}")])
     if isinstance(want, list) and isinstance(got, list):
         if len(want) != len(got):
             return [f"{where}: length {len(want)} -> {len(got)}"]

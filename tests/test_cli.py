@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from convolab import cli
+from convolab import GridFunction, cli, fourier
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
 from convolab.limitops import SweepRow
 
@@ -45,6 +46,14 @@ epsilon = 0.35
 [axioms]
 trials = 20
 """
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+def run_shipped(command, config, tmp_path, *extra):
+    return main([command, "--config", str(SHIPPED / config),
+                 "--out", str(tmp_path / "out"), *extra])
 
 
 @pytest.fixture()
@@ -281,3 +290,40 @@ def test_empty_mollify_scales_are_usage_error(setting, message, tmp_path, capsys
     assert code == USAGE_ERROR
     assert message in capsys.readouterr().err
     assert not (out / "mollify.csv").exists()
+
+
+def test_maximal_check_passes_where_chi_is_shorter_than_its_interval(tmp_path, capsys):
+    # at n = 250 no node sits on -1 or 1, so the sampled chi is shorter
+    # than [-1, 1] and 1/|t| exceeds M chi next to |t| = 1
+    assert run_shipped("maximal-check", "quick.ini", tmp_path, "--grid-n", "250") == 0
+
+
+def test_maximal_check_profile_references_equal_values_on_coarse_grid(tmp_path, capsys):
+    # at (4.5, 8) 2/(1+|t|) is 0.44 away from M chi, within 2*dx
+    code = run_shipped("maximal-check", "quick.ini", tmp_path,
+                       "--grid-L", "4.5", "--grid-n", "8")
+    rows = (tmp_path / "out" / "maximal-check.csv").read_text().splitlines()
+    profile = [row.split(",") for row in rows if row.startswith("value_at_")]
+    assert len(profile) == 3
+    assert all(value == reference for _, value, reference, _ in profile)
+    assert code == 0
+
+
+def test_maximal_check_fails_on_a_one_percent_larger_maximal_function(
+        tmp_path, capsys, monkeypatch):
+    exact = cli.maximal_function
+    monkeypatch.setattr(cli, "maximal_function", lambda f, mode="fast":
+                        GridFunction(f.grid, 1.01 * exact(f, mode).values))
+    assert run_shipped("maximal-check", "quick.ini", tmp_path) == ASSERTION_FAILURE
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
+def test_stechkin_fails_on_a_one_percent_larger_multiplier(
+        config, tmp_path, capsys, monkeypatch):
+    exact = fourier.apply_multiplier
+    monkeypatch.setattr(fourier, "apply_multiplier",
+                        lambda a, f: 1.01 * exact(a, f))
+    assert run_shipped("stechkin", config, tmp_path) == ASSERTION_FAILURE
+    result = json.loads((tmp_path / "out" / "stechkin.json").read_text())["result"]
+    assert result["violation"] and result["lower"] > result["sup_norm"]

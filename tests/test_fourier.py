@@ -340,6 +340,7 @@ class TestStechkin:
                                 trials=10, seed=0, grid=std_grid)
         assert report.lower == pytest.approx(1.0, abs=1e-10)
         assert report.v_norm == pytest.approx(3.0, abs=1e-12)
+        assert report.sup_norm == 1.0
         assert report.ratio == pytest.approx(1 / 3, abs=1e-10)
         assert not report.violation
 
