@@ -213,14 +213,13 @@ def _cmd_maximal_check(exp: Experiment) -> int:
     ok &= agree
     rows.append(f"fast_vs_oracle,{_fmt(worst)},{_fmt(1e-12)},{int(agree)}")
 
-    # the discrete M chi in closed form: from a node j outside the nodes
-    # i0..i1 of the sampled chi, the best window runs to the far one of them
+    # the discrete M chi in closed form: the best window from node j runs
+    # to the far end of the nodes i0..i1 of the sampled chi
     chi = sample("indicator(-1,1)", exp.grid)
     m = maximal_function(chi, "fast").values.real
     i0, i1 = np.flatnonzero(chi.values)[[0, -1]]
     j = np.arange(exp.grid.size)
-    closed = (i1 - i0 + 1) / np.where(j > i1, j - i0 + 1,
-                                      np.where(j < i0, i1 - j + 1, i1 - i0 + 1))
+    closed = (i1 - i0 + 1) / (np.maximum(j, i1) - np.minimum(j, i0) + 1)
     for target in targets:
         k = int(np.argmin(np.abs(exp.grid.t - target)))
         passed = abs(m[k] - closed[k]) <= 1e-12

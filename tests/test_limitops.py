@@ -15,8 +15,10 @@ from convolab import (
     conjugated_apply,
     density_experiment,
     dft_pair,
+    filter_spectrum,
     limit_operator_sweep,
     make_grid,
+    make_mollifier,
     modulate,
     parse_symbol,
     quadrature,
@@ -25,7 +27,6 @@ from convolab import (
     symbol_norms,
     tail_truncate,
 )
-from convolab import filter_spectrum, make_mollifier
 from convolab.limitops import _out_of_band_mass, is_on_lattice
 from conftest import dft_matrix, identity_residual, tail_sup
 
