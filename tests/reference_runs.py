@@ -75,10 +75,6 @@ def collect(command: str, config: str, extra: tuple[str, ...]) -> dict:
             "artifacts": artifacts}
 
 
-def collect_all() -> dict:
-    return {run_key(*run): collect(*run) for run in RUNS}
-
-
 def differences(want, got, where: str = "") -> list[str]:
     """Where ``got`` departs from ``want``: numbers beyond rtol 1e-12, and
     anything else (verdicts, flags, names, shapes) at all."""
@@ -103,5 +99,6 @@ def differences(want, got, where: str = "") -> list[str]:
 
 if __name__ == "__main__":
     REFERENCE.parent.mkdir(exist_ok=True)
-    REFERENCE.write_text(json.dumps(collect_all(), indent=1) + "\n")
+    reference = {run_key(*run): collect(*run) for run in RUNS}
+    REFERENCE.write_text(json.dumps(reference, indent=1) + "\n")
     print(f"wrote {len(RUNS)} runs to {REFERENCE.relative_to(ROOT)}")
