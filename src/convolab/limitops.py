@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergenceError
-from .fourier import apply_multiplier, make_mollifier
+from .fourier import _MIN_DELTA_CELLS, apply_multiplier, make_mollifier
 from .grid import Grid, GridFunction, bump_profile, dft_pair, filter_spectrum
 from .spaces import SpaceNorm, space_norm
 from .symbols import Symbol, symbol_norms, tail_truncate
@@ -176,7 +176,6 @@ def limit_operator_sweep(cfg: LimitSweepConfig) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class DensityResult:
-    smooth: GridFunction
     approximant: GridFunction
     delta: float
     achieved: float
@@ -197,56 +196,34 @@ def density_experiment(
 ) -> DensityResult:
     """Approximate ``f`` by a band-limited function within ``eps``.
 
-    Two halving loops mirror the eps/2 + eps/2 budget of the density
-    argument: first a narrow Gaussian pre-mollification produces a smooth
-    stand-in ``g`` with ``|f - g| < eps/2`` (on a finite grid every
-    function has compact support, so smoothness is what the pre-step must
-    supply); then the band-limited kernel scale is halved until
-    ``|g * phi_delta - g| < eps/2``.  The returned approximant has exactly
-    vanishing spectrum outside the certified band.
+    One ladder of kernel scales: delta = 1, 1/2, 1/4, ... down to the grid
+    floor ``_MIN_DELTA_CELLS * dx``, which is the last rung; the first rung
+    with ``|f * phi_delta - f| < eps`` wins.  Each rung's spectrum vanishes
+    exactly outside ``[-1/delta, 1/delta]``, a band that the floor keeps
+    inside the frequency window, so no separate smoothing step is needed.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not np.any(f.values):
         raise ValueError("f is zero: the density check would pass vacuously")
-    grid = f.grid
-    gauss = make_mollifier("gaussian", grid)
-    bump = make_mollifier("bump_spectrum", grid)
-
-    sigma, smooth, e1 = 1.0, None, math.inf
-    floor = 0.5 * grid.dx
+    bump = make_mollifier("bump_spectrum", f.grid)
+    floor = _MIN_DELTA_CELLS * f.grid.dx
+    delta, best = max(1.0, floor), math.inf
     while True:
-        cand = filter_spectrum(f, gauss.spectrum(sigma))
-        e1 = space_norm(space, cand - f)
-        if e1 < eps / 2:
-            smooth = cand
+        approx = filter_spectrum(f, bump.spectrum(delta))
+        err = space_norm(space, approx - f)
+        best = min(best, err)
+        if err < eps:
             break
-        if sigma / 2 < floor:
+        if delta == floor:
             raise NoConvergenceError(
-                f"pre-smoothing floor reached at sigma={sigma} with error {e1}",
-                best=e1,
-            )
-        sigma /= 2
-
-    delta = 1.0
-    best = math.inf
-    delta_min = 1.0 / (0.98 * grid.freq_edge)
-    while True:
-        approx = filter_spectrum(smooth, bump.spectrum(delta))
-        e2 = space_norm(space, approx - smooth)
-        best = min(best, e2)
-        if e2 < eps / 2:
-            break
-        if delta / 2 < delta_min:
-            raise NoConvergenceError(
-                "band-limit scale hit the frequency window before reaching "
-                f"the eps/2 target (best second-stage error {best})",
+                f"band-limit ladder reached the grid floor delta={floor} "
+                f"(best error {best})",
                 best=best,
             )
-        delta /= 2
+        delta = max(delta / 2, floor)
 
     band = (-1.0 / delta, 1.0 / delta)
-    achieved = space_norm(space, approx - f)
     return DensityResult(
-        smooth, approx, delta, achieved, band, _out_of_band_mass(approx, band)
+        approx, delta, err, band, _out_of_band_mass(approx, band)
     )

@@ -24,8 +24,8 @@ from convolab import cli
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "reference" / "artifacts.json"
 
-# fine and weighted-fine density run at n = 4096: at the configs' own
-# n = 1024 the band-limit scale reaches the frequency window first
+# fine and weighted-fine density run at n = 4096, as in bench/harness.py:
+# at fine's own n = 1024 even the grid-floor rung misses eps = 0.1 (0.110)
 _FOUR = ("sweep", "stechkin", "density", "axioms")
 RUNS = tuple(
     (command, config, ("--grid-n", "4096") if command == "density"

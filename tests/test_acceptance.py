@@ -142,11 +142,15 @@ def test_criterion_05_maximal_operator():
             oracle = maximal_function(f, "oracle").values.real
             assert np.max(np.abs(fast - oracle)) <= 1e-12
 
+        # the discrete M chi in closed form: the best window from node j
+        # runs to the far end of the nodes i0..i1 of the sampled chi
         g = make_grid(8.0, 512)
-        m = maximal_function(sample("indicator(-1,1)", g), "fast").values.real
-        for target in (-4.0, -2.0, -1.5, 1.5, 2.0, 4.0):
-            j = int(np.argmin(np.abs(g.t - target)))
-            assert abs(m[j] - 2.0 / (1.0 + abs(g.t[j]))) <= 2 * g.dx
+        chi = sample("indicator(-1,1)", g)
+        m = maximal_function(chi, "fast").values.real
+        i0, i1 = np.flatnonzero(chi.values)[[0, -1]]
+        j = np.arange(g.size)
+        closed = (i1 - i0 + 1) / (np.maximum(j, i1) - np.minimum(j, i0) + 1)
+        assert np.max(np.abs(m - closed)) <= 1e-12
         outside = np.abs(g.t) > 1.0
         assert np.all(1.0 / np.abs(g.t[outside]) <= m[outside] + 1e-12)
 

@@ -327,3 +327,32 @@ def test_stechkin_fails_on_a_one_percent_larger_multiplier(
     assert run_shipped("stechkin", config, tmp_path) == ASSERTION_FAILURE
     result = json.loads((tmp_path / "out" / "stechkin.json").read_text())["result"]
     assert result["violation"] and result["lower"] > result["sup_norm"]
+
+
+@pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
+def test_mollify_fails_on_a_one_percent_heavier_kernel(
+        config, tmp_path, capsys, monkeypatch):
+    exact = fourier.Mollifier.spectrum
+    monkeypatch.setattr(fourier.Mollifier, "spectrum",
+                        lambda self, delta: 1.01 * exact(self, delta))
+    assert run_shipped("mollify", config, tmp_path) == ASSERTION_FAILURE
+    assert "decreasing=FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("L", ["20", "24"])
+def test_density_passes_where_the_grid_floor_is_no_power_of_two(L, tmp_path, capsys):
+    assert run_shipped("density", "quick.ini", tmp_path, "--grid-L", L) == 0
+
+
+def test_density_passes_on_weighted_fine_at_its_own_grid(tmp_path, capsys):
+    config = SHIPPED.parent / "bench" / "configs" / "weighted-fine.ini"
+    code = main(["density", "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
+def test_density_on_fine_at_its_own_grid_reports_the_floor_rung(tmp_path, capsys):
+    # at n = 1024 the floor rung dx/2 = 1/64 comes closest, at 0.110 > 0.1
+    assert run_shipped("density", "fine.ini", tmp_path) == ASSERTION_FAILURE
+    out = capsys.readouterr().out
+    assert "grid floor delta=0.015625 (best error 0.1104584" in out

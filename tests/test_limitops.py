@@ -298,12 +298,27 @@ class TestDensityExperiment:
             density_experiment(chi, 1e-6, L2)
         assert err.value.best is not None
 
-    def test_band_limit_window_reports_best_second_stage_error(self, fine_grid):
+    def test_grid_floor_reports_best_error(self, fine_grid):
+        # on (16, 1024) the floor rung dx/2 = 1/64 is the closest, at 0.110
         chi = sample("indicator(-1,1)", fine_grid)
-        with pytest.raises(NoConvergenceError, match="frequency window") as err:
+        with pytest.raises(NoConvergenceError, match="grid floor") as err:
             density_experiment(chi, 0.1, L2)
-        reported = re.search(r"second-stage error ([^)]+)\)", str(err.value))
+        assert "delta=0.015625 " in str(err.value)
+        reported = re.search(r"best error ([^)]+)\)", str(err.value))
         assert err.value.best == float(reported.group(1))
+        assert 0.11 < err.value.best < 0.111
+
+    @pytest.mark.parametrize("L", [20.0, 24.0])
+    def test_ladder_ends_on_the_grid_floor(self, L):
+        # dx/2 is no power of two here, so the last rung is the floor itself
+        g = make_grid(L, 256)
+        chi = sample("indicator(-1,1)", g)
+        with pytest.raises(NoConvergenceError, match="grid floor") as err:
+            density_experiment(chi, 1e-6, L2)
+        assert f"delta={0.5 * g.dx} " in str(err.value)
+        floor = density_experiment(chi, err.value.best * (1 + 1e-12), L2)
+        assert floor.delta == 0.5 * g.dx
+        assert floor.out_of_band_mass < 1e-9
 
     def test_epsilon_validated(self, std_grid):
         with pytest.raises(ValueError):
