@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +59,8 @@ class Mollifier:
     spatial resample of the dilated kernel would leak outside the band
     through the finite window).  ``kernel`` is the unit-scale kernel,
     ``majorant`` its radial majorant and ``majorant_l1`` the majorant's
-    mass.
+    mass.  ``rungs`` walks the one ladder of scales that ``mollify_sweep``
+    and ``density_experiment`` share, set by the grid alone.
     """
 
     kind: str
@@ -75,11 +75,6 @@ class Mollifier:
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
         g = self.grid
-        if self.kind == "bump_spectrum" and 1.0 / delta >= g.freq_edge:
-            raise ValueError(
-                f"scaled band [-{1.0 / delta}, {1.0 / delta}] exceeds the "
-                "frequency window"
-            )
         if delta < _MIN_DELTA_CELLS * g.dx:
             raise ValueError(
                 f"delta={delta} below grid resolution ({_MIN_DELTA_CELLS} * dx "
@@ -91,6 +86,23 @@ class Mollifier:
         else:
             hat = bump_profile(delta * g.xi)
         return hat / hat[g.size // 2]
+
+    def rungs(self, f: GridFunction, space: SpaceNorm):
+        """Yield ``(delta, f * phi_delta, |f * phi_delta - f|)`` down the ladder.
+
+        delta = 1, 1/2, 1/4, ... down to the grid floor
+        ``_MIN_DELTA_CELLS * dx``, which is the last rung (the only one when
+        the floor is at least 1).  At the bump kernel's floor the band
+        ``[-1/delta, 1/delta]`` still lies inside the frequency window.
+        """
+        floor = _MIN_DELTA_CELLS * self.grid.dx
+        delta = max(1.0, floor)
+        while True:
+            smoothed = filter_spectrum(f, self.spectrum(delta))
+            yield delta, smoothed, space_norm(space, smoothed - f)
+            if delta == floor:
+                return
+            delta = max(delta / 2, floor)
 
     @cached_property
     def kernel(self) -> GridFunction:
@@ -126,35 +138,29 @@ class MollifyRow:
 
 
 def mollify_sweep(
-    f: GridFunction,
-    phi: Mollifier,
-    deltas: Sequence[float],
-    space: SpaceNorm,
+    f: GridFunction, phi: Mollifier, space: SpaceNorm
 ) -> list[MollifyRow]:
-    """Smooth ``f`` at each scale and track convergence and the domination.
+    """Smooth ``f`` at each rung of ``phi.rungs`` and track the domination.
 
-    For each delta the row carries the approximation error
-    ``|f * phi_delta - f|``, the smoothed norm ``|f * phi_delta|``, and
-    whether ``|f * phi_delta| <= majorant_l1 * Mf + 1e-8`` held at every
-    node (the pointwise maximal-function domination; the norm-level bound
-    follows from it by lattice monotonicity).
+    Each row carries the approximation error ``|f * phi_delta - f|``, the
+    smoothed norm ``|f * phi_delta|``, and whether
+    ``|f * phi_delta| <= majorant_l1 * Mf + 1e-8`` held at every node (the
+    pointwise maximal-function domination; the norm-level bound follows from
+    it by lattice monotonicity).  A grid whose ladder has a single rung
+    (dx >= 2) is rejected: one row shows no convergence.
     """
     if f.grid != phi.grid:
         raise ValueError("grid mismatch between function and mollifier")
-    deltas = [float(d) for d in deltas]
-    if not deltas:
-        raise ValueError("deltas must hold at least one scale")
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be sorted strictly decreasing")
     mf = maximal_function(f, "fast").values.real
     ceiling = phi.majorant_l1 * mf + 1e-8
-    rows = []
-    for delta in deltas:
-        smoothed = filter_spectrum(f, phi.spectrum(delta))
-        err = space_norm(space, smoothed - f)
-        bnd = space_norm(space, smoothed)
-        ok = bool(np.all(np.abs(smoothed.values) <= ceiling))
-        rows.append(MollifyRow(delta, err, bnd, ok))
+    rows = [
+        MollifyRow(delta, err, space_norm(space, smoothed),
+                   bool(np.all(np.abs(smoothed.values) <= ceiling)))
+        for delta, smoothed, err in phi.rungs(f, space)
+    ]
+    if len(rows) < 2:
+        raise ValueError(f"grid too coarse to mollify: dx={f.grid.dx} leaves "
+                         "one scale on the ladder")
     return rows
 
 

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergenceError
-from .fourier import _MIN_DELTA_CELLS, apply_multiplier, make_mollifier
-from .grid import Grid, GridFunction, bump_profile, dft_pair, filter_spectrum
+from .fourier import apply_multiplier, make_mollifier
+from .grid import Grid, GridFunction, bump_profile, dft_pair
 from .spaces import SpaceNorm, space_norm
 from .symbols import Symbol, symbol_norms, tail_truncate
 
@@ -196,34 +196,26 @@ def density_experiment(
 ) -> DensityResult:
     """Approximate ``f`` by a band-limited function within ``eps``.
 
-    One ladder of kernel scales: delta = 1, 1/2, 1/4, ... down to the grid
-    floor ``_MIN_DELTA_CELLS * dx``, which is the last rung; the first rung
-    with ``|f * phi_delta - f| < eps`` wins.  Each rung's spectrum vanishes
-    exactly outside ``[-1/delta, 1/delta]``, a band that the floor keeps
-    inside the frequency window, so no separate smoothing step is needed.
+    Walks the bump kernel's ladder ``Mollifier.rungs`` (delta = 1, 1/2,
+    ... down to the grid floor) and takes the first rung with
+    ``|f * phi_delta - f| < eps``.  Each rung's spectrum vanishes exactly
+    outside ``[-1/delta, 1/delta]``, a band that the floor keeps inside the
+    frequency window, so no separate smoothing step is needed.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not np.any(f.values):
         raise ValueError("f is zero: the density check would pass vacuously")
-    bump = make_mollifier("bump_spectrum", f.grid)
-    floor = _MIN_DELTA_CELLS * f.grid.dx
-    delta, best = max(1.0, floor), math.inf
-    while True:
-        approx = filter_spectrum(f, bump.spectrum(delta))
-        err = space_norm(space, approx - f)
-        best = min(best, err)
+    best = math.inf
+    for delta, approx, err in make_mollifier("bump_spectrum", f.grid).rungs(f, space):
         if err < eps:
-            break
-        if delta == floor:
-            raise NoConvergenceError(
-                f"band-limit ladder reached the grid floor delta={floor} "
-                f"(best error {best})",
-                best=best,
+            band = (-1.0 / delta, 1.0 / delta)
+            return DensityResult(
+                approx, delta, err, band, _out_of_band_mass(approx, band)
             )
-        delta = max(delta / 2, floor)
-
-    band = (-1.0 / delta, 1.0 / delta)
-    return DensityResult(
-        approx, delta, err, band, _out_of_band_mass(approx, band)
+        best = min(best, err)
+    raise NoConvergenceError(
+        f"band-limit ladder reached the grid floor delta={delta} "
+        f"(best error {best})",
+        best=best,
     )

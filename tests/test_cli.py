@@ -29,8 +29,6 @@ profile = bump
 [mollify]
 kernel = gaussian
 f = gaussian
-delta_start = 1.0
-halvings = 4
 
 [stechkin]
 symbol = indicator(-1,1)
@@ -185,11 +183,7 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
      ("density", "f = bump(0,0)"),
      ("density", "f = nosuch(1)"),
      ("density", "f = 1abc"),
-     ("mollify", "deltas = 1, inf"),
-     # profile targets 2 and 4 off the grid; no node with |t| > 1; 4 at t = L
-     ("maximal-check", "trials = 1\n[grid]\nL = 1.5\nn = 8"),
-     ("maximal-check", "trials = 1\n[grid]\nL = 1"),
-     ("maximal-check", "trials = 1\n[grid]\nL = 4")],
+     ("maximal-check", "trials = 1\n[space]\np = oo")],
 )
 def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys):
     path = tmp_path / "bad.ini"
@@ -275,38 +269,39 @@ def test_zero_maximal_trials_is_usage_error(tmp_path, capsys):
     assert not (out / "maximal-check.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "setting,message",
-    [("halvings = -1", "halvings must be >= 0"),
-     ("deltas =", "at least one scale"),
-     ("halvings = 1024", "below grid resolution"),
-     ("halvings = 2000", "must be a positive float")],
-)
-def test_empty_mollify_scales_are_usage_error(setting, message, tmp_path, capsys):
-    path = tmp_path / "scales.ini"
-    path.write_text(CONFIG.replace("halvings = 4", setting))
-    out = tmp_path / "o"
-    code = main(["mollify", "--config", str(path), "--out", str(out)])
-    assert code == USAGE_ERROR
-    assert message in capsys.readouterr().err
-    assert not (out / "mollify.csv").exists()
-
-
 def test_maximal_check_passes_where_chi_is_shorter_than_its_interval(tmp_path, capsys):
     # at n = 250 no node sits on -1 or 1, so the sampled chi is shorter
     # than [-1, 1] and 1/|t| exceeds M chi next to |t| = 1
     assert run_shipped("maximal-check", "quick.ini", tmp_path, "--grid-n", "250") == 0
 
 
+def maximal_check_rows(out):
+    return [row.split(",") for row in
+            (out / "maximal-check.csv").read_text().splitlines()[2:]]
+
+
 def test_maximal_check_profile_references_equal_values_on_coarse_grid(tmp_path, capsys):
-    # at (4.5, 8) 2/(1+|t|) is 0.44 away from M chi, within 2*dx
+    # at (4.5, 8) 2/(1+|t|) is 0.44 away from M chi, within 2*dx, but the
+    # discrete closed form is exact at every node
     code = run_shipped("maximal-check", "quick.ini", tmp_path,
                        "--grid-L", "4.5", "--grid-n", "8")
-    rows = (tmp_path / "out" / "maximal-check.csv").read_text().splitlines()
-    profile = [row.split(",") for row in rows if row.startswith("value_at_")]
-    assert len(profile) == 3
-    assert all(value == reference for _, value, reference, _ in profile)
+    rows = maximal_check_rows(tmp_path / "out")
+    assert [row[0] for row in rows] == ["fast_vs_oracle", "closed_form"]
+    assert rows[1] == ["closed_form", "0", "1e-12", "1"]
     assert code == 0
+
+
+# the closed_form row covers every node of a grid, however small
+@pytest.mark.parametrize(
+    "grid", ["L = 1.5\nn = 8", "L = 1", "L = 4"],
+    ids=["L=1.5,n=8", "L=1", "L=4"])
+def test_maximal_check_closed_form_holds_on_small_grids(grid, tmp_path, capsys):
+    path = tmp_path / "small.ini"
+    path.write_text(f"[maximal-check]\ntrials = 1\n[grid]\n{grid}\n")
+    out = tmp_path / "o"
+    assert main(["maximal-check", "--config", str(path), "--out", str(out)]) == 0
+    closed = [row for row in maximal_check_rows(out) if row[0] == "closed_form"]
+    assert closed == [["closed_form", "0", "1e-12", "1"]]
 
 
 def test_maximal_check_fails_on_a_one_percent_larger_maximal_function(
@@ -314,8 +309,11 @@ def test_maximal_check_fails_on_a_one_percent_larger_maximal_function(
     exact = cli.maximal_function
     monkeypatch.setattr(cli, "maximal_function", lambda f, mode="fast":
                         GridFunction(f.grid, 1.01 * exact(f, mode).values))
-    assert run_shipped("maximal-check", "quick.ini", tmp_path) == ASSERTION_FAILURE
-    assert "FAIL" in capsys.readouterr().out
+    for config in ("quick.ini", "fine.ini"):
+        assert run_shipped("maximal-check", config, tmp_path) == ASSERTION_FAILURE
+        assert "FAIL" in capsys.readouterr().out
+        check, _, _, ok = maximal_check_rows(tmp_path / "out")[1]
+        assert (check, ok) == ("closed_form", "0")
 
 
 @pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
@@ -337,6 +335,32 @@ def test_mollify_fails_on_a_one_percent_heavier_kernel(
                         lambda self, delta: 1.01 * exact(self, delta))
     assert run_shipped("mollify", config, tmp_path) == ASSERTION_FAILURE
     assert "decreasing=FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,floor", [(("--grid-n", "128"), "0.0625"),
+                                        (("--grid-L", "24"), "0.09375")],
+                         ids=["n=128", "L=24"])
+def test_mollify_ladder_follows_the_grid(flag, floor, tmp_path, capsys):
+    # the last scale is the grid floor dx/2, whether or not it is a power of 2
+    assert run_shipped("mollify", "quick.ini", tmp_path, *flag) == 0
+    rows = (tmp_path / "out" / "mollify.csv").read_text().splitlines()[2:]
+    assert rows[-1].split(",")[0] == floor
+
+
+def test_mollify_with_a_single_rung_is_usage_error(tmp_path, capsys):
+    # at n = 8 dx = 2, so the ladder has one scale and shows no convergence
+    assert run_shipped("mollify", "quick.ini", tmp_path, "--grid-n", "8") == USAGE_ERROR
+    assert "one scale" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "mollify.csv").exists()
+
+
+def test_infinite_exponent_header(tmp_path):
+    path = tmp_path / "p.ini"
+    path.write_text(CONFIG.replace("p = 2", "p = inf"))
+    out = tmp_path / "o"
+    assert main(["maximal-check", "--config", str(path), "--out", str(out)]) == 0
+    first = (out / "maximal-check.csv").read_text().splitlines()[0]
+    assert first == "# L=8 n=256 p=inf gamma=0 seed=42"
 
 
 @pytest.mark.parametrize("L", ["20", "24"])

@@ -199,7 +199,7 @@ class TestMollifier:
         with pytest.raises(ValueError):
             phi.spectrum(-1.0)
         bump = make_mollifier("bump_spectrum", fine_grid)
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(ValueError, match="resolution"):
             bump.spectrum(1.0 / (2 * fine_grid.freq_edge))
 
     @pytest.mark.parametrize("kind", ["gaussian", "bump_spectrum"])
@@ -238,12 +238,12 @@ class TestMollifier:
 
 
 class TestMollifySweep:
-    DELTAS = [1 / 2**i for i in range(7)]
+    # on the fine grid (16, 1024) the ladder is 1 .. dx/2 = 1/64
 
     def test_smooth_probe_second_order(self, fine_grid):
         f = sample("gaussian", fine_grid)
         phi = make_mollifier("gaussian", fine_grid)
-        rows = mollify_sweep(f, phi, self.DELTAS, L2)
+        rows = mollify_sweep(f, phi, L2)
         errs = [r.error for r in rows]
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-3
@@ -254,7 +254,7 @@ class TestMollifySweep:
     def test_indicator_probe_half_order_trend(self, fine_grid):
         chi = sample("indicator(-1,1)", fine_grid)
         phi = make_mollifier("gaussian", fine_grid)
-        rows = mollify_sweep(chi, phi, self.DELTAS, L2)
+        rows = mollify_sweep(chi, phi, L2)
         errs = [r.error for r in rows]
         assert all(b < a for a, b in zip(errs, errs[1:]))
         # resolved scales follow the boundary-layer rate sqrt(delta)
@@ -266,27 +266,19 @@ class TestMollifySweep:
         for kind in ("gaussian", "bump_spectrum"):
             phi = make_mollifier(kind, fine_grid)
             for probe in ("gaussian", "indicator(-1,1)"):
-                rows = mollify_sweep(sample(probe, fine_grid), phi,
-                                     self.DELTAS, L2)
+                rows = mollify_sweep(sample(probe, fine_grid), phi, L2)
                 assert all(r.pointwise_ok for r in rows)
 
-    def test_deltas_must_decrease(self, fine_grid):
-        f = sample("gaussian", fine_grid)
-        phi = make_mollifier("gaussian", fine_grid)
-        with pytest.raises(ValueError, match="decreasing"):
-            mollify_sweep(f, phi, [0.5, 1.0], L2)
-
-    def test_deltas_must_be_nonempty(self, fine_grid):
-        f = sample("gaussian", fine_grid)
-        phi = make_mollifier("gaussian", fine_grid)
-        with pytest.raises(ValueError, match="at least one"):
-            mollify_sweep(f, phi, [], L2)
-
-    def test_delta_below_resolution(self, fine_grid):
-        f = sample("gaussian", fine_grid)
-        phi = make_mollifier("gaussian", fine_grid)
-        with pytest.raises(ValueError, match="resolution"):
-            mollify_sweep(f, phi, [1.0, 0.1 * fine_grid.dx], L2)
+    @pytest.mark.parametrize("L,n,last", [(8.0, 256, 1 / 32), (16.0, 1024, 1 / 64),
+                                          (24.0, 256, 0.09375)])
+    def test_ladder_halves_down_to_the_grid_floor(self, L, n, last):
+        grid = make_grid(L, n)
+        f = sample("gaussian", grid)
+        rungs = make_mollifier("gaussian", grid).rungs(f, L2)
+        deltas = [delta for delta, _, _ in rungs]
+        halvings = [1 / 2**i for i in range(len(deltas) - 1)]
+        assert deltas == halvings + [last]
+        assert last == 0.5 * grid.dx and halvings[-1] / 2 <= last
 
 
 class TestMultiplierNormLowerBound:
