@@ -42,7 +42,7 @@ from .limitops import (
     limit_operator_sweep,
     modulate,
 )
-from .maximal import maximal_function, maximal_norm_estimate
+from .maximal import maximal_function, maximal_norm_estimate, maximal_scan
 from .spaces import (
     AxiomCheck,
     SpaceNorm,

@@ -7,34 +7,42 @@ window (the singleton window then dominates the point value, matching the
 continuum ``Mf >= |f|``).  Windows are confined to ``[-L, L]``: outside the
 domain the function is modeled as zero, which only lowers averages.
 
-Two routes are provided.  ``oracle`` enumerates the means of all O(n^2)
-windows with a prefix-sum scan.  It takes the start nodes in blocks of
-``_ROW_BLOCK`` rows, each block one matrix of window means.  Past the
-block's first r columns every row starts at or before the node, so there
-the column max is taken first and then one suffix max over the end node;
-only an r x (r+1) head, whose last column is each row's max over the
-tail, needs the suffix max along its rows and the mask of windows that
-start after the node.  Every mean is the same subtraction and division as
-in a scan of one start node at a time and a max is exact, so the result
-is bit-identical to that scan; a 2-D stack of rows gets each row's scan,
-bit for bit.
+Two routes are provided, both behind ``maximal_scan``: it takes one row
+of |f| values or a ``(trials, n)`` stack of rows and scans each row as on
+its own, and ``maximal_function`` wraps it for one grid function.
+``oracle`` enumerates the means of all O(n^2) windows with a prefix-sum
+scan.  It takes the start nodes in blocks of ``_ROW_BLOCK`` rows, each
+block one matrix of window means.  Past the block's first r columns every
+row starts at or before the node, so there the column max is taken first
+and then one suffix max over the end node; only an r x (r+1) head, whose
+last column is each row's max over the tail, needs the suffix max along
+its rows and the mask of windows that start after the node.  Every mean is
+the same subtraction and division as in a scan of one start node at a time
+and a max is exact, so the result is bit-identical to that scan; a 2-D
+stack of rows gets each row's scan, bit for bit.
 
 ``fast`` merges blocks bottom-up over the prefix-sum graph: the best
 window containing a node is the steepest chord of the prefix sums across
-the node.  The array is zero-padded to k leaves of B <= ``_BASE_SIZE``
+the node.  Each row is zero-padded to k leaves of B <= ``_BASE_SIZE``
 nodes, k a power of two.  The pad is exact: a window that runs into it has
 the same float sum (>= 0) over a longer length, so its mean is never above
-that of the real window holding the same nodes.  One all-windows scan of the
-k x B stack solves every leaf.  Each level then pairs neighbouring blocks
-and resolves the windows crossing each split by tangent queries against
-the upper hull of the prefix points on the far side, with one hull call
-and one tangent search for all pairs; the right halves run as the
-reversed pairs.  Vectorised passes first drop the points that lie on or
-below the chord of their neighbours, until a pass removes less than a
-quarter of them; a monotone-chain loop over Python floats builds each
-hull from the rest.  The sums are counted from each split, so rounding
-does not grow with the length of the whole array.  Both routes must agree
-to 1e-12; the oracle defines correctness.
+that of the real window holding the same nodes.  One all-windows scan of
+the k x B leaves of every row solves them all.  Each level then pairs
+neighbouring blocks and resolves the windows crossing each split by
+tangent queries against the upper hull of the prefix points on the far
+side, with one hull call and one tangent search for all pairs of all rows;
+the right halves run as the reversed pairs.  A padded row holds k*B nodes,
+a multiple of every level's pair length, so no pair crosses from one row
+into the next and a stack gives each row the values of its own scan.
+Vectorised passes first drop the points that lie on or below the chord of
+their neighbours, until a pass removes less than a quarter of them; a
+monotone-chain loop over Python floats builds each hull from the rest.
+The sums are counted from each split, so rounding does not grow with the
+length of the whole array.  Both routes must agree to 1e-12; the oracle
+defines correctness.
+
+``maximal-check`` scans its noise trials as stacks of at most 2048 nodes,
+in draw order (see ``cli._CHUNK_NODES``).
 """
 
 from __future__ import annotations
@@ -178,17 +186,20 @@ def _crossing_means(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _fast_scan(av: np.ndarray) -> np.ndarray:
-    # k leaves of ``size`` nodes each, k a power of two; the zero pad at
-    # the end raises no real node's value (see the module docstring)
-    n = av.size
+    # each row becomes k leaves of ``size`` nodes, k a power of two; the
+    # zero pad at its end raises no real node's value, and no pair of
+    # blocks crosses from one row into the next (see the module docstring)
+    stack = np.atleast_2d(av)
+    t, n = stack.shape
     k = 1
     while -(-n // k) > _BASE_SIZE:
         k *= 2
     size = -(-n // k)
-    a = np.zeros(k * size)
-    a[:n] = av
-    out = _oracle_scan(a.reshape(k, size)).ravel()
-    while size < a.size:
+    width = k * size
+    a = np.zeros((t, width))
+    a[:, :n] = stack
+    out = _oracle_scan(a.reshape(t * k, size)).reshape(t, width)
+    while size < width:
         # windows crossing each split: the best one holding a left node
         # starts at or before it; the reversed pair gives the same windows
         # and slopes for the right nodes
@@ -201,16 +212,20 @@ def _fast_scan(av: np.ndarray) -> np.ndarray:
         np.maximum(halves[:, 0], best[:len(pairs)], out=halves[:, 0])
         np.maximum(halves[:, 1], best[len(pairs):, ::-1], out=halves[:, 1])
         size *= 2
-    return out[:n]
+    return out[:, :n].reshape(av.shape)
+
+
+def maximal_scan(av: np.ndarray, mode: str = "fast") -> np.ndarray:
+    """Maximal function of each row of ``av`` (|f| values, >= 0) over node
+    windows, per the discrete model; a 1-D array is one row."""
+    if mode not in ("fast", "oracle"):
+        raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
+    return _fast_scan(av) if mode == "fast" else _oracle_scan(av)
 
 
 def maximal_function(f: GridFunction, mode: str = "fast") -> GridFunction:
     """Maximal function of |f| over node windows, per the discrete model."""
-    if mode not in ("fast", "oracle"):
-        raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
-    av = np.abs(f.values)
-    vals = _fast_scan(av) if mode == "fast" else _oracle_scan(av)
-    return GridFunction(f.grid, vals)
+    return GridFunction(f.grid, maximal_scan(np.abs(f.values), mode))
 
 
 def maximal_norm_estimate(

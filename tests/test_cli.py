@@ -1,9 +1,11 @@
+import configparser
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from convolab import GridFunction, cli, fourier
+from convolab import cli, fourier
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
 from convolab.limitops import SweepRow
 
@@ -266,7 +268,7 @@ def test_zero_maximal_trials_is_usage_error(tmp_path, capsys):
     code = main(["maximal-check", "--config", str(path), "--out", str(out)])
     assert code == USAGE_ERROR
     assert "trials must be >= 1" in capsys.readouterr().err
-    assert not (out / "maximal-check.csv").exists()
+    assert not out.exists()
 
 
 def test_maximal_check_passes_where_chi_is_shorter_than_its_interval(tmp_path, capsys):
@@ -306,14 +308,67 @@ def test_maximal_check_closed_form_holds_on_small_grids(grid, tmp_path, capsys):
 
 def test_maximal_check_fails_on_a_one_percent_larger_maximal_function(
         tmp_path, capsys, monkeypatch):
-    exact = cli.maximal_function
-    monkeypatch.setattr(cli, "maximal_function", lambda f, mode="fast":
-                        GridFunction(f.grid, 1.01 * exact(f, mode).values))
+    exact = cli.maximal_scan
+    monkeypatch.setattr(cli, "maximal_scan", lambda av, mode="fast":
+                        1.01 * exact(av, mode))
     for config in ("quick.ini", "fine.ini"):
         assert run_shipped("maximal-check", config, tmp_path) == ASSERTION_FAILURE
         assert "FAIL" in capsys.readouterr().out
         check, _, _, ok = maximal_check_rows(tmp_path / "out")[1]
         assert (check, ok) == ("closed_form", "0")
+
+
+def shipped_trials(config):
+    """Trials, grid size and seed of a shipped config's maximal-check."""
+    cfg = configparser.ConfigParser()
+    cfg.read(SHIPPED / config)
+    return (cfg.getint("maximal-check", "trials"), cfg.getint("grid", "n"),
+            cfg.getint("run", "seed"))
+
+
+@pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
+def test_maximal_check_fails_on_a_wrong_fast_scan_of_the_last_trial(
+        config, tmp_path, capsys, monkeypatch):
+    # quick's 20 trials end in a ragged chunk of 4: a gap in the last row
+    # of the last chunk fails only if the loop reaches every trial
+    trials, _, _ = shipped_trials(config)
+    exact, seen = cli.maximal_scan, []
+
+    def mutant(av, mode="fast"):
+        out = exact(av, mode)
+        if mode == "fast" and av.ndim == 2:
+            seen.append(len(av))
+            if sum(seen) == trials:
+                out[-1] *= 1 + 1e-9
+        return out
+
+    monkeypatch.setattr(cli, "maximal_scan", mutant)
+    assert run_shipped("maximal-check", config, tmp_path) == ASSERTION_FAILURE
+    assert "FAIL" in capsys.readouterr().out
+    assert sum(seen) == trials
+    check, _, _, ok = maximal_check_rows(tmp_path / "out")[0]
+    assert (check, ok) == ("fast_vs_oracle", "0")
+
+
+@pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
+def test_maximal_check_scans_its_trials_in_draw_order_within_the_budget(
+        config, tmp_path, capsys, monkeypatch):
+    # stacking every trial at once would raise peak memory; see _CHUNK_NODES
+    trials, n, seed = shipped_trials(config)
+    exact, stacks = cli.maximal_scan, {"fast": [], "oracle": []}
+
+    def spy(av, mode="fast"):
+        if av.ndim == 2:
+            stacks[mode].append(av.copy())
+        return exact(av, mode)
+
+    monkeypatch.setattr(cli, "maximal_scan", spy)
+    assert run_shipped("maximal-check", config, tmp_path) == 0
+    draws = np.abs(np.random.default_rng(seed).normal(size=(trials, n)))
+    for mode, chunks in stacks.items():
+        assert all(av.size <= cli._CHUNK_NODES for av in chunks), mode
+        assert sum(len(av) for av in chunks) == trials, mode
+        assert np.array_equal(np.concatenate(chunks), draws), mode
 
 
 @pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
@@ -351,7 +406,8 @@ def test_mollify_with_a_single_rung_is_usage_error(tmp_path, capsys):
     # at n = 8 dx = 2, so the ladder has one scale and shows no convergence
     assert run_shipped("mollify", "quick.ini", tmp_path, "--grid-n", "8") == USAGE_ERROR
     assert "one scale" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "mollify.csv").exists()
+    # a rejected run leaves no empty output directory behind
+    assert not (tmp_path / "out").exists()
 
 
 def test_infinite_exponent_header(tmp_path):

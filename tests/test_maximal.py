@@ -134,6 +134,21 @@ class TestOracleRowBlocks:
                     assert np.array_equal(maximal._oracle_scan(av), _row_loop_scan(av)), n
 
 
+class TestStackedFastScan:
+    """A stack of rows gets each row's own fast scan, bit for bit."""
+
+    # 8 and 250 stay in one leaf; 256 and up merge; 250 and 1000 pad
+    @pytest.mark.parametrize("n", [8, 250, 256, 1000, 1024, 4096])
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_rows_bit_identical_to_one_row_scans(self, n, rows, rng):
+        # noise, plateaus and a Gaussian side by side, in turn
+        inputs = [av for _ in range(3) for av in _scan_inputs(n, rng)][:rows]
+        got = maximal._fast_scan(np.stack(inputs))
+        assert got.shape == (rows, n)
+        for row, av in zip(got, inputs):
+            assert np.array_equal(row, maximal._fast_scan(av)), n
+
+
 def _plain_upper_hull(xs, ys):
     """Monotone-chain upper hull with no pruning pass before the loop."""
     hx, hy = [], []
