@@ -48,6 +48,7 @@ from .spaces import (
     SpaceNorm,
     associate_space,
     space_norm,
+    space_norms,
     verify_axioms,
     weight_values,
 )

@@ -12,14 +12,17 @@ of |f| values or a ``(trials, n)`` stack of rows and scans each row as on
 its own, and ``maximal_function`` wraps it for one grid function.
 ``oracle`` enumerates the means of all O(n^2) windows with a prefix-sum
 scan.  It takes the start nodes in blocks of ``_ROW_BLOCK`` rows, each
-block one matrix of window means.  Past the block's first r columns every
-row starts at or before the node, so there the column max is taken first
-and then one suffix max over the end node; only an r x (r+1) head, whose
-last column is each row's max over the tail, needs the suffix max along
-its rows and the mask of windows that start after the node.  Every mean is
-the same subtraction and division as in a scan of one start node at a time
-and a max is exact, so the result is bit-identical to that scan; a 2-D
-stack of rows gets each row's scan, bit for bit.
+block one matrix of window means.  The block's prefix sums are counted
+from its first start node, so their rounding grows with the window, not
+with the node's position in the row.  Past the block's first r columns
+every row starts at or before the node, so there the column max is taken
+first and then one suffix max over the end node; only an r x (r+1) head,
+whose last column is each row's max over the tail, needs the suffix max
+along its rows and the mask of windows that start after the node.  Every
+mean is the same subtraction and division as in a scan of one start node
+at a time with the same sums, and a max is exact, so the result is
+bit-identical to that scan; a 2-D stack of rows gets each row's scan, bit
+for bit.
 
 ``fast`` merges blocks bottom-up over the prefix-sum graph: the best
 window containing a node is the steepest chord of the prefix sums across
@@ -69,7 +72,8 @@ def _oracle_scan(av: np.ndarray) -> np.ndarray:
     # rows of a 2-D stack are scanned side by side, each as on its own
     stack = np.atleast_2d(av)
     k, n = stack.shape
-    S = np.concatenate((np.zeros((k, 1)), np.cumsum(stack, axis=1)), axis=1)
+    # one buffer of prefix sums, refilled from each block's first start node
+    S = np.zeros((k, n + 1))
     out = np.zeros((k, n))
     rows = min(_ROW_BLOCK, n)
     # row i of a block starts at a0 + i and column j ends at a0 + j; a
@@ -81,8 +85,9 @@ def _oracle_scan(av: np.ndarray) -> np.ndarray:
     buf = np.empty((k, rows, n))
     for a0 in range(0, n, rows):
         r, w = min(rows, n - a0), n - a0
+        np.cumsum(stack[:, a0:], axis=1, out=S[:, 1:w + 1])
         means = buf[:, :r, :w]
-        np.subtract(S[:, None, a0 + 1:], S[:, a0:a0 + r, None], out=means)
+        np.subtract(S[:, None, 1:w + 1], S[:, :r, None], out=means)
         np.divide(means, lens[:r, :w], out=means)
         if w > r:
             # every row starts before the nodes past the first r columns,

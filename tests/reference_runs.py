@@ -3,19 +3,27 @@
 ``tests/reference/artifacts.json`` records, for each run, the exit code,
 the summary line with every number masked (its verdict words), and every
 value of every artifact.  ``test_reference.py`` reruns the matrix in-process
-and compares.  Regenerate the file after a change that moves numbers on
-purpose, from the root of the checkout:
+and compares.  From the root of the checkout,
+
+    PYTHONPATH=src python tests/reference_runs.py --check
+
+prints every value that moved from the reference, however little, and the
+largest relative move, and writes nothing; it exits 1 if a move is one the
+test would reject.  Regenerate the file after a change that moves numbers
+on purpose:
 
     PYTHONPATH=src python tests/reference_runs.py
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -75,29 +83,55 @@ def collect(command: str, config: str, extra: tuple[str, ...]) -> dict:
             "artifacts": artifacts}
 
 
-def differences(want, got, where: str = "") -> list[str]:
-    """Where ``got`` departs from ``want``: numbers beyond rtol 1e-12, and
-    anything else (verdicts, flags, names, shapes) at all."""
-    numeric = (int, float)
-    if (isinstance(want, numeric) and isinstance(got, numeric)
-            and not isinstance(want, bool) and not isinstance(got, bool)):
-        if math.isclose(want, got, rel_tol=1e-12, abs_tol=_ABS_TOL):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def differences(want, got, where: str = "", rel_tol: float = 1e-12,
+                abs_tol: float = _ABS_TOL) -> list[tuple]:
+    """Where ``got`` departs from ``want``, as ``(where, want, got)``:
+    numbers beyond ``rel_tol`` and ``abs_tol``, and anything else (verdicts,
+    flags, names, shapes) at all."""
+    if _is_number(want) and _is_number(got):
+        if math.isclose(want, got, rel_tol=rel_tol, abs_tol=abs_tol):
             return []
-        return [f"{where}: {want!r} -> {got!r}"]
+        return [(where, want, got)]
     if isinstance(want, dict) and isinstance(got, dict):
-        return ([f"{where}/{k}: {'added' if k in got else 'removed'}"
+        return ([(f"{where}/{k}", want.get(k, "absent"), got.get(k, "absent"))
                  for k in sorted(want.keys() ^ got.keys())]
                 + [d for k in want if k in got
-                   for d in differences(want[k], got[k], f"{where}/{k}")])
+                   for d in differences(want[k], got[k], f"{where}/{k}",
+                                        rel_tol, abs_tol)])
     if isinstance(want, list) and isinstance(got, list):
         if len(want) != len(got):
-            return [f"{where}: length {len(want)} -> {len(got)}"]
+            return [(where, f"length {len(want)}", f"length {len(got)}")]
         return [d for i, (w, g) in enumerate(zip(want, got))
-                for d in differences(w, g, f"{where}[{i}]")]
-    return [] if want == got else [f"{where}: {want!r} -> {got!r}"]
+                for d in differences(w, g, f"{where}[{i}]", rel_tol, abs_tol)]
+    return [] if want == got else [(where, want, got)]
+
+
+def check() -> int:
+    """Print every move from the reference; 1 if the test would reject one."""
+    reference = json.loads(REFERENCE.read_text())
+    largest, rejected = 0.0, False
+    for run in RUNS:
+        key, got = run_key(*run), collect(*run)
+        rejected = rejected or bool(differences(reference[key], got))
+        for where, w, g in differences(reference[key], got, rel_tol=0.0,
+                                       abs_tol=0.0):
+            print(f"{key} {where}: {w!r} -> {g!r}")
+            if _is_number(w) and _is_number(g):
+                largest = max(largest, abs(g - w) / max(abs(w), abs(g)))
+    print(f"largest relative move: {largest:.3g} (|new - old| / max(|old|, |new|))")
+    return int(rejected)
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print the moves from the reference; write nothing")
+    if parser.parse_args().check:
+        sys.exit(check())
     REFERENCE.parent.mkdir(exist_ok=True)
     reference = {run_key(*run): collect(*run) for run in RUNS}
     REFERENCE.write_text(json.dumps(reference, indent=1) + "\n")

@@ -12,6 +12,7 @@ from convolab import (
     make_grid,
     maximal_function,
     maximal_norm_estimate,
+    maximal_scan,
     sample,
     space_norm,
 )
@@ -78,18 +79,23 @@ class TestBlockedScan:
         _assert_scans_agree(n, rng)
 
 
-def _row_loop_scan(av, dtype=np.float64):
+def _row_loop_scan(av, dtype=np.float64, row_block=None):
     """All-windows scan one start node at a time, in ``dtype``.
 
-    In float64 it is the reference the blocked oracle must match bit for
-    bit; in extended precision it is the reference for rounding drift.
+    With ``row_block``, each start node's sums are counted from the first
+    start node of its block of that many, as in the blocked oracle: in
+    float64 it is then the reference the oracle must match bit for bit.
+    Without, the sums run from the first node; in extended precision it is
+    the reference for rounding drift.
     """
     av = np.asarray(av, dtype=dtype)
     n = av.size
-    S = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(av)))
     out = np.zeros(n, dtype=dtype)
     for a in range(n):
-        means = (S[a + 1:] - S[a]) / np.arange(1, n - a + 1)
+        if a % (row_block or n) == 0:
+            a0 = a
+            S = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(av[a0:])))
+        means = (S[a - a0 + 1:] - S[a - a0]) / np.arange(1, n - a + 1)
         np.maximum(out[a:], np.maximum.accumulate(means[::-1])[::-1], out=out[a:])
     return out
 
@@ -131,7 +137,8 @@ class TestOracleRowBlocks:
                     assert np.array_equal(row, maximal._oracle_scan(av)), n
             else:
                 for av in inputs:
-                    assert np.array_equal(maximal._oracle_scan(av), _row_loop_scan(av)), n
+                    want = _row_loop_scan(av, row_block=maximal._ROW_BLOCK)
+                    assert np.array_equal(maximal._oracle_scan(av), want), n
 
 
 class TestStackedFastScan:
@@ -212,14 +219,35 @@ class TestHullPruning:
             assert gap <= 1e-12
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
-                    reason="long double is no wider than float64 here")
-def test_fast_scan_error_does_not_grow_with_n():
+@pytest.fixture(scope="module")
+def noise_and_exact_scan():
+    """4096 nodes of |N(0,1)| noise and their scan in extended precision."""
+    if np.finfo(np.longdouble).eps >= 1e-18:
+        pytest.skip("long double is no wider than float64 here")
+    av = np.abs(np.random.default_rng(0).normal(size=4096))
+    return av, _row_loop_scan(av, np.longdouble)
+
+
+def test_fast_scan_error_does_not_grow_with_n(noise_and_exact_scan):
     # sums counted from each split keep the merge error at a few ulp; sums
     # over the whole array drift like n (1.7e-13 at this size)
-    av = np.abs(np.random.default_rng(0).normal(size=4096))
-    err = np.max(np.abs(maximal._fast_scan(av) - _row_loop_scan(av, np.longdouble)))
-    assert err < 2e-14
+    av, exact = noise_and_exact_scan
+    assert np.max(np.abs(maximal._fast_scan(av) - exact)) < 2e-14
+
+
+def test_oracle_error_does_not_grow_with_n(noise_and_exact_scan):
+    # sums counted from each row block's first start node; counted from the
+    # first node of the array they drifted to 2.3e-13 here
+    av, exact = noise_and_exact_scan
+    assert np.max(np.abs(maximal._oracle_scan(av) - exact)) < 2e-14
+
+
+def test_routes_agree_at_32768_nodes():
+    # maximal-check's first trial at --grid-n 32768 and seed 42, where the
+    # oracle's drift once reached 1.8e-12
+    av = np.abs(np.random.default_rng(42).normal(size=(1, 32768)))
+    gap = np.max(np.abs(maximal_scan(av, "fast") - maximal_scan(av, "oracle")))
+    assert gap <= 1e-12
 
 
 class TestDiscreteModel:

@@ -12,9 +12,14 @@ from convolab import (
     random_mixture,
     sample,
     space_norm,
+    space_norms,
     spaces,
     verify_axioms,
 )
+
+# the broken norms below that are built on the exact one call it through
+# this name, which patching ``spaces.space_norms`` leaves in place
+_exact_norm = space_norms
 
 
 def _zero_norm(space, f):
@@ -23,12 +28,13 @@ def _zero_norm(space, f):
 
 def _squared_norm(space, f):
     # monotone, but not homogeneous
-    return space_norm(space, f) ** 2
+    return float(_exact_norm(space, f.grid, f.values)) ** 2
 
 
 def _roughness_norm(space, f):
     # a norm, but not a lattice norm: damping a function roughens it
-    return space_norm(space, f) + float(np.abs(np.diff(f.values)).sum())
+    return (float(_exact_norm(space, f.grid, f.values))
+            + float(np.abs(np.diff(f.values)).sum()))
 
 
 def _moment_norm(space, f):
@@ -46,6 +52,13 @@ def _unregularized_weight_norm(space, f):
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.abs(f.grid.t) ** -0.5
         return float(np.sum(np.abs(f.values) ** 2 * w) * f.grid.dx) ** 0.5
+
+
+def _row_wise(norm):
+    """A stacked norm routine that applies ``norm`` to one row at a time."""
+    def norms(space, grid, rows):
+        return np.array([norm(space, GridFunction(grid, row)) for row in rows])
+    return norms
 
 
 class TestSpaceNorm:
@@ -78,6 +91,71 @@ class TestSpaceNorm:
     def test_muckenhoupt_boundary_admits_interior(self):
         SpaceNorm(3.0, 1.0)  # -1 < 1 < 2 holds
         SpaceNorm(1.0, -0.5)
+
+
+_NORM_SPACES = [SpaceNorm(1.5), SpaceNorm(2.0), SpaceNorm(3.0, -0.5),
+                SpaceNorm(3.0, 1.0), SpaceNorm(math.inf)]
+
+
+def _norm_stack(grid, rng):
+    # complex and real mixtures, a truncated one, a constant and zeros
+    rows = [random_mixture(grid, rng, complex_values=True).values
+            for _ in range(4)]
+    rows += [np.abs(random_mixture(grid, rng).values) for _ in range(4)]
+    rows += [rows[0] * (np.abs(grid.t) < 2.0), np.full(grid.size, 0.5),
+             np.zeros(grid.size), random_mixture(grid, rng).values]
+    return np.array(rows)
+
+
+class TestSpaceNorms:
+    """The stacked norm routine, row by row."""
+
+    @pytest.mark.parametrize("space", _NORM_SPACES, ids=str)
+    def test_rows_bit_identical_to_one_row_calls(self, space, std_grid, rng):
+        rows = _norm_stack(std_grid, rng)
+        got = space_norms(space, std_grid, rows)
+        assert got.shape == (len(rows),)
+        for norm, row in zip(got, rows):
+            assert norm == space_norms(space, std_grid, row)
+            assert norm == space_norm(space, GridFunction(std_grid, row))
+
+    @pytest.mark.parametrize("space", _NORM_SPACES, ids=str)
+    def test_rows_match_complex_sum_reference(self, space, std_grid, rng):
+        # the rectangle rule through quadrature, as a complex sum
+        rows = _norm_stack(std_grid, rng)
+        w = spaces.weight_values(space, std_grid)
+        for norm, row in zip(space_norms(space, std_grid, rows), rows):
+            if math.isinf(space.p):
+                want = float(np.max(np.abs(row)))
+            else:
+                integrand = GridFunction(std_grid, np.abs(row) ** space.p * w)
+                want = float(quadrature(integrand).real) ** (1.0 / space.p)
+            assert norm == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("space", _NORM_SPACES, ids=str)
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_integrand_raises(self, space, bad, std_grid, rng):
+        rows = _norm_stack(std_grid, rng)
+        rows[5, 17] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            space_norms(space, std_grid, rows)
+
+    @pytest.mark.parametrize("trials", [1, 5])
+    def test_axiom_harness_makes_two_calls_per_trial(self, trials, std_grid,
+                                                     monkeypatch):
+        # one for (f, g), one for the trial's other twelve probes, and one
+        # for the zero function
+        calls = []
+
+        def spy(space, grid, rows):
+            calls.append(rows.shape)
+            return _exact_norm(space, grid, rows)
+
+        monkeypatch.setattr(spaces, "space_norms", spy)
+        verify_axioms(SpaceNorm(3.0, -0.5), trials=trials, seed=7,
+                      grid=std_grid)
+        n = std_grid.size
+        assert calls == [(1, n)] + [(2, n), (12, n)] * trials
 
 
 class TestAssociateSpace:
@@ -131,7 +209,7 @@ class TestAxiomHarness:
         (_nan_norm, ["A1", "A2", "A3", "A4", "A5"]),
     ])
     def test_broken_norm_fails(self, monkeypatch, broken, failing, std_grid):
-        monkeypatch.setattr(spaces, "space_norm", broken)
+        monkeypatch.setattr(spaces, "space_norms", _row_wise(broken))
         checks = verify_axioms(SpaceNorm(2.0), trials=20, seed=7, grid=std_grid)
         assert [c.axiom for c in checks if not c.passed] == failing
 
