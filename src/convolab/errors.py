@@ -4,14 +4,11 @@
 class NoConvergenceError(RuntimeError):
     """An iterative refinement or sweep failed to reach its target.
 
-    Carries the last bracket (previous, current) of the quantity being
-    refined, or the best value achieved, so callers can report partial
-    results.
+    Carries the best value achieved, so callers can report partial results.
     """
 
-    def __init__(self, message, bracket=None, best=None):
+    def __init__(self, message, best=None):
         super().__init__(message)
-        self.bracket = bracket
         self.best = best
 
 

@@ -107,6 +107,8 @@ class LimitSweepConfig:
     ``band`` is the true numerical support of the probe's transform
     (relative out-of-band mass below 1e-10); each shift must sit on the
     frequency lattice and keep ``band + max(shifts)`` inside the window.
+    The symbol's declared tail limits must both be zero: otherwise the
+    limit operator is not zero and the tail bound says nothing about it.
     """
 
     symbol: Symbol
@@ -139,6 +141,13 @@ class LimitSweepConfig:
             raise ValueError(
                 "probe spectrum is not confined to the declared band "
                 f"(relative out-of-band mass {mass_out:.3e})"
+            )
+        tail = self.symbol.tail
+        if tail is not None and (tail.limit_neg != 0 or tail.limit_pos != 0):
+            raise ValueError(
+                f"symbol {self.symbol.label} is not equivalent to zero at "
+                f"infinity: a(-inf) = {tail.limit_neg:.12g}, "
+                f"a(+inf) = {tail.limit_pos:.12g}"
             )
 
 

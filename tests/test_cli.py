@@ -134,6 +134,19 @@ def test_sweep_fails_only_an_asserted_bound(p, code, tmp_path, capsys,
     assert ("FAIL" in capsys.readouterr().out) == (code == ASSERTION_FAILURE)
 
 
+def test_sweep_rejects_symbol_not_vanishing_at_infinity(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG.replace("symbol = indicator(-1,1)\nk1",
+                                   "symbol = arctan\nk1"))
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == USAGE_ERROR
+    assert err == ("error: symbol arctan is not equivalent to zero at infinity: "
+                   "a(-inf) = -1.57079632679, a(+inf) = 1.57079632679\n")
+    assert not out.exists()
+
+
 def test_stechkin_summary_line(config_path, tmp_path, capsys):
     main(["stechkin", "--config", str(config_path), "--out", str(tmp_path / "o")])
     line = capsys.readouterr().out.strip()

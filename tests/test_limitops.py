@@ -204,6 +204,17 @@ class TestLimitOperatorSweep:
             LimitSweepConfig(parse_symbol("const(1)"), f, (40.0, 41.0),
                              good, L2).validate()
 
+    @pytest.mark.parametrize("text", ["arctan", "const(1)",
+                                      "truncate(arctan,3)"])
+    def test_symbol_not_vanishing_at_infinity_rejected(self, std_grid, text):
+        # the limit operator of such a symbol is not zero, so the tail bound
+        # would pass a sweep the theorem does not cover
+        f = band_limited_probe(std_grid, (1.0, 2.0))
+        cfg = LimitSweepConfig(parse_symbol(text), f, (1.0, 2.0),
+                               lattice_shifts(std_grid, (4.0,)), L2)
+        with pytest.raises(ValueError, match="not equivalent to zero at infinity"):
+            cfg.validate()
+
 
 @dataclass(frozen=True)
 class S0Probe:

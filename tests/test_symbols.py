@@ -5,7 +5,6 @@ import pytest
 
 from convolab import (
     InconclusiveError,
-    NoConvergenceError,
     Symbol,
     TailBehavior,
     parse_symbol,
@@ -13,7 +12,7 @@ from convolab import (
     symbol_norms,
     tail_truncate,
 )
-from conftest import tail_sup
+from conftest import refined_norms, tail_sup
 
 
 def _scaled(a, alpha):
@@ -33,6 +32,50 @@ def _added(a, b):
     )
     return Symbol(lambda x: a(x) + b(x), a.breakpoints + b.breakpoints,
                   tail, f"{a.label}+{b.label}")
+
+
+def _sin_inverse():
+    # sin(1/x) has infinite variation near 0, so its declaration is false
+    def fn(x):
+        x = np.asarray(x, float)
+        safe = np.where(x == 0.0, 1e-300, x)
+        return np.sin(1.0 / safe)
+
+    return Symbol(fn, (0.0,), TailBehavior(1.0, 0.0, 0.0), "sin(1/x)")
+
+
+def _oscillating_imag():
+    # monotone real part, oscillating imaginary part
+    return Symbol(lambda x: np.arctan(x) + 1j * np.sin(x), (),
+                  TailBehavior(0.0, -math.pi / 2, math.pi / 2),
+                  "arctan+i*sin")
+
+
+# every descriptor the tests take norms of, truncations included
+ORACLE_DESCRIPTORS = [
+    "indicator(-1,1)", "indicator(-2,1)", "indicator(0.5,3)",
+    "indicator(-2,3)", "indicator(6,7)", "shift(indicator(6,7),6)",
+    "shift(indicator(2,3),-1)", "truncate(shift(indicator(6,7),6),5)",
+    "const(-2.5)", "const(0.7)", "const(1)", "const(2)", "arctan",
+    "shift(arctan,13.7)", "rational_decay(0.5)", "rational_decay(1)",
+    "rational_decay(2)", "truncate(const(1),2)", "truncate(const(1),17)",
+    "truncate(indicator(-1,1),2)",
+] + [f"truncate(rational_decay(1),{n})" for n in (1, 2, 3, 4, 8, 16)] + [
+    f"truncate({inner},{n})"
+    for inner in ("rational_decay(1)", "indicator(-1,1)")
+    for n in (5, 6, 9, 10, 17, 18, 33, 34)
+]
+
+
+def _oracle_symbols():
+    yield from (parse_symbol(text) for text in ORACLE_DESCRIPTORS)
+    for text, alpha in (("indicator(-2,1)", -3.0), ("rational_decay(1)", 0.5),
+                        ("arctan", 2.0)):
+        yield _scaled(parse_symbol(text), alpha)
+    yield _added(_scaled(parse_symbol("indicator(-1,1)"), 1.5),
+                 _scaled(parse_symbol("rational_decay(2)"), 0.7))
+    yield _added(parse_symbol("indicator(0.5,3)"), parse_symbol("rational_decay(1)"))
+    yield _added(parse_symbol("rational_decay(1)"), parse_symbol("rational_decay(2)"))
 
 
 class TestGrammar:
@@ -89,17 +132,26 @@ class TestSymbolNorms:
         with pytest.raises(InconclusiveError):
             symbol_norms(bare)
 
-    def test_unbounded_variation_refuses_to_converge(self):
-        # sin(1/x) has infinite variation near 0; the declared structure is
-        # a lie there, and the refinement must report it instead of a value
-        def fn(x):
-            x = np.asarray(x, float)
-            safe = np.where(x == 0.0, 1e-300, x)
-            return np.sin(1.0 / safe)
+    @pytest.mark.parametrize("a,refused", [
+        pytest.param(_sin_inverse(), True, id="sin_inverse"),
+        pytest.param(_oscillating_imag(), True, id="oscillating_imag"),
+        pytest.param(parse_symbol("truncate(rational_decay(1),9)"), False,
+                     id="truncated_jump"),
+    ])
+    def test_unbounded_variation_refuses_to_converge(self, a, refused):
+        # a declaration that is false between breakpoints is refused; a
+        # declared jump at a breakpoint (the cutoff of a truncation) is not
+        if refused:
+            with pytest.raises(InconclusiveError, match="monotone"):
+                symbol_norms(a)
+        else:
+            assert symbol_norms(a).variation > 0
 
-        liar = Symbol(fn, (0.0,), TailBehavior(1.0, 0.0, 0.0), "sin(1/x)")
-        with pytest.raises(NoConvergenceError):
-            symbol_norms(liar)
+    @pytest.mark.parametrize("a", list(_oracle_symbols()),
+                             ids=lambda a: a.label)
+    def test_matches_refined_oracle(self, a):
+        got, want = symbol_norms(a), refined_norms(a)
+        assert got == pytest.approx(want, abs=1e-12, rel=0)
 
     def test_scaling_homogeneity(self, rng):
         base = [parse_symbol("indicator(-2,1)"), parse_symbol("rational_decay(1)"),
