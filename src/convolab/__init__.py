@@ -24,9 +24,12 @@ from .grid import (
     GridFunction,
     bump_profile,
     dft_pair,
+    draw_mixture,
+    filter_rows,
     filter_spectrum,
     indicator_profile,
     make_grid,
+    mixture_stack,
     parse_profile,
     quadrature,
     random_mixture,

@@ -19,16 +19,19 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (
+    STACK_NODES,
     Grid,
     GridFunction,
     bump_profile,
     dft_pair,
+    draw_mixture,
+    filter_rows,
     filter_spectrum,
+    mixture_stack,
     quadrature,
-    random_mixture,
 )
 from .maximal import maximal_function
-from .spaces import SpaceNorm, space_norm
+from .spaces import SpaceNorm, space_norm, space_norms
 from .symbols import Symbol, symbol_norms
 
 # smallest kernel scale the grid resolves, in units of dx
@@ -173,7 +176,9 @@ def multiplier_norm_lower_bound(
 ) -> float:
     """Max Rayleigh ratio ``|W(a) f| / |f|`` over probe functions.
 
-    Always a lower bound for the operator norm.  The probe set also holds
+    Always a lower bound for the operator norm.  The ``trials`` random
+    complex mixtures are drawn and filtered as stacks of at most
+    ``STACK_NODES`` nodes, one FFT pair per stack.  The probe set also holds
     the pure-frequency probe at the argmax node: it is an eigenvector of
     the operator with constant modulus, so in every lattice norm its ratio
     is ``max_k |a(x_k)|``, which at (p=2, gamma=0) is the norm itself.
@@ -181,16 +186,20 @@ def multiplier_norm_lower_bound(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
+    m = a(grid.xi)
     best = 0.0
-    for _ in range(trials):
-        f = random_mixture(grid, rng, complex_values=True)
-        nf = space_norm(space, f)
-        if nf == 0.0:
-            continue
-        best = max(best, space_norm(space, apply_multiplier(a, f)) / nf)
+    chunk = max(1, STACK_NODES // grid.size)
+    for done in range(0, trials, chunk):
+        probes = mixture_stack(grid, [
+            draw_mixture(grid, rng, complex_values=True)
+            for _ in range(min(chunk, trials - done))])
+        nf = space_norms(space, grid, probes)
+        live = nf != 0.0
+        images = space_norms(space, grid, filter_rows(probes, m))
+        best = max([best, *(images[live] / nf[live]).tolist()])
 
     spike = np.zeros(grid.size, dtype=complex)
-    spike[int(np.argmax(np.abs(a(grid.xi))))] = 1.0
+    spike[int(np.argmax(np.abs(m)))] = 1.0
     probe = dft_pair(GridFunction(grid, spike), "inverse")
     ratio = space_norm(space, apply_multiplier(a, probe)) / space_norm(space, probe)
     return max(best, ratio)

@@ -9,6 +9,13 @@ truncated to ``[-L, L]`` and computed by the rectangle rule on the nodes;
 callers choose ``L`` so the functions involved decay below 1e-12 at the
 boundary.  Indicator sampling uses the half-open convention ``[c, d)`` so
 a node sitting exactly on a boundary is resolved deterministically.
+
+Stacks: ``filter_rows`` filters each row of a ``(k, n)`` array with one FFT
+pair along the last axis (``filter_spectrum`` is its one-function case),
+and the random test functions are drawn one probe at a time
+(``draw_mixture``) and evaluated as a ``(k, n)`` stack (``mixture_stack``);
+``random_mixture`` is the one-probe case.  A row of a stack gets the same
+values, bit for bit, as when it is evaluated on its own.
 """
 
 from __future__ import annotations
@@ -23,6 +30,11 @@ import numpy as np
 
 Profile = Callable[[np.ndarray], np.ndarray]
 ProfileLike = Union[str, Profile]
+
+# The probe harnesses (the axiom harness, the multiplier and maximal norm
+# lower bounds) evaluate their random probes in stacks of at most this many
+# nodes per call: 5 axiom trials of 12 rows at n = 256, 16 probes at 1024.
+STACK_NODES = 2**14
 
 
 @dataclass(frozen=True)
@@ -275,15 +287,68 @@ def dft_pair(f: GridFunction, direction: str) -> GridFunction:
     return GridFunction(g, vals)
 
 
-def filter_spectrum(f: GridFunction, m: np.ndarray) -> GridFunction:
-    """``inverse(forward(f) * m)`` for spectral samples ``m`` taken at ``grid.xi``.
+def filter_rows(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``inverse(forward(f) * m)`` for each row ``f`` of a ``(k, n)`` stack.
 
-    Between the two transforms of :func:`dft_pair` the phase signs cancel,
-    the shifts undo each other and the scales multiply to
-    ``dx * n * dxi/(2*pi) = 1``, which leaves one FFT pair; where ``dx`` and
-    ``n`` are powers of two the result is bit-identical to the two calls.
+    ``m`` holds spectral samples at ``grid.xi``.  Between the two transforms
+    of :func:`dft_pair` the phase signs cancel, the shifts undo each other
+    and the scales multiply to ``dx * n * dxi/(2*pi) = 1``, which leaves one
+    FFT pair along the last axis; where ``dx`` and ``n`` are powers of two
+    the result is bit-identical to the two calls.  A 1-D array is one row,
+    and a row gets the same values alone as in a stack.
     """
-    return GridFunction(f.grid, np.fft.fft(np.fft.ifft(f.values) * np.fft.ifftshift(m)))
+    return np.fft.fft(np.fft.ifft(rows) * np.fft.ifftshift(m))
+
+
+def filter_spectrum(f: GridFunction, m: np.ndarray) -> GridFunction:
+    """:func:`filter_rows` on one grid function."""
+    return GridFunction(f.grid, filter_rows(f.values, m))
+
+
+def draw_mixture(
+    grid: Grid, rng: np.random.Generator, complex_values: bool = False
+) -> tuple:
+    """Draw one probe's scalars for :func:`mixture_stack` from ``rng``.
+
+    For each of four Gaussian bumps its centre ``c``, ``2 w^2`` for its
+    width ``w`` and its amplitude (complex with ``complex_values``), then
+    the indicator's ends ``a < b`` and height, in that order.
+    """
+    L = grid.half_width * 0.5
+    out = []
+    for _ in range(4):
+        c = rng.uniform(-0.8 * L, 0.8 * L)
+        w = rng.uniform(0.2, 1.5)
+        amp = rng.normal()
+        if complex_values:
+            amp = amp + 1j * rng.normal()
+        # a Python float's ** rounds apart from numpy's square in ~0.1% of
+        # cases, so the square is taken here, as the one-probe path took it
+        out += [c, 2 * w**2, amp]
+    a = rng.uniform(-0.8 * L, 0.4 * L)
+    b = a + rng.uniform(0.2, 0.5 * L)
+    return (*out, a, b, rng.normal())
+
+
+def mixture_stack(grid: Grid, draws: list[tuple]) -> np.ndarray:
+    """Node values of each drawn mixture: a ``(len(draws), n)`` stack.
+
+    Row ``i`` is the sum of the four bumps ``amp exp(-(t-c)^2/(2w^2))`` of
+    ``draws[i]``, added in draw order, plus the height times the indicator
+    of ``[a, b)``; a row whose values all lie below 1e-12 in modulus gets
+    a 1 at the centre node.  Every row is the same arithmetic as a probe
+    evaluated on its own.
+    """
+    # each drawn scalar as a (k, 1) column, broadcast over the nodes t
+    d = np.array(draws).T[:, :, None]
+    t = grid.t
+    vals = np.zeros((len(draws), grid.size), dtype=complex)
+    for c, spread, amp in zip(d[0:12:3].real, d[1:12:3].real, d[2:12:3]):
+        vals += amp * np.exp(-((t - c) ** 2) / spread)
+    a, b, height = d[12:].real
+    vals += height * ((t >= a) & (t < b))
+    vals[np.abs(vals).max(axis=1) < 1e-12, grid.size // 2] = 1.0
+    return vals
 
 
 def random_mixture(
@@ -292,21 +357,8 @@ def random_mixture(
     """Random test function: a mixture of four Gaussian bumps and one indicator.
 
     Supported well inside the domain (within ``L/2``) so that convolution
-    wrap-around and boundary truncation stay negligible.
+    wrap-around and boundary truncation stay negligible.  One probe of
+    :func:`draw_mixture` and :func:`mixture_stack`.
     """
-    L = grid.half_width * 0.5
-    t = grid.t
-    vals = np.zeros(grid.size, dtype=complex)
-    for _ in range(4):
-        c = rng.uniform(-0.8 * L, 0.8 * L)
-        w = rng.uniform(0.2, 1.5)
-        amp = rng.normal()
-        if complex_values:
-            amp = amp + 1j * rng.normal()
-        vals += amp * np.exp(-((t - c) ** 2) / (2 * w**2))
-    a = rng.uniform(-0.8 * L, 0.4 * L)
-    b = a + rng.uniform(0.2, 0.5 * L)
-    vals += rng.normal() * ((t >= a) & (t < b))
-    if np.max(np.abs(vals)) < 1e-12:
-        vals[grid.size // 2] = 1.0
-    return GridFunction(grid, vals)
+    draw = draw_mixture(grid, rng, complex_values)
+    return GridFunction(grid, mixture_stack(grid, [draw])[0])

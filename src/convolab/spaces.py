@@ -8,9 +8,11 @@ maximal operator bounded on the space and on its associate.
 
 ``space_norms`` is the one norm routine: it takes a ``(k, n)`` stack of
 node values and returns the norm of each row, sampling the weight once per
-call.  ``space_norm`` is its one-row case for a grid function, and the
-axiom harness ``verify_axioms`` makes two calls per trial, one for its two
-random probes and one for the twelve functions built from them.
+call.  ``space_norm`` is its one-row case for a grid function.  The axiom
+harness ``verify_axioms`` draws its random probes as stacks
+(``grid.mixture_stack``) and makes two calls per chunk of trials, one for
+the chunk's random probes and one for the twelve functions built from each
+trial's pair.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .grid import Grid, GridFunction, quadrature, random_mixture
+from .grid import STACK_NODES, Grid, GridFunction, draw_mixture, mixture_stack
 
 
 @dataclass(frozen=True)
@@ -128,11 +130,19 @@ def verify_axioms(
     norms (A4); and the embedding int_E |f| <= C_E * norm(f) with the
     empirical constant reported as the slack (A5).  A slack that is NaN,
     or an A5 constant that is not finite, fails its axiom.
+
+    Each trial draws f, g, alpha, u, a and b, in that order, and the trials
+    run in chunks of at most ``STACK_NODES // (12 n)`` (at least one): one
+    ``space_norms`` call takes the chunk's (f, g) rows and one its twelve
+    derived rows per trial, and the checks then run in trial order.  A
+    trial with norm(f) = 0 fails A1 and skips its other checks; its alpha,
+    u, a and b are drawn all the same, so the trials after it see other
+    numbers than a harness that drew them only for a nonzero f would.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    L = grid.half_width
+    L, n = grid.half_width, grid.size
     # truncations f * chi_[-mL/8, mL/8), m = 1..8, increase to f
     cuts = np.array([(grid.t >= -m * L / 8) & (grid.t < m * L / 8)
                      for m in range(1, 9)])
@@ -145,51 +155,63 @@ def verify_axioms(
             failed.add(axiom)
         return ok
 
-    def norms(*rows: np.ndarray) -> list[float]:
-        return space_norms(space, grid, np.vstack(rows)).tolist()
+    check("A1", 0.0, space_norms(space, grid, np.zeros((1, n)))[0] == 0.0)
+    chunk = max(1, STACK_NODES // (12 * n))
+    for done in range(0, trials, chunk):
+        k = min(chunk, trials - done)
+        draws, alpha, u, a, b = [], [], [], [], []
+        for _ in range(k):
+            draws += [draw_mixture(grid, rng), draw_mixture(grid, rng)]
+            alpha.append(rng.uniform(0.1, 10.0))
+            u.append(rng.uniform(0.0, 1.0, n))
+            a.append(rng.uniform(-L, 0.5 * L))
+            b.append(a[-1] + rng.uniform(0.1, 0.5 * L))
+        fg = np.abs(mixture_stack(grid, draws))
+        f, g = fg[0::2], fg[1::2]
+        chi = (grid.t >= np.array(a)[:, None]) & (grid.t < np.array(b)[:, None])
 
-    check("A1", 0.0, norms(np.zeros(grid.size)) == [0.0])
-    for _ in range(trials):
-        f = np.abs(random_mixture(grid, rng).values)
-        g = np.abs(random_mixture(grid, rng).values)
-        nf, ng = norms(f, g)
-        # f is a nonzero probe, and a lattice norm vanishes only on 0
-        if not check("A1", 0.0, nf != 0.0):
-            continue
+        # per trial: alpha f, f + g, f u with 0 <= u <= 1, the truncations
+        # of f, and the indicator chi of a random finite interval [a, b)
+        rows = np.empty((k, 12, n))
+        rows[:, 0] = np.array(alpha)[:, None] * f
+        rows[:, 1] = f + g
+        rows[:, 2] = f * np.array(u)
+        rows[:, 3:11] = f[:, None] * cuts
+        rows[:, 11] = chi
+        nfg = space_norms(space, grid, fg).reshape(k, 2).tolist()
+        derived = space_norms(space, grid, rows.reshape(12 * k, n))
+        # the rectangle rule of ``quadrature``, as its complex sum per row
+        masses = (grid.dx * (f * chi).astype(complex).sum(axis=1)).real
 
-        # the trial's other probes, drawn in this order, share one call:
-        # alpha f, f + g, f u with 0 <= u <= 1, the truncations of f, and
-        # the indicator chi of a random finite interval [a, b)
-        alpha = rng.uniform(0.1, 10.0)
-        u = rng.uniform(0.0, 1.0, grid.size)
-        a = rng.uniform(-L, 0.5 * L)
-        b = a + rng.uniform(0.1, 0.5 * L)
-        chi = (grid.t >= a) & (grid.t < b)
-        n_hom, n_tri, n_dom, *n_cuts, nchi = norms(
-            alpha * f, f + g, f * u, f * cuts, chi)
+        for (nf, ng), al, norms, mass in zip(
+                nfg, alpha, derived.reshape(k, 12).tolist(), masses.tolist()):
+            # f is a nonzero probe, and a lattice norm vanishes only on 0
+            if not check("A1", 0.0, nf != 0.0):
+                continue
+            n_hom, n_tri, n_dom, *n_cuts, nchi = norms
 
-        # A1: positive homogeneity and the triangle inequality
-        hom = abs(n_hom - alpha * nf) / (alpha * nf)
-        check("A1", hom, hom <= 1e-9)
-        tri = (n_tri - (nf + ng)) / (nf + ng)
-        check("A1", tri, tri <= 1e-9)
+            # A1: positive homogeneity and the triangle inequality
+            hom = abs(n_hom - al * nf) / (al * nf)
+            check("A1", hom, hom <= 1e-9)
+            tri = (n_tri - (nf + ng)) / (nf + ng)
+            check("A1", tri, tri <= 1e-9)
 
-        # A2: |h| <= |f| pointwise implies norm(h) <= norm(f)
-        slack = n_dom - nf
-        check("A2", slack, slack <= 1e-12)
+            # A2: |h| <= |f| pointwise implies norm(h) <= norm(f)
+            slack = n_dom - nf
+            check("A2", slack, slack <= 1e-12)
 
-        # A3: the truncation norms increase, and the last one is norm(f)
-        prev = 0.0
-        for nm in n_cuts:
-            check("A3", prev - nm, nm >= prev - 1e-12)
-            prev = nm
-        check("A3", abs(prev - nf), abs(prev - nf) <= 1e-12)
+            # A3: the truncation norms increase, and the last one is norm(f)
+            prev = 0.0
+            for nm in n_cuts:
+                check("A3", prev - nm, nm >= prev - 1e-12)
+                prev = nm
+            check("A3", abs(prev - nf), abs(prev - nf) <= 1e-12)
 
-        # A4: the indicator of a finite interval has finite norm
-        check("A4", nchi, math.isfinite(nchi))
+            # A4: the indicator of a finite interval has finite norm
+            check("A4", nchi, math.isfinite(nchi))
 
-        # A5: integral over E against the norm; the constant is empirical
-        c_emp = float(quadrature(GridFunction(grid, f * chi)).real) / nf
-        check("A5", c_emp, math.isfinite(c_emp))
+            # A5: integral over E against the norm; the constant is empirical
+            c_emp = mass / nf
+            check("A5", c_emp, math.isfinite(c_emp))
 
     return [AxiomCheck(ax, ax not in failed, w) for ax, w in worst.items()]

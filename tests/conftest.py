@@ -1,14 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from convolab import (
+    AxiomCheck,
+    GridFunction,
     SpaceNorm,
     SymbolNorms,
     apply_multiplier,
     conjugated_apply,
+    dft_pair,
     make_grid,
+    maximal_function,
+    quadrature,
+    random_mixture,
     shift_symbol,
     space_norm,
+    spaces,
     symbol_norms,
     tail_truncate,
 )
@@ -79,3 +88,109 @@ def refined_norms(a):
     sup = float(np.max(np.abs(a(dense))))
     sup = max(sup, abs(a.tail.limit_neg), abs(a.tail.limit_pos))
     return SymbolNorms(sup, var, sup + var)
+
+
+# ---------------------------------------------------------------------------
+# one-probe-at-a-time oracles of the stacked probe harnesses, and the
+# (p, gamma) spaces and (L, n) grids they are compared on
+
+ORACLE_SPACES = [(2.0, 0.0), (1.5, 0.0), (3.0, -0.5), (3.0, 1.0)]
+ORACLE_GRIDS = [(8.0, 256), (16.0, 1024)]
+
+
+def mixture_by_bump(grid, rng, complex_values=False):
+    """Oracle of ``random_mixture``: each bump drawn and added on its own."""
+    L = grid.half_width * 0.5
+    t = grid.t
+    vals = np.zeros(grid.size, dtype=complex)
+    for _ in range(4):
+        c = rng.uniform(-0.8 * L, 0.8 * L)
+        w = rng.uniform(0.2, 1.5)
+        amp = rng.normal()
+        if complex_values:
+            amp = amp + 1j * rng.normal()
+        vals += amp * np.exp(-((t - c) ** 2) / (2 * w**2))
+    a = rng.uniform(-0.8 * L, 0.4 * L)
+    b = a + rng.uniform(0.2, 0.5 * L)
+    vals += rng.normal() * ((t >= a) & (t < b))
+    if np.max(np.abs(vals)) < 1e-12:
+        vals[grid.size // 2] = 1.0
+    return GridFunction(grid, vals)
+
+
+def axioms_by_trial(space, trials, seed, grid):
+    """Oracle of ``verify_axioms``: one trial at a time, its alpha, u, a and
+    b drawn only when norm(f) != 0."""
+    rng = np.random.default_rng(seed)
+    L = grid.half_width
+    cuts = np.array([(grid.t >= -m * L / 8) & (grid.t < m * L / 8)
+                     for m in range(1, 9)])
+    worst = dict.fromkeys(("A1", "A2", "A3", "A4", "A5"), 0.0)
+    failed = set()
+
+    def check(axiom, slack, ok):
+        worst[axiom] = max(worst[axiom], slack)
+        if not ok:
+            failed.add(axiom)
+        return ok
+
+    def norms(*rows):
+        # looked up per call, so a test that patches the norm patches this
+        return spaces.space_norms(space, grid, np.vstack(rows)).tolist()
+
+    check("A1", 0.0, norms(np.zeros(grid.size)) == [0.0])
+    for _ in range(trials):
+        f = np.abs(random_mixture(grid, rng).values)
+        g = np.abs(random_mixture(grid, rng).values)
+        nf, ng = norms(f, g)
+        if not check("A1", 0.0, nf != 0.0):
+            continue
+        alpha = rng.uniform(0.1, 10.0)
+        u = rng.uniform(0.0, 1.0, grid.size)
+        a = rng.uniform(-L, 0.5 * L)
+        b = a + rng.uniform(0.1, 0.5 * L)
+        chi = (grid.t >= a) & (grid.t < b)
+        n_hom, n_tri, n_dom, *n_cuts, nchi = norms(
+            alpha * f, f + g, f * u, f * cuts, chi)
+        hom = abs(n_hom - alpha * nf) / (alpha * nf)
+        check("A1", hom, hom <= 1e-9)
+        tri = (n_tri - (nf + ng)) / (nf + ng)
+        check("A1", tri, tri <= 1e-9)
+        check("A2", n_dom - nf, n_dom - nf <= 1e-12)
+        prev = 0.0
+        for nm in n_cuts:
+            check("A3", prev - nm, nm >= prev - 1e-12)
+            prev = nm
+        check("A3", abs(prev - nf), abs(prev - nf) <= 1e-12)
+        check("A4", nchi, math.isfinite(nchi))
+        c_emp = float(quadrature(GridFunction(grid, f * chi)).real) / nf
+        check("A5", c_emp, math.isfinite(c_emp))
+    return [AxiomCheck(ax, ax not in failed, w) for ax, w in worst.items()]
+
+
+def multiplier_bound_by_trial(a, space, trials, seed, grid):
+    """Oracle of ``multiplier_norm_lower_bound``: one probe at a time."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        f = random_mixture(grid, rng, complex_values=True)
+        nf = space_norm(space, f)
+        if nf != 0.0:
+            best = max(best, space_norm(space, apply_multiplier(a, f)) / nf)
+    spike = np.zeros(grid.size, dtype=complex)
+    spike[int(np.argmax(np.abs(a(grid.xi))))] = 1.0
+    probe = dft_pair(GridFunction(grid, spike), "inverse")
+    ratio = space_norm(space, apply_multiplier(a, probe)) / space_norm(space, probe)
+    return max(best, ratio)
+
+
+def maximal_estimate_by_trial(space, trials, seed, grid):
+    """Oracle of ``maximal_norm_estimate``: one probe at a time."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        f = random_mixture(grid, rng)
+        nf = space_norm(space, f)
+        if nf != 0.0:
+            best = max(best, space_norm(space, maximal_function(f)) / nf)
+    return best

@@ -14,6 +14,7 @@ from convolab import (
     convolve,
     dft_pair,
     filter_spectrum,
+    fourier,
     make_grid,
     make_mollifier,
     maximal_function,
@@ -26,7 +27,13 @@ from convolab import (
     space_norm,
     stechkin_check,
 )
-from conftest import dft_matrix
+from convolab.grid import STACK_NODES
+from conftest import (
+    ORACLE_GRIDS,
+    ORACLE_SPACES,
+    dft_matrix,
+    multiplier_bound_by_trial,
+)
 
 L2 = SpaceNorm(2.0)
 
@@ -324,6 +331,47 @@ class TestMultiplierNormLowerBound:
             parse_symbol("const(1)"), SpaceNorm(p), trials=10, seed=2, grid=std_grid
         )
         assert got == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
+    @pytest.mark.parametrize("p,gamma", ORACLE_SPACES)
+    def test_equals_one_probe_oracle(self, p, gamma, L, n):
+        # 1 probe, one full stack, and one stack and a ragged remainder
+        grid = make_grid(L, n)
+        space = SpaceNorm(p, gamma)
+        chunk = STACK_NODES // n
+        for trials in (1, chunk, chunk + 4):
+            for text in ("arctan", "indicator(-1,1)"):
+                a = parse_symbol(text)
+                assert (multiplier_norm_lower_bound(a, space, trials, trials, grid)
+                        == multiplier_bound_by_trial(a, space, trials, trials, grid))
+
+    @pytest.mark.parametrize("trials", [1, 16, 20])
+    def test_one_fft_pair_and_two_norm_calls_per_stack(self, trials,
+                                                       monkeypatch):
+        # each stack of at most STACK_NODES nodes: its probes' norms, one
+        # filter call, its images' norms; the spike probe takes neither path
+        grid = make_grid(16.0, 1024)
+        calls = []
+
+        def spy(name, exact, rows_at):
+            def call(*args):
+                calls.append((name, args[rows_at].shape))
+                return exact(*args)
+            monkeypatch.setattr(fourier, name, call)
+
+        spy("space_norms", fourier.space_norms, 2)
+        spy("filter_rows", fourier.filter_rows, 0)
+        multiplier_norm_lower_bound(parse_symbol("arctan"), SpaceNorm(3.0),
+                                    trials, seed=1, grid=grid)
+        chunk = STACK_NODES // grid.size
+        assert chunk == 16
+        want = []
+        for done in range(0, trials, chunk):
+            shape = (min(chunk, trials - done), grid.size)
+            want += [("space_norms", shape), ("filter_rows", shape),
+                     ("space_norms", shape)]
+        assert calls == want
+        assert all(rows * n <= STACK_NODES for _, (rows, n) in calls)
 
 
 class TestStechkin:

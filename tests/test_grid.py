@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from convolab import (
     GridFunction,
     dft_pair,
+    draw_mixture,
     make_grid,
+    mixture_stack,
     quadrature,
+    random_mixture,
     sample,
 )
-from conftest import dft_matrix
+from conftest import dft_matrix, mixture_by_bump
 
 
 class TestMakeGrid:
@@ -174,3 +177,35 @@ class TestTransformPair:
         h = GridFunction(g2, np.ones(128))
         with pytest.raises(ValueError, match="mismatch"):
             _ = f + h
+
+
+class TestMixtureStack:
+    """Drawn probes evaluated as one stack, against one probe at a time."""
+
+    @pytest.mark.parametrize("L,n", [(8.0, 256), (16.0, 1024), (5.0, 200)])
+    @pytest.mark.parametrize("complex_values", [False, True],
+                             ids=["real", "complex"])
+    def test_rows_equal_sequential_random_mixtures(self, L, n,
+                                                   complex_values):
+        grid = make_grid(L, n)
+        drawn, one, by_bump = (np.random.default_rng(n) for _ in range(3))
+        stack = mixture_stack(grid, [draw_mixture(grid, drawn, complex_values)
+                                     for _ in range(12)])
+        assert stack.shape == (12, n)
+        for row in stack:
+            assert np.array_equal(
+                row, random_mixture(grid, one, complex_values).values)
+            assert np.array_equal(
+                row, mixture_by_bump(grid, by_bump, complex_values).values)
+        assert (drawn.bit_generator.state == one.bit_generator.state
+                == by_bump.bit_generator.state)
+
+    def test_vanishing_row_gets_the_centre_node(self, std_grid):
+        # zero amplitudes and height: the row falls back to a unit spike
+        zero = (0.0, 1.0, 0.0) * 4 + (-1.0, 1.0, 0.0)
+        live = draw_mixture(std_grid, np.random.default_rng(0))
+        stack = mixture_stack(std_grid, [live, zero])
+        spike = np.zeros(std_grid.size)
+        spike[std_grid.size // 2] = 1.0
+        assert np.array_equal(stack[1], spike)
+        assert np.count_nonzero(stack[0]) > 1

@@ -16,6 +16,8 @@ from convolab import (
     sample,
     space_norm,
 )
+from convolab.grid import STACK_NODES
+from conftest import ORACLE_GRIDS, ORACLE_SPACES, maximal_estimate_by_trial
 
 
 def brute_force_maximal(av):
@@ -107,12 +109,18 @@ def _scan_inputs(n, rng):
     return noise, plateaus, np.exp(-t * t / 2)
 
 
+# sizes up to 300 on both sides of every multiple of 32 (so of 64), where
+# blocks of 32 or 64 rows start and end, and a few primes between them
+_EDGE_SIZES = sorted({1, 2, 3, 7, 13, 47, 101, 151, 211, 293}
+                     | {m + d for m in range(32, 301, 32) for d in (-1, 0, 1)})
+
+
 class TestOracleRowBlocks:
     """The blocked all-windows scan repeats the row loop's arithmetic exactly."""
 
     @pytest.mark.parametrize(
         "sizes, row_block, stacked",
-        [(range(1, 301), None, False), (range(1, 301), 64, False),
+        [(_EDGE_SIZES, None, False), (_EDGE_SIZES, 64, False),
          ((1000, 1024, 4096), None, False), ((1000, 1024, 4096), 64, False),
          ((1000, 1024, 4096), 1, False),
          (range(1, 301), None, True), (range(1, 301), 64, True),
@@ -335,3 +343,33 @@ class TestNormEstimate:
             maximal_norm_estimate(SpaceNorm(1.0), 2, 0, std_grid)
         with pytest.raises(ValueError):
             maximal_norm_estimate(SpaceNorm(math.inf), 2, 0, std_grid)
+
+    @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
+    @pytest.mark.parametrize("p,gamma", ORACLE_SPACES)
+    def test_equals_one_probe_oracle(self, p, gamma, L, n):
+        # 1 probe, and one stack and a ragged remainder
+        grid = make_grid(L, n)
+        space = SpaceNorm(p, gamma)
+        for trials in (1, STACK_NODES // n + 4):
+            assert (maximal_norm_estimate(space, trials, trials, grid)
+                    == maximal_estimate_by_trial(space, trials, trials, grid))
+
+    def test_one_scan_and_two_norm_calls_per_stack(self, monkeypatch):
+        grid = make_grid(16.0, 1024)
+        calls = []
+
+        def spy(name, exact, rows_at):
+            def call(*args):
+                calls.append((name, args[rows_at].shape))
+                return exact(*args)
+            monkeypatch.setattr(maximal, name, call)
+
+        spy("space_norms", maximal.space_norms, 2)
+        spy("maximal_scan", maximal.maximal_scan, 0)
+        maximal_norm_estimate(SpaceNorm(2.0), 20, 1, grid)
+        want = []
+        for rows in (16, 4):
+            shape = (rows, grid.size)
+            want += [("space_norms", shape), ("maximal_scan", shape),
+                     ("space_norms", shape)]
+        assert calls == want

@@ -16,6 +16,8 @@ from convolab import (
     spaces,
     verify_axioms,
 )
+from convolab.grid import STACK_NODES
+from conftest import ORACLE_GRIDS, ORACLE_SPACES, axioms_by_trial
 
 # the broken norms below that are built on the exact one call it through
 # this name, which patching ``spaces.space_norms`` leaves in place
@@ -140,11 +142,12 @@ class TestSpaceNorms:
         with pytest.raises(ValueError, match="non-finite"):
             space_norms(space, std_grid, rows)
 
-    @pytest.mark.parametrize("trials", [1, 5])
-    def test_axiom_harness_makes_two_calls_per_trial(self, trials, std_grid,
+    # 5 trials fill one chunk on this grid; 7 and 12 leave a ragged last one
+    @pytest.mark.parametrize("trials", [1, 5, 7, 12])
+    def test_axiom_harness_makes_two_calls_per_chunk(self, trials, std_grid,
                                                      monkeypatch):
-        # one for (f, g), one for the trial's other twelve probes, and one
-        # for the zero function
+        # the zero function, then per chunk of k trials its (f, g) rows and
+        # its 12 k derived rows, each call within the node budget
         calls = []
 
         def spy(space, grid, rows):
@@ -155,7 +158,13 @@ class TestSpaceNorms:
         verify_axioms(SpaceNorm(3.0, -0.5), trials=trials, seed=7,
                       grid=std_grid)
         n = std_grid.size
-        assert calls == [(1, n)] + [(2, n), (12, n)] * trials
+        chunk = STACK_NODES // (12 * n)
+        assert chunk == 5
+        sizes = [min(chunk, trials - done) for done in range(0, trials, chunk)]
+        assert calls == [(1, n)] + [s for k in sizes
+                                    for s in ((2 * k, n), (12 * k, n))]
+        assert all(rows * n <= STACK_NODES for rows, _ in calls)
+        assert sum(rows for rows, _ in calls) == 1 + 14 * trials
 
 
 class TestAssociateSpace:
@@ -209,9 +218,24 @@ class TestAxiomHarness:
         (_nan_norm, ["A1", "A2", "A3", "A4", "A5"]),
     ])
     def test_broken_norm_fails(self, monkeypatch, broken, failing, std_grid):
+        # the one-trial oracle draws alpha, u, a and b only for a nonzero
+        # norm(f); a zero norm(f) fails A1 in both, so the lists agree
         monkeypatch.setattr(spaces, "space_norms", _row_wise(broken))
         checks = verify_axioms(SpaceNorm(2.0), trials=20, seed=7, grid=std_grid)
         assert [c.axiom for c in checks if not c.passed] == failing
+        oracle = axioms_by_trial(SpaceNorm(2.0), 20, 7, std_grid)
+        assert [c.axiom for c in oracle if not c.passed] == failing
+
+    @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
+    @pytest.mark.parametrize("p,gamma", ORACLE_SPACES)
+    def test_equals_one_trial_oracle(self, p, gamma, L, n):
+        # trials 1, one full chunk, and one chunk and a ragged remainder
+        grid = make_grid(L, n)
+        chunk = max(1, STACK_NODES // (12 * n))
+        space = SpaceNorm(p, gamma)
+        for trials in sorted({1, chunk, chunk + 2}):
+            assert (verify_axioms(space, trials, seed=trials, grid=grid)
+                    == axioms_by_trial(space, trials, trials, grid))
 
     def test_homogeneity_exact(self, std_grid, rng):
         f = random_mixture(std_grid, rng)
