@@ -85,8 +85,14 @@ class Experiment:
         self.grid: Grid = make_grid(grid_l, grid_n)
         self.space = SpaceNorm(cfg.getfloat("space", "p", fallback=2.0),
                                cfg.getfloat("space", "gamma", fallback=0.0))
-        self.seed = args.seed if args.seed is not None else cfg.getint(
-            "run", "seed", fallback=0)
+        if args.seed is not None:
+            self.seed, source = args.seed, "--seed"
+        else:
+            self.seed = cfg.getint("run", "seed", fallback=0)
+            source = "[run] seed"
+        if self.seed < 0:
+            raise ConfigError(
+                f"{source} must be a non-negative integer, got {self.seed}")
         # created on the first write, so a rejected run leaves no directory
         self.out = Path(args.out)
         self.cfg = cfg

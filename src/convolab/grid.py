@@ -15,7 +15,10 @@ pair along the last axis (``filter_spectrum`` is its one-function case),
 and the random test functions are drawn one probe at a time
 (``draw_mixture``) and evaluated as a ``(k, n)`` stack (``mixture_stack``);
 ``random_mixture`` is the one-probe case.  A row of a stack gets the same
-values, bit for bit, as when it is evaluated on its own.
+values, bit for bit, as when it is evaluated on its own.  The probe scalars
+are the draws of ``rng.uniform`` and ``rng.normal``, bit for bit, taken
+through the generator's cheaper ``random`` and ``standard_normal``, and a
+stack of real probes is float64.
 """
 
 from __future__ import annotations
@@ -305,6 +308,16 @@ def filter_spectrum(f: GridFunction, m: np.ndarray) -> GridFunction:
     return GridFunction(f.grid, filter_rows(f.values, m))
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` bit for bit, for a third of its cost.
+
+    numpy computes it as ``lo + (hi - lo) * next_double`` in doubles, and
+    ``rng.random()`` returns that same ``next_double``, so this is the same
+    value and leaves the same generator state.
+    """
+    return lo + (hi - lo) * rng.random()
+
+
 def draw_mixture(
     grid: Grid, rng: np.random.Generator, complex_values: bool = False
 ) -> tuple:
@@ -312,22 +325,27 @@ def draw_mixture(
 
     For each of four Gaussian bumps its centre ``c``, ``2 w^2`` for its
     width ``w`` and its amplitude (complex with ``complex_values``), then
-    the indicator's ends ``a < b`` and height, in that order.
+    the indicator's ends ``a < b`` and height, in that order.  The draws
+    are those of ``rng.uniform`` and ``rng.normal``, bit for bit and with
+    the same generator state after: a uniform is :func:`_uniform`, and
+    ``rng.normal()`` is ``0 + 1 * rng.standard_normal()``.  Each scalar is
+    still drawn on its own, since a batch of normals can take another
+    number of words from the stream.
     """
     L = grid.half_width * 0.5
     out = []
     for _ in range(4):
-        c = rng.uniform(-0.8 * L, 0.8 * L)
-        w = rng.uniform(0.2, 1.5)
-        amp = rng.normal()
+        c = _uniform(rng, -0.8 * L, 0.8 * L)
+        w = _uniform(rng, 0.2, 1.5)
+        amp = rng.standard_normal()
         if complex_values:
-            amp = amp + 1j * rng.normal()
+            amp = amp + 1j * rng.standard_normal()
         # a Python float's ** rounds apart from numpy's square in ~0.1% of
         # cases, so the square is taken here, as the one-probe path took it
         out += [c, 2 * w**2, amp]
-    a = rng.uniform(-0.8 * L, 0.4 * L)
-    b = a + rng.uniform(0.2, 0.5 * L)
-    return (*out, a, b, rng.normal())
+    a = _uniform(rng, -0.8 * L, 0.4 * L)
+    b = a + _uniform(rng, 0.2, 0.5 * L)
+    return (*out, a, b, rng.standard_normal())
 
 
 def mixture_stack(grid: Grid, draws: list[tuple]) -> np.ndarray:
@@ -337,12 +355,15 @@ def mixture_stack(grid: Grid, draws: list[tuple]) -> np.ndarray:
     ``draws[i]``, added in draw order, plus the height times the indicator
     of ``[a, b)``; a row whose values all lie below 1e-12 in modulus gets
     a 1 at the centre node.  Every row is the same arithmetic as a probe
-    evaluated on its own.
+    evaluated on its own.  The stack takes its dtype from the draws:
+    float64 when every draw is real, complex128 otherwise.  A real row is
+    the real part of the complex accumulation, whose imaginary part stays
+    zero, so ``np.abs`` of either is the same.
     """
     # each drawn scalar as a (k, 1) column, broadcast over the nodes t
     d = np.array(draws).T[:, :, None]
     t = grid.t
-    vals = np.zeros((len(draws), grid.size), dtype=complex)
+    vals = np.zeros((len(draws), grid.size), dtype=d.dtype)
     for c, spread, amp in zip(d[0:12:3].real, d[1:12:3].real, d[2:12:3]):
         vals += amp * np.exp(-((t - c) ** 2) / spread)
     a, b, height = d[12:].real
@@ -358,7 +379,9 @@ def random_mixture(
 
     Supported well inside the domain (within ``L/2``) so that convolution
     wrap-around and boundary truncation stay negligible.  One probe of
-    :func:`draw_mixture` and :func:`mixture_stack`.
+    :func:`draw_mixture` and :func:`mixture_stack`.  Without
+    ``complex_values`` the function is real: its row is computed in float64
+    and the grid function holds it with a zero imaginary part.
     """
     draw = draw_mixture(grid, rng, complex_values)
     return GridFunction(grid, mixture_stack(grid, [draw])[0])

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .grid import STACK_NODES, Grid, GridFunction, draw_mixture, mixture_stack
+from .grid import (STACK_NODES, Grid, GridFunction, _uniform, draw_mixture,
+                   mixture_stack)
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,11 @@ def verify_axioms(
         draws, alpha, u, a, b = [], [], [], [], []
         for _ in range(k):
             draws += [draw_mixture(grid, rng), draw_mixture(grid, rng)]
-            alpha.append(rng.uniform(0.1, 10.0))
-            u.append(rng.uniform(0.0, 1.0, n))
-            a.append(rng.uniform(-L, 0.5 * L))
-            b.append(a[-1] + rng.uniform(0.1, 0.5 * L))
+            # rng.uniform's draws, bit for bit (see grid._uniform)
+            alpha.append(_uniform(rng, 0.1, 10.0))
+            u.append(rng.random(n))
+            a.append(_uniform(rng, -L, 0.5 * L))
+            b.append(a[-1] + _uniform(rng, 0.1, 0.5 * L))
         fg = np.abs(mixture_stack(grid, draws))
         f, g = fg[0::2], fg[1::2]
         chi = (grid.t >= np.array(a)[:, None]) & (grid.t < np.array(b)[:, None])

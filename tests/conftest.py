@@ -98,21 +98,32 @@ ORACLE_SPACES = [(2.0, 0.0), (1.5, 0.0), (3.0, -0.5), (3.0, 1.0)]
 ORACLE_GRIDS = [(8.0, 256), (16.0, 1024)]
 
 
-def mixture_by_bump(grid, rng, complex_values=False):
-    """Oracle of ``random_mixture``: each bump drawn and added on its own."""
+def draws_by_uniform(grid, rng, complex_values=False):
+    """Oracle of ``draw_mixture``: one probe's scalars, in draw order, from
+    ``rng.uniform`` and ``rng.normal`` calls."""
     L = grid.half_width * 0.5
-    t = grid.t
-    vals = np.zeros(grid.size, dtype=complex)
+    out = []
     for _ in range(4):
         c = rng.uniform(-0.8 * L, 0.8 * L)
         w = rng.uniform(0.2, 1.5)
         amp = rng.normal()
         if complex_values:
             amp = amp + 1j * rng.normal()
-        vals += amp * np.exp(-((t - c) ** 2) / (2 * w**2))
+        out += [c, 2 * w**2, amp]
     a = rng.uniform(-0.8 * L, 0.4 * L)
     b = a + rng.uniform(0.2, 0.5 * L)
-    vals += rng.normal() * ((t >= a) & (t < b))
+    return (*out, a, b, rng.normal())
+
+
+def mixture_by_bump(grid, rng, complex_values=False):
+    """Oracle of ``random_mixture``: the draws of ``draws_by_uniform``, each
+    bump added on its own to a complex accumulation."""
+    t = grid.t
+    *bumps, a, b, height = draws_by_uniform(grid, rng, complex_values)
+    vals = np.zeros(grid.size, dtype=complex)
+    for c, spread, amp in zip(bumps[0::3], bumps[1::3], bumps[2::3]):
+        vals += amp * np.exp(-((t - c) ** 2) / spread)
+    vals += height * ((t >= a) & (t < b))
     if np.max(np.abs(vals)) < 1e-12:
         vals[grid.size // 2] = 1.0
     return GridFunction(grid, vals)

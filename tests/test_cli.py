@@ -284,6 +284,25 @@ def test_zero_maximal_trials_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_negative_seed_is_usage_error(command, source, config_path, tmp_path,
+                                      capsys):
+    argv = []
+    if source == "flag":
+        argv, name = ["--seed", "-1"], "--seed"
+    else:
+        config_path.write_text(CONFIG.replace("seed = 42", "seed = -1"))
+        name = "[run] seed"
+    out = tmp_path / "o"
+    code = main([command, "--config", str(config_path), "--out", str(out),
+                 *argv])
+    assert code == USAGE_ERROR
+    assert f"{name} must be a non-negative integer, got -1" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_maximal_check_passes_where_chi_is_shorter_than_its_interval(tmp_path, capsys):
     # at n = 250 no node sits on -1 or 1, so the sampled chi is shorter
     # than [-1, 1] and 1/|t| exceeds M chi next to |t| = 1

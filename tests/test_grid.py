@@ -15,7 +15,7 @@ from convolab import (
     random_mixture,
     sample,
 )
-from conftest import dft_matrix, mixture_by_bump
+from conftest import dft_matrix, draws_by_uniform, mixture_by_bump
 
 
 class TestMakeGrid:
@@ -199,6 +199,38 @@ class TestMixtureStack:
                 row, mixture_by_bump(grid, by_bump, complex_values).values)
         assert (drawn.bit_generator.state == one.bit_generator.state
                 == by_bump.bit_generator.state)
+
+    @pytest.mark.parametrize("L,n", [(8.0, 256), (16.0, 1024), (3.0, 64)])
+    @pytest.mark.parametrize("complex_values", [False, True],
+                             ids=["real", "complex"])
+    def test_draws_equal_uniform_and_normal_calls(self, L, n, complex_values):
+        grid = make_grid(L, n)
+        for seed in range(60):
+            fast, oracle = (np.random.default_rng(seed) for _ in range(2))
+            for _ in range(3):
+                assert (draw_mixture(grid, fast, complex_values)
+                        == draws_by_uniform(grid, oracle, complex_values))
+            assert fast.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("L,n", [(8.0, 256), (16.0, 1024), (3.0, 64)])
+    def test_real_draws_stack_in_float64(self, L, n):
+        grid = make_grid(L, n)
+        rng = np.random.default_rng(n)
+        real = [draw_mixture(grid, rng) for _ in range(8)]
+        stack = mixture_stack(grid, real)
+        assert stack.dtype == np.float64
+        cplx = mixture_stack(grid, [draw_mixture(grid, rng, True)
+                                    for _ in range(8)])
+        assert cplx.dtype == np.complex128
+        # the same draws with a complex height accumulate in complex128
+        as_complex = mixture_stack(
+            grid, [(*d[:-1], complex(d[-1])) for d in real])
+        assert as_complex.dtype == np.complex128
+        assert not as_complex.imag.any()
+        assert np.array_equal(stack, as_complex.real)
+        assert np.array_equal(np.abs(stack), np.abs(as_complex))
+        f = random_mixture(grid, np.random.default_rng(n))
+        assert np.array_equal(f.values, stack[0]) and not f.values.imag.any()
 
     def test_vanishing_row_gets_the_centre_node(self, std_grid):
         # zero amplitudes and height: the row falls back to a unit spike
