@@ -7,7 +7,7 @@ mollifier families, density of band-limited probes, and the decay of
 modulation-conjugated operators when the symbol dies off at infinity.
 """
 
-from .errors import InconclusiveError, NoConvergenceError
+from .errors import InconclusiveError
 from .fourier import (
     Mollifier,
     MollifyRow,

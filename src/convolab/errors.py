@@ -1,17 +1,6 @@
 """Exceptions shared across convolab modules."""
 
 
-class NoConvergenceError(RuntimeError):
-    """An iterative refinement or sweep failed to reach its target.
-
-    Carries the best value achieved, so callers can report partial results.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class InconclusiveError(RuntimeError):
     """A quantity cannot be certified from the declared structure.
 

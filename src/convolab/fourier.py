@@ -233,7 +233,7 @@ def stechkin_check(
     norms = symbol_norms(a)
     lower = multiplier_norm_lower_bound(a, space, trials, seed, grid)
     ratio = lower / norms.v_norm if norms.v_norm > 0 else math.inf
-    exact = space.p == 2.0 and space.gamma == 0.0
+    exact = space.is_unweighted_l2
     violation = bool(exact and lower > norms.sup_norm * (1.0 + 1e-9))
     return StechkinReport(
         lower=lower,

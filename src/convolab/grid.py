@@ -141,6 +141,8 @@ def parse_call(text: str, kind: str) -> tuple[str, list[str]]:
 
     Arguments are split at top-level commas only, so nested calls such as
     ``shift(indicator(6,7),6)`` keep their inner arguments together.
+    Calls nest at most 32 deep: parsing and evaluating a descriptor both
+    recurse once per level, and far deeper nesting exhausts Python's stack.
     """
     m = _CALL_RE.match(text)
     if not m:
@@ -149,6 +151,9 @@ def parse_call(text: str, kind: str) -> tuple[str, list[str]]:
     for ch in m.group(2) or "":
         if ch == "(":
             depth += 1
+            if depth >= 32:
+                raise ValueError(f"{kind} descriptor nests calls deeper than "
+                                 "32 levels")
         elif ch == ")":
             depth -= 1
         if ch == "," and depth == 0:

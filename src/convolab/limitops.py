@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoConvergenceError
 from .fourier import apply_multiplier, make_mollifier
 from .grid import Grid, GridFunction, bump_profile, dft_pair
 from .spaces import SpaceNorm, space_norm
@@ -172,7 +171,7 @@ def limit_operator_sweep(cfg: LimitSweepConfig) -> list[SweepRow]:
     no calibrated constant.
     """
     cfg.validate()
-    p2 = cfg.space.p == 2.0 and cfg.space.gamma == 0.0
+    p2 = cfg.space.is_unweighted_l2
     nf = space_norm(cfg.space, cfg.probe)
     rows = []
     for h in cfg.shifts:
@@ -206,25 +205,23 @@ def density_experiment(
     """Approximate ``f`` by a band-limited function within ``eps``.
 
     Walks the bump kernel's ladder ``Mollifier.rungs`` (delta = 1, 1/2,
-    ... down to the grid floor) and takes the first rung with
-    ``|f * phi_delta - f| < eps``.  Each rung's spectrum vanishes exactly
-    outside ``[-1/delta, 1/delta]``, a band that the floor keeps inside the
-    frequency window, so no separate smoothing step is needed.
+    ... down to the grid floor) and returns the first rung with
+    ``|f * phi_delta - f| < eps`` or, when no rung gets there, the rung that
+    came closest; callers compare ``achieved`` with ``eps``.  Each rung's
+    spectrum vanishes exactly outside ``[-1/delta, 1/delta]``, a band that
+    the floor keeps inside the frequency window, so no separate smoothing
+    step is needed.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not np.any(f.values):
         raise ValueError("f is zero: the density check would pass vacuously")
-    best = math.inf
+    best = None
     for delta, approx, err in make_mollifier("bump_spectrum", f.grid).rungs(f, space):
+        if best is None or err < best[2]:
+            best = (delta, approx, err)
         if err < eps:
-            band = (-1.0 / delta, 1.0 / delta)
-            return DensityResult(
-                approx, delta, err, band, _out_of_band_mass(approx, band)
-            )
-        best = min(best, err)
-    raise NoConvergenceError(
-        f"band-limit ladder reached the grid floor delta={delta} "
-        f"(best error {best})",
-        best=best,
-    )
+            break
+    delta, approx, err = best
+    band = (-1.0 / delta, 1.0 / delta)
+    return DensityResult(approx, delta, err, band, _out_of_band_mass(approx, band))

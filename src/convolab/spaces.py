@@ -47,6 +47,12 @@ class SpaceNorm:
                 f"for p={self.p} (maximal-operator boundedness fails)"
             )
 
+    @property
+    def is_unweighted_l2(self) -> bool:
+        """p = 2 and gamma = 0: the multiplier norm is ``max_k |a(xi_k)|``,
+        so the bounds the commands check there are theorems of the model."""
+        return self.p == 2.0 and self.gamma == 0.0
+
 
 def weight_values(space: SpaceNorm, grid: Grid) -> np.ndarray:
     """Samples of |x|^gamma with the origin node regularized.

@@ -131,7 +131,8 @@ def test_sweep_fails_only_an_asserted_bound(p, code, tmp_path, capsys,
     path.write_text(CONFIG.replace("p = 2", f"p = {p}"))
     assert main(["sweep", "--config", str(path), "--out",
                  str(tmp_path / "o")]) == code
-    assert ("FAIL" in capsys.readouterr().out) == (code == ASSERTION_FAILURE)
+    word = "FAIL" if code else "exceeded (not asserted)"
+    assert capsys.readouterr().out.endswith(f" within_bound={word}\n")
 
 
 def test_sweep_rejects_symbol_not_vanishing_at_infinity(tmp_path, capsys):
@@ -150,7 +151,7 @@ def test_sweep_rejects_symbol_not_vanishing_at_infinity(tmp_path, capsys):
 def test_stechkin_summary_line(config_path, tmp_path, capsys):
     main(["stechkin", "--config", str(config_path), "--out", str(tmp_path / "o")])
     line = capsys.readouterr().out.strip()
-    assert line == "stechkin: lower=1.000 v_norm=3.000 ratio=0.333"
+    assert line == "stechkin: lower=1.000 v_norm=3.000 ratio=0.333 sup_bound=pass"
 
 
 def test_density_json_payload(config_path, tmp_path):
@@ -263,15 +264,38 @@ def test_unknown_command_is_usage_error(config_path, tmp_path, capsys):
     assert code == USAGE_ERROR
 
 
-def test_unreachable_density_target_is_assertion_failure(tmp_path, capsys):
-    path = tmp_path / "tight.ini"
-    path.write_text(
-        "[grid]\nL = 8\nn = 256\n\n[density]\nf = indicator(-1,1)\n"
-        "epsilon = 1e-6\n"
-    )
-    code = main(["density", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == ASSERTION_FAILURE
-    assert "FAIL" in capsys.readouterr().out
+@pytest.mark.parametrize("section,key,value", [
+    ("axioms", "trials", "x"), ("grid", "n", "abc"), ("run", "seed", "1.5"),
+    ("sweep", "k1", "one")])
+def test_unparsable_config_value_names_its_section_and_key(
+        section, key, value, tmp_path, capsys):
+    cfg = configparser.ConfigParser()
+    cfg.read_string(CONFIG)
+    cfg[section][key] = value
+    path = tmp_path / "bad.ini"
+    with path.open("w") as fh:
+        cfg.write(fh)
+    command = "axioms" if section == "axioms" else "sweep"
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{section}] {key}: ") and repr(value) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", [33, 360, 1000])
+def test_deeply_nested_descriptor_is_usage_error(levels, tmp_path, capsys):
+    # at 360 levels symbol_norms would exhaust the stack, at 1000 the parser
+    symbol = "indicator(-1,1)"
+    for _ in range(levels - 1):
+        symbol = f"shift({symbol},1)"
+    path = tmp_path / "deep.ini"
+    path.write_text(f"[stechkin]\nsymbol = {symbol}\ntrials = 2\n")
+    out = tmp_path / "o"
+    assert main(["stechkin", "--config", str(path), "--out", str(out)]) == USAGE_ERROR
+    assert capsys.readouterr().err == (
+        "error: symbol descriptor nests calls deeper than 32 levels\n")
+    assert not out.exists()
 
 
 def test_zero_maximal_trials_is_usage_error(tmp_path, capsys):
@@ -338,18 +362,6 @@ def test_maximal_check_closed_form_holds_on_small_grids(grid, tmp_path, capsys):
     assert closed == [["closed_form", "0", "1e-12", "1"]]
 
 
-def test_maximal_check_fails_on_a_one_percent_larger_maximal_function(
-        tmp_path, capsys, monkeypatch):
-    exact = cli.maximal_scan
-    monkeypatch.setattr(cli, "maximal_scan", lambda av, mode="fast":
-                        1.01 * exact(av, mode))
-    for config in ("quick.ini", "fine.ini"):
-        assert run_shipped("maximal-check", config, tmp_path) == ASSERTION_FAILURE
-        assert "FAIL" in capsys.readouterr().out
-        check, _, _, ok = maximal_check_rows(tmp_path / "out")[1]
-        assert (check, ok) == ("closed_form", "0")
-
-
 def shipped_trials(config):
     """Trials, grid size and seed of a shipped config's maximal-check."""
     cfg = configparser.ConfigParser()
@@ -403,25 +415,49 @@ def test_maximal_check_scans_its_trials_in_draw_order_within_the_budget(
         assert np.array_equal(np.concatenate(chunks), draws), mode
 
 
-@pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
-def test_stechkin_fails_on_a_one_percent_larger_multiplier(
-        config, tmp_path, capsys, monkeypatch):
-    exact = fourier.apply_multiplier
-    monkeypatch.setattr(fourier, "apply_multiplier",
-                        lambda a, f: 1.01 * exact(a, f))
-    assert run_shipped("stechkin", config, tmp_path) == ASSERTION_FAILURE
-    result = json.loads((tmp_path / "out" / "stechkin.json").read_text())["result"]
-    assert result["violation"] and result["lower"] > result["sup_norm"]
+def one_percent_larger(owner, name, route=None):
+    """``owner.name`` 1% too large; a maximal scan only on ``route``, if given."""
+    exact = getattr(owner, name)
+
+    def mutant(*args):
+        return (1.01 if route is None or args[-1] == route else 1.0) * exact(*args)
+    return mutant
 
 
-@pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
-def test_mollify_fails_on_a_one_percent_heavier_kernel(
-        config, tmp_path, capsys, monkeypatch):
-    exact = fourier.Mollifier.spectrum
-    monkeypatch.setattr(fourier.Mollifier, "spectrum",
-                        lambda self, delta: 1.01 * exact(self, delta))
-    assert run_shipped("mollify", config, tmp_path) == ASSERTION_FAILURE
-    assert "decreasing=FAIL" in capsys.readouterr().out
+# what each mutant scales by 1%: (owner, attribute[, maximal scan route])
+MUTANTS = {
+    "multiplier": (fourier, "apply_multiplier"),
+    "kernel": (fourier.Mollifier, "spectrum"),
+    "maximal_function": (cli, "maximal_scan"),
+    "oracle": (cli, "maximal_scan", "oracle"),
+}
+
+
+# The asserted gates and what fails each: a 1% mutant, or for density the
+# target fine.ini sets at its own grid (0.1 against the floor rung's 0.110).
+# axioms' A1..A5 fail under the broken norms of test_spaces.py.  sweep's
+# within_bound has no failing 1% mutant yet (ROADMAP, carried-over item 1):
+# its bound 3 * tail_sup * |probe| passes even a 1.5x multiplier.
+@pytest.mark.parametrize("command,config,mutant,gate", [
+    ("stechkin", "quick.ini", "multiplier", "sup_bound"),
+    ("stechkin", "fine.ini", "multiplier", "sup_bound"),
+    ("mollify", "quick.ini", "kernel", "decreasing"),
+    ("mollify", "fine.ini", "kernel", "decreasing"),
+    ("maximal-check", "quick.ini", "maximal_function", "closed_form"),
+    ("maximal-check", "fine.ini", "maximal_function", "closed_form"),
+    ("maximal-check", "quick.ini", "oracle", "fast_vs_oracle"),
+    ("maximal-check", "fine.ini", "oracle", "fast_vs_oracle"),
+    ("density", "fine.ini", "none", "within_epsilon"),
+])
+def test_one_percent_mutant_fails_its_gate(command, config, mutant, gate,
+                                           tmp_path, capsys, monkeypatch):
+    if mutant != "none":
+        owner, name, *route = MUTANTS[mutant]
+        monkeypatch.setattr(owner, name, one_percent_larger(owner, name, *route))
+    assert run_shipped(command, config, tmp_path) == ASSERTION_FAILURE
+    assert f" {gate}=FAIL" in capsys.readouterr().out
+    # a failing run still writes its artifact
+    assert list((tmp_path / "out").glob(f"{command}.*"))
 
 
 @pytest.mark.parametrize("flag,floor", [(("--grid-n", "128"), "0.0625"),
@@ -466,5 +502,7 @@ def test_density_passes_on_weighted_fine_at_its_own_grid(tmp_path, capsys):
 def test_density_on_fine_at_its_own_grid_reports_the_floor_rung(tmp_path, capsys):
     # at n = 1024 the floor rung dx/2 = 1/64 comes closest, at 0.110 > 0.1
     assert run_shipped("density", "fine.ini", tmp_path) == ASSERTION_FAILURE
-    out = capsys.readouterr().out
-    assert "grid floor delta=0.015625 (best error 0.1104584" in out
+    assert capsys.readouterr().out.endswith(" within_epsilon=FAIL\n")
+    result = json.loads((tmp_path / "out" / "density.json").read_text())["result"]
+    assert result["delta"] == 0.015625 and result["epsilon"] == 0.1
+    assert 0.1104584 < result["achieved"] < 0.1104585
