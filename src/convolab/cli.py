@@ -257,23 +257,21 @@ _HANDLERS = dict(zip(COMMANDS, (_cmd_sweep, _cmd_mollify, _cmd_stechkin,
                                 _cmd_maximal_check, _cmd_density, _cmd_axioms)))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="convolab", description=(
-        "Reproducible experiments on Fourier convolution operators"))
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="INI config file")
-    parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--seed", type=int, default=None, help="override seed")
-    parser.add_argument("--grid-n", type=int, default=None, help="override grid size")
-    parser.add_argument("--grid-L", type=float, default=None,
-                        help="override grid half width")
-    return parser
+# parse_args keeps no state between calls, so one parser serves every run
+_PARSER = argparse.ArgumentParser(prog="convolab", description=(
+    "Reproducible experiments on Fourier convolution operators"))
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="INI config file")
+_PARSER.add_argument("--out", default="out", help="artifact directory")
+_PARSER.add_argument("--seed", type=int, default=None, help="override seed")
+_PARSER.add_argument("--grid-n", type=int, default=None, help="override grid size")
+_PARSER.add_argument("--grid-L", type=float, default=None,
+                     help="override grid half width")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     # configparser raises parse errors when the file is read and

@@ -201,7 +201,7 @@ def multiplier_norm_lower_bound(
     spike = np.zeros(grid.size, dtype=complex)
     spike[int(np.argmax(np.abs(m)))] = 1.0
     probe = dft_pair(GridFunction(grid, spike), "inverse")
-    ratio = space_norm(space, apply_multiplier(a, probe)) / space_norm(space, probe)
+    ratio = space_norm(space, filter_spectrum(probe, m)) / space_norm(space, probe)
     return max(best, ratio)
 
 

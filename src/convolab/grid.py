@@ -74,6 +74,18 @@ class Grid:
         nodes.setflags(write=False)
         return nodes
 
+    def power_weight(self, gamma: float) -> np.ndarray:
+        """Read-only ``|t|^gamma`` at the nodes, computed once per gamma; the
+        node t = 0 gets 0 for gamma > 0, else the value one node away."""
+        weights = self.__dict__.setdefault("_power_weights", {})
+        if gamma not in weights:
+            with np.errstate(divide="ignore"):
+                w = np.abs(self.t) ** gamma
+            w[self.size // 2] = 0.0 if gamma > 0 else self.dx**gamma
+            w.setflags(write=False)
+            weights[gamma] = w
+        return weights[gamma]
+
     @property
     def freq_edge(self) -> float:
         """Right edge of the (half-open) frequency window."""

@@ -46,8 +46,9 @@ def _out_of_band_mass(f: GridFunction, band: tuple[float, float]) -> float:
     """
     hat = dft_pair(f, "forward").values
     inside = (f.grid.xi >= band[0]) & (f.grid.xi <= band[1])
-    total = float(np.sum(np.abs(hat) ** 2))
-    outside = float(np.sum(np.abs(hat[~inside]) ** 2))
+    energy = np.abs(hat) ** 2
+    total = float(np.sum(energy))
+    outside = float(np.sum(energy[~inside]))
     return outside / total if total else math.inf
 
 

@@ -7,12 +7,12 @@ Muckenhoupt power-weight condition ``-1 < gamma < p - 1``, which keeps the
 maximal operator bounded on the space and on its associate.
 
 ``space_norms`` is the one norm routine: it takes a ``(k, n)`` stack of
-node values and returns the norm of each row, sampling the weight once per
-call.  ``space_norm`` is its one-row case for a grid function.  The axiom
-harness ``verify_axioms`` draws its random probes as stacks
-(``grid.mixture_stack``) and makes two calls per chunk of trials, one for
-the chunk's random probes and one for the twelve functions built from each
-trial's pair.
+node values and returns the norm of each row, with the weight the grid
+computes once per gamma.  ``space_norm`` is its one-row case for a grid
+function.  The axiom harness ``verify_axioms`` draws its random probes as
+stacks (``grid.mixture_stack``): one call per block of trials takes the
+block's random (f, g) probes, and one call per chunk of a block takes the
+twelve functions built from each of the chunk's trials.
 """
 
 from __future__ import annotations
@@ -55,41 +55,34 @@ class SpaceNorm:
 
 
 def weight_values(space: SpaceNorm, grid: Grid) -> np.ndarray:
-    """Samples of |x|^gamma with the origin node regularized.
-
-    The singularity at 0 is integrable under the weight condition; the node
-    at exactly 0 uses w(0)=0 for gamma>0 and is capped at the value one node
-    away for gamma<0, so quadrature converges without infinities.
-    """
-    if space.gamma == 0.0:
-        return np.ones(grid.size)
-    with np.errstate(divide="ignore"):
-        w = np.abs(grid.t) ** space.gamma
-    origin = grid.size // 2  # t = 0 is always a node (n even)
-    if space.gamma > 0:
-        w[origin] = 0.0
-    else:
-        w[origin] = grid.dx**space.gamma
-    return w
+    """Samples of |x|^gamma, the origin node regularized: the grid's
+    read-only :meth:`Grid.power_weight`, computed once per grid and gamma."""
+    return grid.power_weight(space.gamma)
 
 
 def space_norms(space: SpaceNorm, grid: Grid, rows: np.ndarray) -> np.ndarray:
     """Norm of each row of a ``(k, n)`` stack of node values on ``grid``.
 
     ``(dx * sum |f|^p w)^(1/p)`` per row, or the row max of |f| at p = inf;
-    the weight is sampled once for the whole stack, and a 1-D array is one
-    row.  A non-finite integrand raises ``ValueError``.
+    a 1-D array is one row.  The weight is the grid's, and gamma = 0 makes
+    no weight pass.  A non-finite integrand raises ``ValueError``; it is
+    looked for only when a row total is not finite.
     """
     integrand = np.abs(rows)
     if not math.isinf(space.p):
-        integrand = integrand**space.p * weight_values(space, grid)
-    if not np.all(np.isfinite(integrand)):
+        integrand = integrand**space.p
+        if space.gamma != 0.0:  # x * 1.0 == x: no weight pass at gamma = 0
+            integrand = integrand * weight_values(space, grid)
+    totals = (integrand.max if math.isinf(space.p) else integrand.sum)(axis=-1)
+    # a non-finite integrand makes its row total non-finite, while a total
+    # that overflows from finite values is an infinite norm
+    if not np.all(np.isfinite(totals)) and not np.all(np.isfinite(integrand)):
         raise ValueError("norm integrand has a non-finite value at a node")
     if math.isinf(space.p):
-        return integrand.max(axis=-1)
+        return totals
     # np.power, not **: a float64 scalar's ** rounds apart from an array's,
     # and a row must get the same norm alone as in a stack
-    return np.power(grid.dx * integrand.sum(axis=-1), 1.0 / space.p)
+    return np.power(grid.dx * totals, 1.0 / space.p)
 
 
 def space_norm(space: SpaceNorm, f: GridFunction) -> float:
@@ -138,13 +131,15 @@ def verify_axioms(
     empirical constant reported as the slack (A5).  A slack that is NaN,
     or an A5 constant that is not finite, fails its axiom.
 
-    Each trial draws f, g, alpha, u, a and b, in that order, and the trials
-    run in chunks of at most ``STACK_NODES // (12 n)`` (at least one): one
-    ``space_norms`` call takes the chunk's (f, g) rows and one its twelve
-    derived rows per trial, and the checks then run in trial order.  A
-    trial with norm(f) = 0 fails A1 and skips its other checks; its alpha,
-    u, a and b are drawn all the same, so the trials after it see other
-    numbers than a harness that drew them only for a nonzero f would.
+    Each trial draws f, g, alpha, u, a and b, in that order.  The trials run
+    in blocks of ``max(chunk, STACK_NODES // (2 n))``, and each block in
+    chunks of ``chunk = max(1, STACK_NODES // (12 n))`` (a block of 32 and
+    chunks of 5 at n = 256, 8 and 1 at n = 1024): one ``space_norms`` call
+    takes a block's (f, g) rows, one per chunk its twelve derived rows per
+    trial, and the checks then run in trial order.  A trial with
+    norm(f) = 0 fails A1 and skips its other checks; its alpha, u, a and b
+    are drawn all the same, so the trials after it see other numbers than
+    a harness that drew them only for a nonzero f would.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -164,8 +159,9 @@ def verify_axioms(
 
     check("A1", 0.0, space_norms(space, grid, np.zeros((1, n)))[0] == 0.0)
     chunk = max(1, STACK_NODES // (12 * n))
-    for done in range(0, trials, chunk):
-        k = min(chunk, trials - done)
+    block = max(chunk, STACK_NODES // (2 * n))
+    for done in range(0, trials, block):
+        k = min(block, trials - done)
         draws, alpha, u, a, b = [], [], [], [], []
         for _ in range(k):
             draws += [draw_mixture(grid, rng), draw_mixture(grid, rng)]
@@ -175,24 +171,29 @@ def verify_axioms(
             a.append(_uniform(rng, -L, 0.5 * L))
             b.append(a[-1] + _uniform(rng, 0.1, 0.5 * L))
         fg = np.abs(mixture_stack(grid, draws))
+        nfg = space_norms(space, grid, fg).reshape(k, 2).tolist()
         f, g = fg[0::2], fg[1::2]
+        alpha, u = np.array(alpha), np.array(u)
         chi = (grid.t >= np.array(a)[:, None]) & (grid.t < np.array(b)[:, None])
 
         # per trial: alpha f, f + g, f u with 0 <= u <= 1, the truncations
         # of f, and the indicator chi of a random finite interval [a, b)
-        rows = np.empty((k, 12, n))
-        rows[:, 0] = np.array(alpha)[:, None] * f
-        rows[:, 1] = f + g
-        rows[:, 2] = f * np.array(u)
-        rows[:, 3:11] = f[:, None] * cuts
-        rows[:, 11] = chi
-        nfg = space_norms(space, grid, fg).reshape(k, 2).tolist()
-        derived = space_norms(space, grid, rows.reshape(12 * k, n))
+        derived = []
+        for lo in range(0, k, chunk):
+            c = slice(lo, lo + chunk)
+            rows = np.empty((len(f[c]), 12, n))
+            rows[:, 0] = alpha[c, None] * f[c]
+            rows[:, 1] = f[c] + g[c]
+            rows[:, 2] = f[c] * u[c]
+            rows[:, 3:11] = f[c, None] * cuts
+            rows[:, 11] = chi[c]
+            rows = rows.reshape(-1, n)
+            derived += space_norms(space, grid, rows).reshape(-1, 12).tolist()
         # the rectangle rule of ``quadrature``, as its complex sum per row
         masses = (grid.dx * (f * chi).astype(complex).sum(axis=1)).real
 
         for (nf, ng), al, norms, mass in zip(
-                nfg, alpha, derived.reshape(k, 12).tolist(), masses.tolist()):
+                nfg, alpha.tolist(), derived, masses.tolist()):
             # f is a nonzero probe, and a lattice norm vanishes only on 0
             if not check("A1", 0.0, nf != 0.0):
                 continue

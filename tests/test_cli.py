@@ -264,6 +264,24 @@ def test_unknown_command_is_usage_error(config_path, tmp_path, capsys):
     assert code == USAGE_ERROR
 
 
+def test_shared_parser_keeps_no_state_between_runs(config_path, tmp_path,
+                                                   capsys):
+    # one parser serves every main call: a run it rejects changes nothing
+    # in the runs after it
+    def sweep(out):
+        code = main(["sweep", "--config", str(config_path),
+                     "--out", str(tmp_path / out)])
+        arts = {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+        return code, capsys.readouterr().out, arts
+
+    before = sweep("before")
+    assert main(["sweep", "--config", str(config_path), "--grid-n", "128",
+                 "--out", str(tmp_path / "bad"), "--seed", "x"]) == USAGE_ERROR
+    assert "invalid int value" in capsys.readouterr().err
+    assert sweep("after") == before
+    assert before[0] == 0 and set(before[2]) == {"sweep.csv", "sweep.json"}
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("axioms", "trials", "x"), ("grid", "n", "abc"), ("run", "seed", "1.5"),
     ("sweep", "k1", "one")])
@@ -424,9 +442,10 @@ def one_percent_larger(owner, name, route=None):
     return mutant
 
 
-# what each mutant scales by 1%: (owner, attribute[, maximal scan route])
+# what each mutant scales by 1%: (owner, attribute[, maximal scan route]);
+# stechkin applies its multiplier to the spike probe by filter_spectrum
 MUTANTS = {
-    "multiplier": (fourier, "apply_multiplier"),
+    "multiplier": (fourier, "filter_spectrum"),
     "kernel": (fourier.Mollifier, "spectrum"),
     "maximal_function": (cli, "maximal_scan"),
     "oracle": (cli, "maximal_scan", "oracle"),

@@ -142,12 +142,38 @@ class TestSpaceNorms:
         with pytest.raises(ValueError, match="non-finite"):
             space_norms(space, std_grid, rows)
 
-    # 5 trials fill one chunk on this grid; 7 and 12 leave a ragged last one
-    @pytest.mark.parametrize("trials", [1, 5, 7, 12])
+    @pytest.mark.parametrize("space", [SpaceNorm(1.5), SpaceNorm(2.0),
+                                       SpaceNorm(3.0), SpaceNorm(3.0, -0.5)],
+                             ids=str)
+    def test_overflowing_sum_of_finite_rows_is_infinite(self, space, std_grid,
+                                                         rng):
+        # every |f|^p w is finite near 1e307, and their sum overflows
+        rows = _norm_stack(std_grid, rng)
+        rows[3] = 10.0 ** (307 / space.p)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = space_norms(space, std_grid, rows)
+        assert got[3] == math.inf
+        assert np.isfinite(np.delete(got, 3)).all()
+
+    def test_no_weight_pass_at_gamma_zero(self, std_grid, rng, monkeypatch):
+        def weight(space, grid):
+            raise AssertionError("weight sampled at gamma = 0")
+
+        rows = _norm_stack(std_grid, rng)
+        want = [space_norms(SpaceNorm(p), std_grid, rows) for p in (1.5, 2.0)]
+        monkeypatch.setattr(spaces, "weight_values", weight)
+        for p, norms in zip((1.5, 2.0), want):
+            assert np.array_equal(space_norms(SpaceNorm(p), std_grid, rows),
+                                  norms)
+
+    # 5 trials fill one chunk on this grid and 32 one block; 7 and 12 leave
+    # a ragged last chunk, 34 a ragged last block of one ragged chunk
+    @pytest.mark.parametrize("trials", [1, 5, 7, 12, 32, 34])
     def test_axiom_harness_makes_two_calls_per_chunk(self, trials, std_grid,
                                                      monkeypatch):
-        # the zero function, then per chunk of k trials its (f, g) rows and
-        # its 12 k derived rows, each call within the node budget
+        # the zero function, then per block of K trials one call on its
+        # (f, g) rows and, per chunk of k trials in it, one on its 12 k
+        # derived rows, each call within the node budget
         calls = []
 
         def spy(space, grid, rows):
@@ -159,12 +185,44 @@ class TestSpaceNorms:
                       grid=std_grid)
         n = std_grid.size
         chunk = STACK_NODES // (12 * n)
-        assert chunk == 5
-        sizes = [min(chunk, trials - done) for done in range(0, trials, chunk)]
-        assert calls == [(1, n)] + [s for k in sizes
-                                    for s in ((2 * k, n), (12 * k, n))]
+        block = STACK_NODES // (2 * n)
+        assert (chunk, block) == (5, 32)
+        want = [(1, n)]
+        for done in range(0, trials, block):
+            K = min(block, trials - done)
+            want.append((2 * K, n))
+            want += [(12 * min(chunk, K - lo), n) for lo in range(0, K, chunk)]
+        assert calls == want
         assert all(rows * n <= STACK_NODES for rows, _ in calls)
         assert sum(rows for rows, _ in calls) == 1 + 14 * trials
+
+
+class TestPowerWeight:
+    """The weight each grid computes once per gamma."""
+
+    @pytest.mark.parametrize("gamma", [-0.9, -0.5, 0.5, 1.0])
+    def test_equals_fresh_formula_with_origin_patch(self, gamma):
+        grid = make_grid(8.0, 256)
+        with np.errstate(divide="ignore"):
+            want = np.abs(grid.t) ** gamma
+        want[grid.size // 2] = 0.0 if gamma > 0 else grid.dx**gamma
+        got = spaces.weight_values(SpaceNorm(3.0, gamma), grid)
+        assert got.tobytes() == want.tobytes()
+
+    def test_same_read_only_array_on_repeat_calls(self):
+        grid, space = make_grid(8.0, 256), SpaceNorm(3.0, -0.5)
+        w = spaces.weight_values(space, grid)
+        assert spaces.weight_values(space, grid) is w
+        assert grid.power_weight(-0.5) is w
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+
+    def test_equal_grids_get_their_own_arrays(self):
+        first, second = make_grid(8.0, 256), make_grid(8.0, 256)
+        assert first == second and first is not second
+        w = first.power_weight(-0.5)
+        assert second.power_weight(-0.5) is not w
+        assert np.array_equal(second.power_weight(-0.5), w)
 
 
 class TestAssociateSpace:
@@ -229,11 +287,13 @@ class TestAxiomHarness:
     @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
     @pytest.mark.parametrize("p,gamma", ORACLE_SPACES)
     def test_equals_one_trial_oracle(self, p, gamma, L, n):
-        # trials 1, one full chunk, and one chunk and a ragged remainder
+        # trials 1, one full chunk, one chunk and a ragged remainder, one
+        # full block of (f, g) probes, and one block and a ragged remainder
         grid = make_grid(L, n)
         chunk = max(1, STACK_NODES // (12 * n))
+        block = max(chunk, STACK_NODES // (2 * n))
         space = SpaceNorm(p, gamma)
-        for trials in sorted({1, chunk, chunk + 2}):
+        for trials in sorted({1, chunk, chunk + 2, block, block + 2}):
             assert (verify_axioms(space, trials, seed=trials, grid=grid)
                     == axioms_by_trial(space, trials, trials, grid))
 
