@@ -45,7 +45,7 @@ from .limitops import (
     limit_operator_sweep,
     modulate,
 )
-from .maximal import maximal_function, maximal_norm_estimate, maximal_scan
+from .maximal import maximal_function, maximal_scan
 from .spaces import (
     AxiomCheck,
     SpaceNorm,

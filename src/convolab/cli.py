@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import json
 import math
@@ -28,7 +29,7 @@ from .grid import Grid, make_grid, sample
 from .limitops import (LimitSweepConfig, band_limited_probe, density_experiment,
                        limit_operator_sweep)
 from .maximal import maximal_scan
-from .spaces import SpaceNorm, verify_axioms
+from .spaces import SpaceNorm, space_norm, verify_axioms
 from .symbols import parse_symbol
 
 COMMANDS = ("sweep", "mollify", "stechkin", "maximal-check", "density", "axioms")
@@ -40,14 +41,31 @@ USAGE_ERROR, ASSERTION_FAILURE = 1, 2
 MAX_GRID_N = 2**16
 
 # maximal-check scans its noise trials in stacks of at most this many
-# nodes: 8 trials at n = 256, 2 at n = 1024.  A stack this size keeps the
-# oracle's row-block buffer near 0.5 MB; stacking every trial at once costs
+# nodes: 16 trials at n = 256, 4 at n = 1024.  A stack this size keeps the
+# oracle's row-block buffer near 1 MB; stacking every trial at once costs
 # peak memory and runs slower.
-_CHUNK_NODES = 2048
+_CHUNK_NODES = 4096
+
+
+# mollify: an error at most this fraction of the norm of f is at rounding
+# level (const(1) reads 0, then 4.4e-16), so it counts as converged
+_ROUNDING_FLOOR = 1e-12
 
 
 class ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _overflow_as_usage_error(key: str):
+    """Turn a floating-point overflow in the block into a usage error that
+    names ``key``: a finite input whose powers or squares overflow would
+    otherwise give an infinite or NaN norm and a wrong verdict."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(f"{key}: values too large on this grid ({exc})") from None
 
 
 def _fmt(x: float) -> str:
@@ -178,11 +196,15 @@ def _cmd_mollify(exp: Experiment) -> int:
     sec = exp.section("mollify")
     kind = sec.get("kernel", "gaussian")
     f = sample(sec.get("f", "gaussian"), exp.grid)
-    rows = mollify_sweep(f, make_mollifier(kind, exp.grid), exp.space)
+    with _overflow_as_usage_error("[mollify] f"):
+        rows = mollify_sweep(f, make_mollifier(kind, exp.grid), exp.space)
+        # an error at rounding level has converged: it need fall no further
+        floor = _ROUNDING_FLOOR * space_norm(exp.space, f)
     exp.write_csv("mollify", "delta,error,bound,pointwise_ok", [
         f"{_fmt(r.delta)},{_fmt(r.error)},{_fmt(r.bound)},{int(r.pointwise_ok)}"
         for r in rows])
-    decreasing = all(b.error < a.error for a, b in zip(rows, rows[1:]))
+    decreasing = all(b.error < a.error or b.error <= floor
+                     for a, b in zip(rows, rows[1:]))
     return _verdict(f"mollify: kind={kind} final_error={_fmt(rows[-1].error)}",
                     [("decreasing", decreasing, True),
                      ("pointwise", all(r.pointwise_ok for r in rows), True)])
@@ -239,7 +261,8 @@ def _cmd_density(exp: Experiment) -> int:
     sec = exp.section("density")
     f = sample(sec.get("f", "indicator(-1,1)"), exp.grid)
     eps = sec.getfloat("epsilon", 0.1)
-    result = density_experiment(f, eps, exp.space)
+    with _overflow_as_usage_error("[density] f"):
+        result = density_experiment(f, eps, exp.space)
     exp.write_json("density", {**result.to_json(), "epsilon": eps})
     return _verdict(f"density: delta={_fmt(result.delta)} "
                     f"achieved={_fmt(result.achieved)} epsilon={_fmt(eps)}",

@@ -22,7 +22,10 @@ along its rows and the mask of windows that start after the node.  Every
 mean is the same subtraction and division as in a scan of one start node
 at a time with the same sums, and a max is exact, so the result is
 bit-identical to that scan; a 2-D stack of rows gets each row's scan, bit
-for bit.
+for bit.  A block of k rows of r start nodes and w end nodes writes its
+means into the first k*r*w entries of one flat buffer, as a contiguous
+(k, r, w) array; its divisors are windows of one ramp of window lengths,
+one window per row, so no (r, n) divisor table is stored.
 
 ``fast`` merges blocks bottom-up over the prefix-sum graph: the best
 window containing a node is the steepest chord of the prefix sums across
@@ -44,18 +47,15 @@ The sums are counted from each split, so rounding does not grow with the
 length of the whole array.  Both routes must agree to 1e-12; the oracle
 defines correctness.
 
-``maximal-check`` scans its noise trials as stacks of at most 2048 nodes,
+``maximal-check`` scans its noise trials as stacks of at most 4096 nodes,
 in draw order (see ``cli._CHUNK_NODES``).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .grid import STACK_NODES, Grid, GridFunction, draw_mixture, mixture_stack
-from .spaces import SpaceNorm, space_norms
+from .grid import GridFunction
 
 # Blocks of at most this many nodes are solved by the all-windows scan.
 # Kept below 256 so that the quick grid (n = 256) still runs a hull merge.
@@ -78,15 +78,18 @@ def _oracle_scan(av: np.ndarray) -> np.ndarray:
     rows = min(_ROW_BLOCK, n)
     # row i of a block starts at a0 + i and column j ends at a0 + j; a
     # window that ends before it starts gets length 1 and a mean <= 0
-    # (av >= 0), so it never raises a real window's suffix max
-    lens = np.arange(1.0, n + 1) - np.arange(rows)[:, None]
-    np.maximum(lens, 1.0, out=lens)
+    # (av >= 0), so it never raises a real window's suffix max.  Row i of
+    # the lengths is the window of one ramp that starts i nodes before
+    # row 0's, so all rows read the same n + rows values
+    ramp = np.maximum(np.arange(1.0 - rows, n + 1), 1.0)
+    lens = np.lib.stride_tricks.sliding_window_view(ramp, n)[:0:-1]
     before = np.tri(rows, k=-1, dtype=bool)
-    buf = np.empty((k, rows, n))
+    # each block's means fill the front of one flat buffer, contiguous
+    buf = np.empty(k * rows * n)
     for a0 in range(0, n, rows):
         r, w = min(rows, n - a0), n - a0
         np.cumsum(stack[:, a0:], axis=1, out=S[:, 1:w + 1])
-        means = buf[:, :r, :w]
+        means = buf[:k * r * w].reshape(k, r, w)
         np.subtract(S[:, None, 1:w + 1], S[:, :r, None], out=means)
         np.divide(means, lens[:r, :w], out=means)
         if w > r:
@@ -231,34 +234,3 @@ def maximal_scan(av: np.ndarray, mode: str = "fast") -> np.ndarray:
 def maximal_function(f: GridFunction, mode: str = "fast") -> GridFunction:
     """Maximal function of |f| over node windows, per the discrete model."""
     return GridFunction(f.grid, maximal_scan(np.abs(f.values), mode))
-
-
-def maximal_norm_estimate(
-    space: SpaceNorm,
-    trials: int,
-    seed: int,
-    grid: Grid,
-) -> float:
-    """Lower bound for the operator norm of the maximal operator.
-
-    Maximizes ``|Mf| / |f|`` over random nonzero probes, drawn and scanned
-    as stacks of at most ``STACK_NODES`` nodes.  This is a lower
-    bound only; certified upper bounds are out of scope.  Unsupported at
-    the endpoint exponents, where the operator is unbounded (p = 1) or the
-    estimate is trivial (p = inf).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if math.isinf(space.p) or not space.p > 1.0:
-        raise ValueError("maximal norm estimate requires 1 < p < inf")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    chunk = max(1, STACK_NODES // grid.size)
-    for done in range(0, trials, chunk):
-        probes = np.abs(mixture_stack(grid, [
-            draw_mixture(grid, rng) for _ in range(min(chunk, trials - done))]))
-        nf = space_norms(space, grid, probes)
-        live = nf != 0.0
-        images = space_norms(space, grid, maximal_scan(probes))
-        best = max([best, *(images[live] / nf[live]).tolist()])
-    return best

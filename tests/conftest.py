@@ -12,7 +12,6 @@ from convolab import (
     conjugated_apply,
     dft_pair,
     make_grid,
-    maximal_function,
     quadrature,
     random_mixture,
     shift_symbol,
@@ -193,15 +192,3 @@ def multiplier_bound_by_trial(a, space, trials, seed, grid):
     probe = dft_pair(GridFunction(grid, spike), "inverse")
     ratio = space_norm(space, apply_multiplier(a, probe)) / space_norm(space, probe)
     return max(best, ratio)
-
-
-def maximal_estimate_by_trial(space, trials, seed, grid):
-    """Oracle of ``maximal_norm_estimate``: one probe at a time."""
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        f = random_mixture(grid, rng)
-        nf = space_norm(space, f)
-        if nf != 0.0:
-            best = max(best, space_norm(space, maximal_function(f)) / nf)
-    return best

@@ -1,0 +1,58 @@
+"""Random-probe lower bound for the norm of the maximal operator.
+
+No command reports this estimate yet; it is kept here, with its
+one-probe-at-a-time oracle, for the estimate of the norm of M on X and on
+X' that ``maximal-check`` is to report (ROADMAP, item 7).
+"""
+
+import math
+
+import numpy as np
+
+from convolab import (Grid, SpaceNorm, draw_mixture, maximal_function,
+                      maximal_scan, mixture_stack, random_mixture, space_norm,
+                      space_norms)
+from convolab.grid import STACK_NODES
+
+
+def maximal_norm_estimate(
+    space: SpaceNorm,
+    trials: int,
+    seed: int,
+    grid: Grid,
+) -> float:
+    """Lower bound for the operator norm of the maximal operator.
+
+    Maximizes ``|Mf| / |f|`` over random nonzero probes, drawn and scanned
+    as stacks of at most ``STACK_NODES`` nodes.  This is a lower
+    bound only; certified upper bounds are out of scope.  Unsupported at
+    the endpoint exponents, where the operator is unbounded (p = 1) or the
+    estimate is trivial (p = inf).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if math.isinf(space.p) or not space.p > 1.0:
+        raise ValueError("maximal norm estimate requires 1 < p < inf")
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    chunk = max(1, STACK_NODES // grid.size)
+    for done in range(0, trials, chunk):
+        probes = np.abs(mixture_stack(grid, [
+            draw_mixture(grid, rng) for _ in range(min(chunk, trials - done))]))
+        nf = space_norms(space, grid, probes)
+        live = nf != 0.0
+        images = space_norms(space, grid, maximal_scan(probes))
+        best = max([best, *(images[live] / nf[live]).tolist()])
+    return best
+
+
+def maximal_estimate_by_trial(space, trials, seed, grid):
+    """Oracle of ``maximal_norm_estimate``: one probe at a time."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        f = random_mixture(grid, rng)
+        nf = space_norm(space, f)
+        if nf != 0.0:
+            best = max(best, space_norm(space, maximal_function(f)) / nf)
+    return best

@@ -1,5 +1,6 @@
 import configparser
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,36 @@ def test_mollify_with_a_single_rung_is_usage_error(tmp_path, capsys):
     assert "one scale" in capsys.readouterr().err
     # a rejected run leaves no empty output directory behind
     assert not (tmp_path / "out").exists()
+
+
+def test_mollify_passes_once_its_error_is_at_rounding_level(tmp_path, capsys):
+    # const(1) is smoothed exactly: its errors read 0 and then 4.4e-16,
+    # below 1e-12 * |f|, which counts as converged and not as a rise
+    path = tmp_path / "const.ini"
+    path.write_text("[mollify]\nkernel = gaussian\nf = const(1)\n")
+    assert main(["mollify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert " decreasing=pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("space", ["", "[space]\np = 3\ngamma = -0.5\n"],
+                         ids=["L2", "weighted-L3"])
+@pytest.mark.parametrize("command", ["density", "mollify"])
+def test_input_whose_powers_overflow_is_usage_error(command, space, tmp_path,
+                                                    capsys):
+    # 1e154 is finite, but its square sums or the square of its spectrum
+    # overflow: the run would report an infinite error or a mass of NaN
+    path = tmp_path / "big.ini"
+    path.write_text(f"{space}[{command}]\nf = const(1e154)\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(path), "--out", str(out)])
+    assert code == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{command}] f: values too large")
+    assert err.count("\n") == 1
+    assert not caught
+    assert not out.exists()
 
 
 def test_infinite_exponent_header(tmp_path):

@@ -11,13 +11,14 @@ from convolab import (
     SpaceNorm,
     make_grid,
     maximal_function,
-    maximal_norm_estimate,
     maximal_scan,
     sample,
     space_norm,
 )
 from convolab.grid import STACK_NODES
-from conftest import ORACLE_GRIDS, ORACLE_SPACES, maximal_estimate_by_trial
+import maximal_estimate
+from conftest import ORACLE_GRIDS, ORACLE_SPACES
+from maximal_estimate import maximal_estimate_by_trial, maximal_norm_estimate
 
 
 def brute_force_maximal(av):
@@ -162,6 +163,27 @@ class TestStackedFastScan:
         assert got.shape == (rows, n)
         for row, av in zip(got, inputs):
             assert np.array_equal(row, maximal._fast_scan(av)), n
+
+
+class TestStridedInput:
+    """Both routes scan a strided view bit for bit as its contiguous copy."""
+
+    # block edges: one ragged block of 31 rows, 32 + 1, 4 * 32 + 1 (and a
+    # padded second leaf), 32 * 32 + 1
+    @pytest.mark.parametrize("n", [31, 33, 129, 1025])
+    @pytest.mark.parametrize("mode", ["fast", "oracle"])
+    def test_views_scan_as_their_copies(self, n, mode, rng):
+        base = np.abs(rng.normal(size=(3, 2 * n)))
+        views = {
+            "reversed rows": base[::-1, :n],
+            "reversed columns": base[:, n - 1::-1],
+            "Fortran-ordered stack": np.asfortranarray(base[:, :n]),
+            "every other column": base[:, ::2],
+            "one row, every other node": base[1, ::2],
+        }
+        for name, av in views.items():
+            want = maximal_scan(np.ascontiguousarray(av), mode)
+            assert np.array_equal(maximal_scan(av, mode), want), name
 
 
 def _plain_upper_hull(xs, ys):
@@ -362,10 +384,10 @@ class TestNormEstimate:
             def call(*args):
                 calls.append((name, args[rows_at].shape))
                 return exact(*args)
-            monkeypatch.setattr(maximal, name, call)
+            monkeypatch.setattr(maximal_estimate, name, call)
 
-        spy("space_norms", maximal.space_norms, 2)
-        spy("maximal_scan", maximal.maximal_scan, 0)
+        spy("space_norms", maximal_estimate.space_norms, 2)
+        spy("maximal_scan", maximal_estimate.maximal_scan, 0)
         maximal_norm_estimate(SpaceNorm(2.0), 20, 1, grid)
         want = []
         for rows in (16, 4):
