@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import sys
+import threading
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,7 +44,9 @@ MAX_GRID_N = 2**16
 # maximal-check scans its noise trials in stacks of at most this many
 # nodes: 16 trials at n = 256, 4 at n = 1024.  A stack this size keeps the
 # oracle's row-block buffer near 1 MB; stacking every trial at once costs
-# peak memory and runs slower.
+# peak memory and runs slower.  Each stack's fast scan runs on a worker
+# thread while the oracle runs on the caller; 2048-node stacks lose that
+# overlap.
 _CHUNK_NODES = 4096
 
 
@@ -57,15 +60,18 @@ class ConfigError(Exception):
 
 
 @contextlib.contextmanager
-def _overflow_as_usage_error(key: str):
+def _overflow_as_usage_error(key: str, grid: Grid):
     """Turn a floating-point overflow in the block into a usage error that
-    names ``key``: a finite input whose powers or squares overflow would
-    otherwise give an infinite or NaN norm and a wrong verdict."""
+    names ``key`` and the grid: a finite input whose powers or squares
+    overflow would otherwise give an infinite or NaN norm and a wrong
+    verdict.  Spectra scale with dx = 2L/n, so a wide grid alone can
+    overflow them."""
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError as exc:
-        raise ConfigError(f"{key}: values too large on this grid ({exc})") from None
+        raise ConfigError(f"{key}: values too large on the grid "
+                          f"L={_fmt(grid.half_width)} n={grid.size} ({exc})") from None
 
 
 def _fmt(x: float) -> str:
@@ -196,7 +202,7 @@ def _cmd_mollify(exp: Experiment) -> int:
     sec = exp.section("mollify")
     kind = sec.get("kernel", "gaussian")
     f = sample(sec.get("f", "gaussian"), exp.grid)
-    with _overflow_as_usage_error("[mollify] f"):
+    with _overflow_as_usage_error("[mollify] f", exp.grid):
         rows = mollify_sweep(f, make_mollifier(kind, exp.grid), exp.space)
         # an error at rounding level has converged: it need fall no further
         floor = _ROUNDING_FLOOR * space_norm(exp.space, f)
@@ -223,6 +229,35 @@ def _cmd_stechkin(exp: Experiment) -> int:
                     f"v_norm={report.v_norm:.3f} ratio={report.ratio:.3f}", gates)
 
 
+def _scan_both_routes(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fast and the oracle scan of ``av``, the fast one on a worker thread.
+
+    The oracle's subtractions, divisions and max reductions release the
+    GIL, so the fast scan's Python loops run beside them.  The worker is
+    joined before this returns, also when the oracle raises, and its
+    exception, if any, is raised here.
+    """
+    # with the oracle on the worker instead, a long run's peak memory
+    # varied by up to 2 MB from run to run
+    fast: list = []
+
+    def work():
+        try:
+            fast.append(maximal_scan(av, "fast"))
+        except BaseException as exc:
+            fast.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        oracle = maximal_scan(av, "oracle")
+    finally:
+        worker.join()
+    if isinstance(fast[0], BaseException):
+        raise fast[0]
+    return fast[0], oracle
+
+
 def _cmd_maximal_check(exp: Experiment) -> int:
     sec = exp.section("maximal-check")
     trials = sec.getint("trials", 20)
@@ -236,7 +271,8 @@ def _cmd_maximal_check(exp: Experiment) -> int:
     # one n-point draw per trial
     for done in range(0, trials, chunk):
         av = np.abs(rng.normal(size=(min(chunk, trials - done), n)))
-        gaps = np.abs(maximal_scan(av, "fast") - maximal_scan(av, "oracle"))
+        fast, oracle = _scan_both_routes(av)
+        gaps = np.abs(fast - oracle)
         worst = max(worst, float(np.max(gaps)))
 
     # the discrete M chi in closed form: the best window from node j runs
@@ -261,7 +297,7 @@ def _cmd_density(exp: Experiment) -> int:
     sec = exp.section("density")
     f = sample(sec.get("f", "indicator(-1,1)"), exp.grid)
     eps = sec.getfloat("epsilon", 0.1)
-    with _overflow_as_usage_error("[density] f"):
+    with _overflow_as_usage_error("[density] f", exp.grid):
         result = density_experiment(f, eps, exp.space)
     exp.write_json("density", {**result.to_json(), "epsilon": eps})
     return _verdict(f"density: delta={_fmt(result.delta)} "

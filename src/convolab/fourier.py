@@ -201,8 +201,12 @@ def multiplier_norm_lower_bound(
     spike = np.zeros(grid.size, dtype=complex)
     spike[int(np.argmax(np.abs(m)))] = 1.0
     probe = dft_pair(GridFunction(grid, spike), "inverse")
-    ratio = space_norm(space, filter_spectrum(probe, m)) / space_norm(space, probe)
-    return max(best, ratio)
+    norm = space_norm(space, probe)
+    if norm == 0.0:
+        # the probe's modulus is 1/(2L), whose powers underflow on a wide grid
+        raise ValueError(f"the pure-frequency probe has norm 0 on the grid "
+                         f"L={grid.half_width:.12g} n={grid.size}")
+    return max(best, space_norm(space, filter_spectrum(probe, m)) / norm)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,14 @@ def bump_profile(x: np.ndarray, center: float = 0.0, width: float = 1.0) -> np.n
     return out
 
 
+def _gaussian(x: np.ndarray, center, spread) -> np.ndarray:
+    """``exp(-(x - center)^2 / spread)``.  Far out on a very wide grid the
+    square overflows to inf and the value is exp(-inf) = 0, which is exact,
+    so that overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return np.exp(-((x - center) ** 2) / spread)
+
+
 def indicator_profile(c: float, d: float) -> Profile:
     """Characteristic function of the half-open interval [c, d)."""
     def fn(x: np.ndarray) -> np.ndarray:
@@ -238,7 +246,7 @@ def parse_profile(text: str) -> Profile:
         mu, sigma = float_args(name, args, (0.0, 1.0))
         if sigma <= 0:
             raise ValueError("gaussian width must be positive")
-        return lambda x: np.exp(-((np.asarray(x, float) - mu) ** 2) / (2 * sigma**2))
+        return lambda x: _gaussian(np.asarray(x, float), mu, 2 * sigma**2)
     if name == "bump":
         c, w = float_args(name, args, (0.0, 1.0))
         if w <= 0:
@@ -382,7 +390,7 @@ def mixture_stack(grid: Grid, draws: list[tuple]) -> np.ndarray:
     t = grid.t
     vals = np.zeros((len(draws), grid.size), dtype=d.dtype)
     for c, spread, amp in zip(d[0:12:3].real, d[1:12:3].real, d[2:12:3]):
-        vals += amp * np.exp(-((t - c) ** 2) / spread)
+        vals += amp * _gaussian(t, c, spread)
     a, b, height = d[12:].real
     vals += height * ((t >= a) & (t < b))
     vals[np.abs(vals).max(axis=1) < 1e-12, grid.size // 2] = 1.0

@@ -48,7 +48,10 @@ length of the whole array.  Both routes must agree to 1e-12; the oracle
 defines correctness.
 
 ``maximal-check`` scans its noise trials as stacks of at most 4096 nodes,
-in draw order (see ``cli._CHUNK_NODES``).
+in draw order (see ``cli._CHUNK_NODES``).  It runs each stack's fast scan
+on a worker thread while the oracle runs on the caller: the two share no
+state, and the oracle's subtractions, divisions and max reductions release
+the GIL.
 """
 
 from __future__ import annotations

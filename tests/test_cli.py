@@ -1,5 +1,7 @@
 import configparser
 import json
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -434,6 +436,37 @@ def test_maximal_check_scans_its_trials_in_draw_order_within_the_budget(
         assert np.array_equal(np.concatenate(chunks), draws), mode
 
 
+def failing_route(failing):
+    """``cli.maximal_scan`` whose ``failing`` route raises ``ValueError`` on
+    a stack once the other route has started; the other one runs on for
+    0.1 s, so the error is raised while it still runs."""
+    exact, other_running = cli.maximal_scan, threading.Event()
+
+    def scan(av, mode="fast"):
+        if av.ndim == 2:
+            if mode == failing:
+                other_running.wait(10)
+                raise ValueError(f"{mode} route broke")
+            other_running.set()
+            time.sleep(0.1)
+        return exact(av, mode)
+    return scan
+
+
+@pytest.mark.parametrize("failing", ["oracle", "fast"])
+def test_maximal_check_reraises_a_route_error_and_joins_its_worker(
+        failing, tmp_path, capsys, monkeypatch):
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    monkeypatch.setattr(cli, "maximal_scan", failing_route(failing))
+    threads = threading.active_count()
+    assert run_shipped("maximal-check", "quick.ini", tmp_path) == USAGE_ERROR
+    assert threading.active_count() == threads
+    assert not unhandled
+    assert capsys.readouterr().err == f"error: {failing} route broke\n"
+    assert not (tmp_path / "out").exists()
+
+
 def one_percent_larger(owner, name, route=None):
     """``owner.name`` 1% too large; a maximal scan only on ``route``, if given."""
     exact = getattr(owner, name)
@@ -526,6 +559,40 @@ def test_input_whose_powers_overflow_is_usage_error(command, space, tmp_path,
     assert err.count("\n") == 1
     assert not caught
     assert not out.exists()
+
+
+def test_density_overflow_on_a_wide_grid_names_the_grid(tmp_path, capsys):
+    # spectra scale with dx = 2L/n: here the width alone overflows them
+    code = run_shipped("density", "quick.ini", tmp_path, "--grid-L", "1e200")
+    assert code == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: [density] f: values too large on the grid "
+                          "L=1e+200 n=256 (")
+    assert err.count("\n") == 1
+
+
+def test_stechkin_on_a_grid_where_its_spike_probe_vanishes_is_usage_error(
+        tmp_path, capsys):
+    # the spike probe's modulus 1/(2L) = 5e-201 squares to 0
+    code = run_shipped("stechkin", "quick.ini", tmp_path, "--grid-L", "1e200")
+    assert code == USAGE_ERROR
+    assert capsys.readouterr().err == (
+        "error: the pure-frequency probe has norm 0 on the grid L=1e+200 n=256\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,code", [("axioms", 0), ("mollify", USAGE_ERROR)])
+def test_gaussians_far_out_on_a_wide_grid_give_no_warning(command, code,
+                                                          tmp_path, capsys):
+    # (t - c)^2 overflows to inf there, and exp(-inf) = 0 is exact
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_shipped(command, "quick.ini", tmp_path,
+                           "--grid-L", "1e200") == code
+    assert not caught
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert err.count("\n") == (code == USAGE_ERROR)
 
 
 def test_infinite_exponent_header(tmp_path):
