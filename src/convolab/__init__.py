@@ -7,11 +7,7 @@ mollifier families, density of band-limited probes, and the decay of
 modulation-conjugated operators when the symbol dies off at infinity.
 """
 
-from .errors import InconclusiveError
 from .fourier import (
-    Mollifier,
-    MollifyRow,
-    StechkinReport,
     apply_multiplier,
     convolve,
     make_mollifier,
@@ -22,23 +18,17 @@ from .fourier import (
 from .grid import (
     Grid,
     GridFunction,
-    bump_profile,
     dft_pair,
     draw_mixture,
-    filter_rows,
     filter_spectrum,
-    indicator_profile,
     make_grid,
     mixture_stack,
-    parse_profile,
     quadrature,
     random_mixture,
     sample,
 )
 from .limitops import (
-    DensityResult,
     LimitSweepConfig,
-    SweepRow,
     band_limited_probe,
     conjugated_apply,
     density_experiment,
@@ -53,17 +43,13 @@ from .spaces import (
     space_norm,
     space_norms,
     verify_axioms,
-    weight_values,
 )
 from .symbols import (
+    InconclusiveError,
     Symbol,
     SymbolNorms,
     TailBehavior,
-    arctan_symbol,
-    const_symbol,
-    indicator_symbol,
     parse_symbol,
-    rational_decay_symbol,
     shift_symbol,
     symbol_norms,
     tail_truncate,

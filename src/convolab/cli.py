@@ -24,14 +24,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InconclusiveError
 from .fourier import make_mollifier, mollify_sweep, stechkin_check
-from .grid import Grid, make_grid, sample
+from .grid import Grid, make_grid, sample, stacks
 from .limitops import (LimitSweepConfig, band_limited_probe, density_experiment,
                        limit_operator_sweep)
 from .maximal import maximal_scan
 from .spaces import SpaceNorm, space_norm, verify_axioms
-from .symbols import parse_symbol
+from .symbols import InconclusiveError, Symbol, parse_symbol
 
 COMMANDS = ("sweep", "mollify", "stechkin", "maximal-check", "density", "axioms")
 
@@ -168,9 +167,20 @@ class Experiment:
         return self.cfg[name]
 
 
+def _symbol(exp: Experiment, command: str) -> Symbol:
+    """The ``[command] symbol``, refused when it is zero at every frequency
+    node: the operator is then 0 and every bound on it holds vacuously."""
+    symbol = parse_symbol(exp.section(command).get("symbol", "indicator(-1,1)"))
+    if not np.any(symbol(exp.grid.xi)):
+        raise ConfigError(f"[{command}] symbol {symbol.label} is zero at every "
+                          "frequency node of the grid: the check would pass "
+                          "vacuously")
+    return symbol
+
+
 def _cmd_sweep(exp: Experiment) -> int:
     sec = exp.section("sweep")
-    symbol = parse_symbol(sec.get("symbol", "indicator(-1,1)"))
+    symbol = _symbol(exp, "sweep")
     k1, k2 = sec.getfloat("k1", 1.0), sec.getfloat("k2", 2.0)
     targets = sec.getfloats("h", [4.0, 8.0, 16.0, 32.0])
     dxi = exp.grid.dxi
@@ -218,7 +228,7 @@ def _cmd_mollify(exp: Experiment) -> int:
 
 def _cmd_stechkin(exp: Experiment) -> int:
     sec = exp.section("stechkin")
-    symbol = parse_symbol(sec.get("symbol", "indicator(-1,1)"))
+    symbol = _symbol(exp, "stechkin")
     report = stechkin_check(symbol, exp.space, sec.getint("trials", 20),
                             exp.seed, exp.grid)
     exp.write_json("stechkin", dataclasses.asdict(report))
@@ -264,13 +274,12 @@ def _cmd_maximal_check(exp: Experiment) -> int:
     if trials < 1:
         raise ConfigError(f"[maximal-check] trials must be >= 1, got {trials}")
     n = exp.grid.size
-    chunk = max(1, _CHUNK_NODES // n)
     rng = np.random.default_rng(exp.seed)
     worst = 0.0
     # consecutive (c, n) draws give the same numbers, in the same order, as
     # one n-point draw per trial
-    for done in range(0, trials, chunk):
-        av = np.abs(rng.normal(size=(min(chunk, trials - done), n)))
+    for stack in stacks(trials, n, _CHUNK_NODES):
+        av = np.abs(rng.normal(size=(len(stack), n)))
         fast, oracle = _scan_both_routes(av)
         gaps = np.abs(fast - oracle)
         worst = max(worst, float(np.max(gaps)))

@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (
-    STACK_NODES,
     Grid,
     GridFunction,
     bump_profile,
@@ -29,6 +28,7 @@ from .grid import (
     filter_spectrum,
     mixture_stack,
     quadrature,
+    stacks,
 )
 from .maximal import maximal_function
 from .spaces import SpaceNorm, space_norm, space_norms
@@ -97,7 +97,10 @@ class Mollifier:
         ``_MIN_DELTA_CELLS * dx``, which is the last rung (the only one when
         the floor is at least 1).  At the bump kernel's floor the band
         ``[-1/delta, 1/delta]`` still lies inside the frequency window.
+        A zero ``f`` raises ``ValueError``: every rung would match it.
         """
+        if not np.any(f.values):
+            raise ValueError("f is zero: the check would pass vacuously")
         floor = _MIN_DELTA_CELLS * self.grid.dx
         delta = max(1.0, floor)
         while True:
@@ -177,8 +180,8 @@ def multiplier_norm_lower_bound(
     """Max Rayleigh ratio ``|W(a) f| / |f|`` over probe functions.
 
     Always a lower bound for the operator norm.  The ``trials`` random
-    complex mixtures are drawn and filtered as stacks of at most
-    ``STACK_NODES`` nodes, one FFT pair per stack.  The probe set also holds
+    complex mixtures are drawn and filtered in the stacks of
+    :func:`grid.stacks`, one FFT pair per stack.  The probe set also holds
     the pure-frequency probe at the argmax node: it is an eigenvector of
     the operator with constant modulus, so in every lattice norm its ratio
     is ``max_k |a(x_k)|``, which at (p=2, gamma=0) is the norm itself.
@@ -188,11 +191,9 @@ def multiplier_norm_lower_bound(
     rng = np.random.default_rng(seed)
     m = a(grid.xi)
     best = 0.0
-    chunk = max(1, STACK_NODES // grid.size)
-    for done in range(0, trials, chunk):
+    for stack in stacks(trials, grid.size):
         probes = mixture_stack(grid, [
-            draw_mixture(grid, rng, complex_values=True)
-            for _ in range(min(chunk, trials - done))])
+            draw_mixture(grid, rng, complex_values=True) for _ in stack])
         nf = space_norms(space, grid, probes)
         live = nf != 0.0
         images = space_norms(space, grid, filter_rows(probes, m))

@@ -40,6 +40,14 @@ ProfileLike = Union[str, Profile]
 STACK_NODES = 2**14
 
 
+def stacks(count: int, nodes: int, budget: int = STACK_NODES) -> list[range]:
+    """Consecutive ranges that cover ``range(count)`` in order, one per call
+    of a probe harness on items of ``nodes`` nodes each: every range holds
+    at most ``budget // nodes`` items, and always at least one."""
+    size = max(1, budget // nodes)
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform lattice on ``[-L, L)`` paired with its dual frequency lattice.
@@ -216,14 +224,6 @@ def _gaussian(x: np.ndarray, center, spread) -> np.ndarray:
         return np.exp(-((x - center) ** 2) / spread)
 
 
-def indicator_profile(c: float, d: float) -> Profile:
-    """Characteristic function of the half-open interval [c, d)."""
-    def fn(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return ((x >= c) & (x < d)).astype(float)
-    return fn
-
-
 def parse_profile(text: str) -> Profile:
     """Parse a spatial function descriptor into a vectorized callable.
 
@@ -241,7 +241,8 @@ def parse_profile(text: str) -> Profile:
         c, d = float_args(name, args, (None, None))
         if c >= d:
             raise ValueError(f"indicator needs two ordered arguments, got {args}")
-        return indicator_profile(c, d)
+        return lambda x: ((np.asarray(x, float) >= c)
+                          & (np.asarray(x, float) < d)).astype(float)
     if name == "gaussian":
         mu, sigma = float_args(name, args, (0.0, 1.0))
         if sigma <= 0:

@@ -47,11 +47,11 @@ The sums are counted from each split, so rounding does not grow with the
 length of the whole array.  Both routes must agree to 1e-12; the oracle
 defines correctness.
 
-``maximal-check`` scans its noise trials as stacks of at most 4096 nodes,
-in draw order (see ``cli._CHUNK_NODES``).  It runs each stack's fast scan
-on a worker thread while the oracle runs on the caller: the two share no
-state, and the oracle's subtractions, divisions and max reductions release
-the GIL.
+``maximal-check`` scans its noise trials in draw order, in the stacks of
+``grid.stacks`` with the budget ``cli._CHUNK_NODES`` = 4096 nodes.  It
+runs each stack's fast scan on a worker thread while the oracle runs on
+the caller: the two share no state, and the oracle's subtractions,
+divisions and max reductions release the GIL.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .grid import (STACK_NODES, Grid, GridFunction, _uniform, draw_mixture,
-                   mixture_stack)
+from .grid import (Grid, GridFunction, _uniform, draw_mixture, mixture_stack,
+                   stacks)
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,6 @@ class SpaceNorm:
         return self.p == 2.0 and self.gamma == 0.0
 
 
-def weight_values(space: SpaceNorm, grid: Grid) -> np.ndarray:
-    """Samples of |x|^gamma, the origin node regularized: the grid's
-    read-only :meth:`Grid.power_weight`, computed once per grid and gamma."""
-    return grid.power_weight(space.gamma)
-
-
 def space_norms(space: SpaceNorm, grid: Grid, rows: np.ndarray) -> np.ndarray:
     """Norm of each row of a ``(k, n)`` stack of node values on ``grid``.
 
@@ -72,7 +66,7 @@ def space_norms(space: SpaceNorm, grid: Grid, rows: np.ndarray) -> np.ndarray:
     if not math.isinf(space.p):
         integrand = integrand**space.p
         if space.gamma != 0.0:  # x * 1.0 == x: no weight pass at gamma = 0
-            integrand = integrand * weight_values(space, grid)
+            integrand = integrand * grid.power_weight(space.gamma)
     totals = (integrand.max if math.isinf(space.p) else integrand.sum)(axis=-1)
     # a non-finite integrand makes its row total non-finite, while a total
     # that overflows from finite values is an infinite norm
@@ -132,9 +126,9 @@ def verify_axioms(
     or an A5 constant that is not finite, fails its axiom.
 
     Each trial draws f, g, alpha, u, a and b, in that order.  The trials run
-    in blocks of ``max(chunk, STACK_NODES // (2 n))``, and each block in
-    chunks of ``chunk = max(1, STACK_NODES // (12 n))`` (a block of 32 and
-    chunks of 5 at n = 256, 8 and 1 at n = 1024): one ``space_norms`` call
+    in the blocks of ``grid.stacks(trials, 2 n)``, and each block in the
+    chunks of ``grid.stacks(len(block), 12 n)`` (a block of 32 and chunks
+    of 5 at n = 256, 8 and 1 at n = 1024): one ``space_norms`` call
     takes a block's (f, g) rows, one per chunk its twelve derived rows per
     trial, and the checks then run in trial order.  A trial with
     norm(f) = 0 fails A1 and skips its other checks; its alpha, u, a and b
@@ -158,12 +152,10 @@ def verify_axioms(
         return ok
 
     check("A1", 0.0, space_norms(space, grid, np.zeros((1, n)))[0] == 0.0)
-    chunk = max(1, STACK_NODES // (12 * n))
-    block = max(chunk, STACK_NODES // (2 * n))
-    for done in range(0, trials, block):
-        k = min(block, trials - done)
+    for block in stacks(trials, 2 * n):
+        k = len(block)
         draws, alpha, u, a, b = [], [], [], [], []
-        for _ in range(k):
+        for _ in block:
             draws += [draw_mixture(grid, rng), draw_mixture(grid, rng)]
             # rng.uniform's draws, bit for bit (see grid._uniform)
             alpha.append(_uniform(rng, 0.1, 10.0))
@@ -179,9 +171,9 @@ def verify_axioms(
         # per trial: alpha f, f + g, f u with 0 <= u <= 1, the truncations
         # of f, and the indicator chi of a random finite interval [a, b)
         derived = []
-        for lo in range(0, k, chunk):
-            c = slice(lo, lo + chunk)
-            rows = np.empty((len(f[c]), 12, n))
+        for chunk in stacks(k, 12 * n):
+            c = slice(chunk.start, chunk.stop)
+            rows = np.empty((len(chunk), 12, n))
             rows[:, 0] = alpha[c, None] * f[c]
             rows[:, 1] = f[c] + g[c]
             rows[:, 2] = f[c] * u[c]

@@ -24,13 +24,20 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InconclusiveError
 from .grid import float_args, parse_call
 
 # relative offset used to probe one-sided values next to a breakpoint
 _SIDE_EPS = 1e-9
 # uniform samples per segment between consecutive base nodes
 _PER_SEGMENT = 128
+
+
+class InconclusiveError(RuntimeError):
+    """A quantity cannot be certified from the declared structure.
+
+    Raised e.g. when a symbol lacks a tail declaration and the sampling
+    window alone cannot bound a supremum over an unbounded region.
+    """
 
 
 @dataclass(frozen=True)
@@ -80,42 +87,6 @@ class SymbolNorms(NamedTuple):
 # ---------------------------------------------------------------------------
 # grammar
 
-def indicator_symbol(c: float, d: float) -> Symbol:
-    """Characteristic function of the closed interval [c, d]."""
-    if not c < d:
-        raise ValueError(f"indicator needs c < d, got ({c}, {d})")
-
-    def fn(x):
-        return ((x >= c) & (x <= d)).astype(float)
-
-    radius = max(abs(c), abs(d))
-    return Symbol(fn, (c, d), TailBehavior(radius, 0.0, 0.0), f"indicator({c},{d})")
-
-
-def const_symbol(k: float) -> Symbol:
-    return Symbol(
-        lambda x: np.full_like(np.asarray(x, float), k),
-        (),
-        TailBehavior(0.0, k, k),
-        f"const({k})",
-    )
-
-
-def arctan_symbol() -> Symbol:
-    return Symbol(np.arctan, (), TailBehavior(0.0, -math.pi / 2, math.pi / 2), "arctan")
-
-
-def rational_decay_symbol(s: float = 1.0) -> Symbol:
-    if s <= 0:
-        raise ValueError("rational_decay exponent must be positive")
-    return Symbol(
-        lambda x: (1.0 + np.asarray(x, float) ** 2) ** (-s),
-        (0.0,),
-        TailBehavior(0.0, 0.0, 0.0),
-        f"rational_decay({s})",
-    )
-
-
 def parse_symbol(text: str) -> Symbol:
     """Parse the compact symbol grammar.
 
@@ -124,14 +95,26 @@ def parse_symbol(text: str) -> Symbol:
     """
     name, args = parse_call(text, "symbol")
     if name == "indicator":
-        return indicator_symbol(*float_args(name, args, (None, None)))
+        c, d = float_args(name, args, (None, None))
+        if not c < d:
+            raise ValueError(f"indicator needs c < d, got ({c}, {d})")
+        return Symbol(lambda x: ((x >= c) & (x <= d)).astype(float), (c, d),
+                      TailBehavior(max(abs(c), abs(d)), 0.0, 0.0),
+                      f"indicator({c},{d})")
     if name == "const":
-        return const_symbol(*float_args(name, args, (1.0,)))
+        (k,) = float_args(name, args, (1.0,))
+        return Symbol(lambda x: np.full_like(np.asarray(x, float), k), (),
+                      TailBehavior(0.0, k, k), f"const({k})")
     if name == "arctan":
         float_args(name, args, ())
-        return arctan_symbol()
+        return Symbol(np.arctan, (), TailBehavior(0.0, -math.pi / 2, math.pi / 2),
+                      "arctan")
     if name == "rational_decay":
-        return rational_decay_symbol(*float_args(name, args, (1.0,)))
+        (s,) = float_args(name, args, (1.0,))
+        if s <= 0:
+            raise ValueError("rational_decay exponent must be positive")
+        return Symbol(lambda x: (1.0 + np.asarray(x, float) ** 2) ** (-s), (0.0,),
+                      TailBehavior(0.0, 0.0, 0.0), f"rational_decay({s})")
     if name in ("shift", "truncate"):
         if len(args) != 2:
             raise ValueError(f"{name} needs (<symbol>, number), got {args}")

@@ -12,7 +12,7 @@ import numpy as np
 from convolab import (Grid, SpaceNorm, draw_mixture, maximal_function,
                       maximal_scan, mixture_stack, random_mixture, space_norm,
                       space_norms)
-from convolab.grid import STACK_NODES
+from convolab.grid import stacks
 
 
 def maximal_norm_estimate(
@@ -24,7 +24,7 @@ def maximal_norm_estimate(
     """Lower bound for the operator norm of the maximal operator.
 
     Maximizes ``|Mf| / |f|`` over random nonzero probes, drawn and scanned
-    as stacks of at most ``STACK_NODES`` nodes.  This is a lower
+    in the stacks of ``grid.stacks``.  This is a lower
     bound only; certified upper bounds are out of scope.  Unsupported at
     the endpoint exponents, where the operator is unbounded (p = 1) or the
     estimate is trivial (p = inf).
@@ -35,10 +35,9 @@ def maximal_norm_estimate(
         raise ValueError("maximal norm estimate requires 1 < p < inf")
     rng = np.random.default_rng(seed)
     best = 0.0
-    chunk = max(1, STACK_NODES // grid.size)
-    for done in range(0, trials, chunk):
-        probes = np.abs(mixture_stack(grid, [
-            draw_mixture(grid, rng) for _ in range(min(chunk, trials - done))]))
+    for stack in stacks(trials, grid.size):
+        probes = np.abs(mixture_stack(grid, [draw_mixture(grid, rng)
+                                             for _ in stack]))
         nf = space_norms(space, grid, probes)
         live = nf != 0.0
         images = space_norms(space, grid, maximal_scan(probes))

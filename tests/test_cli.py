@@ -214,6 +214,31 @@ def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys)
     assert not list(out.glob(f"{command}.*"))
 
 
+@pytest.mark.parametrize("command,setting,reason", [
+    ("mollify", "f = const(0)", "f is zero"),
+    ("density", "f = const(0)", "f is zero"),
+    ("sweep", "symbol = const(0)", "zero at every frequency node"),
+    ("stechkin", "symbol = const(0)", "zero at every frequency node"),
+    # nonzero only on |x| > 2, beyond the window |x| < pi/2 of this grid
+    ("stechkin", "symbol = truncate(rational_decay(1),2)\n[grid]\nn = 8",
+     "zero at every frequency node"),
+])
+def test_a_zero_input_is_refused_not_passed_vacuously(command, setting, reason,
+                                                      tmp_path, capsys):
+    # a zero f or symbol would meet every bound with equality at 0
+    path = tmp_path / "zero.ini"
+    path.write_text(f"[{command}]\n{setting}\n")
+    out = tmp_path / "o"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    assert code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error:") and reason in captured.err
+    assert "vacuously" in captured.err
+    assert not list(out.glob(f"{command}.*"))
+
+
 def test_config_without_section_header_is_usage_error(tmp_path, capsys):
     path = tmp_path / "flat.ini"
     path.write_text("n = 256\n")

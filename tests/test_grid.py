@@ -15,6 +15,7 @@ from convolab import (
     random_mixture,
     sample,
 )
+from convolab.grid import STACK_NODES, stacks
 from conftest import dft_matrix, draws_by_uniform, mixture_by_bump
 
 
@@ -241,3 +242,34 @@ class TestMixtureStack:
         spike[std_grid.size // 2] = 1.0
         assert np.array_equal(stack[1], spike)
         assert np.count_nonzero(stack[0]) > 1
+
+
+class TestStacks:
+    """The one planner of how many probes a harness takes per call."""
+
+    # 16 items of 1024 nodes fill the default budget; 20 leaves a ragged
+    # last range, and 5 items of 12 * 256 nodes fill it at the axiom chunk
+    @pytest.mark.parametrize("count,nodes,budget,sizes", [
+        (16, 1024, STACK_NODES, [16]),
+        (20, 1024, STACK_NODES, [16, 4]),
+        (12, 12 * 256, STACK_NODES, [5, 5, 2]),
+        (9, 1024, 4096, [4, 4, 1]),
+        (1, 256, 4096, [1]),
+        (0, 256, 4096, []),
+    ])
+    def test_ranges_cover_the_items_in_order_within_the_budget(
+            self, count, nodes, budget, sizes):
+        got = stacks(count, nodes, budget)
+        assert [len(r) for r in got] == sizes
+        assert [i for r in got for i in r] == list(range(count))
+        assert all(len(r) * nodes <= budget for r in got)
+
+    def test_items_wider_than_the_budget_go_one_per_range(self):
+        got = stacks(3, 2 * STACK_NODES)
+        assert got == [range(0, 1), range(1, 2), range(2, 3)]
+        assert stacks(2, STACK_NODES + 1, STACK_NODES) == [range(0, 1),
+                                                            range(1, 2)]
+
+    def test_default_budget_is_the_stack_budget(self):
+        assert stacks(40, 1024) == stacks(40, 1024, STACK_NODES)
+        assert STACK_NODES == 2**14

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convolab import (
+    Grid,
     GridFunction,
     SpaceNorm,
     associate_space,
@@ -125,7 +126,7 @@ class TestSpaceNorms:
     def test_rows_match_complex_sum_reference(self, space, std_grid, rng):
         # the rectangle rule through quadrature, as a complex sum
         rows = _norm_stack(std_grid, rng)
-        w = spaces.weight_values(space, std_grid)
+        w = std_grid.power_weight(space.gamma)
         for norm, row in zip(space_norms(space, std_grid, rows), rows):
             if math.isinf(space.p):
                 want = float(np.max(np.abs(row)))
@@ -156,12 +157,12 @@ class TestSpaceNorms:
         assert np.isfinite(np.delete(got, 3)).all()
 
     def test_no_weight_pass_at_gamma_zero(self, std_grid, rng, monkeypatch):
-        def weight(space, grid):
+        def weight(grid, gamma):
             raise AssertionError("weight sampled at gamma = 0")
 
         rows = _norm_stack(std_grid, rng)
         want = [space_norms(SpaceNorm(p), std_grid, rows) for p in (1.5, 2.0)]
-        monkeypatch.setattr(spaces, "weight_values", weight)
+        monkeypatch.setattr(Grid, "power_weight", weight)
         for p, norms in zip((1.5, 2.0), want):
             assert np.array_equal(space_norms(SpaceNorm(p), std_grid, rows),
                                   norms)
@@ -206,13 +207,12 @@ class TestPowerWeight:
         with np.errstate(divide="ignore"):
             want = np.abs(grid.t) ** gamma
         want[grid.size // 2] = 0.0 if gamma > 0 else grid.dx**gamma
-        got = spaces.weight_values(SpaceNorm(3.0, gamma), grid)
+        got = grid.power_weight(gamma)
         assert got.tobytes() == want.tobytes()
 
     def test_same_read_only_array_on_repeat_calls(self):
-        grid, space = make_grid(8.0, 256), SpaceNorm(3.0, -0.5)
-        w = spaces.weight_values(space, grid)
-        assert spaces.weight_values(space, grid) is w
+        grid = make_grid(8.0, 256)
+        w = grid.power_weight(-0.5)
         assert grid.power_weight(-0.5) is w
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 1.0
