@@ -19,7 +19,7 @@ from .grid import (
     Grid,
     GridFunction,
     dft_pair,
-    draw_mixture,
+    draw_mixtures,
     filter_spectrum,
     make_grid,
     mixture_stack,

@@ -40,6 +40,10 @@ USAGE_ERROR, ASSERTION_FAILURE = 1, 2
 # O(n^2) time and every command allocates several n-point arrays.
 MAX_GRID_N = 2**16
 
+# Most random trials a command accepts: the probe harnesses draw every
+# trial's scalars before the first check.  The shipped configs use 20-50.
+MAX_TRIALS = 10**5
+
 # maximal-check scans its noise trials in stacks of at most this many
 # nodes: 16 trials at n = 256, 4 at n = 1024.  A stack this size keeps the
 # oracle's row-block buffer near 1 MB; stacking every trial at once costs
@@ -151,8 +155,14 @@ class Experiment:
                 f"seed={self.seed}")
 
     def _write(self, name: str, text: str) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
-        (self.out / name).write_text(text)
+        path = self.out / name
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            # mkdir names the part of the path it could not make
+            where = f"{exc.filename}: " if exc.filename else ""
+            raise ConfigError(f"cannot write {path}: {where}{exc.strerror}") from None
 
     def write_csv(self, name: str, columns: str, rows: list[str]) -> None:
         self._write(f"{name}.csv", "\n".join([self.header(), columns, *rows]) + "\n")
@@ -165,6 +175,14 @@ class Experiment:
         if not self.cfg.has_section(name):
             raise ConfigError(f"config is missing the [{name}] section")
         return self.cfg[name]
+
+    def trials(self, command: str, default: int) -> int:
+        """The ``[command] trials``, which must lie in 1..``MAX_TRIALS``."""
+        trials = self.section(command).getint("trials", default)
+        if not 1 <= trials <= MAX_TRIALS:
+            raise ConfigError(f"[{command}] trials: trials must be >= 1 and at "
+                              f"most {MAX_TRIALS}, got {trials}")
+        return trials
 
 
 def _symbol(exp: Experiment, command: str) -> Symbol:
@@ -227,9 +245,8 @@ def _cmd_mollify(exp: Experiment) -> int:
 
 
 def _cmd_stechkin(exp: Experiment) -> int:
-    sec = exp.section("stechkin")
     symbol = _symbol(exp, "stechkin")
-    report = stechkin_check(symbol, exp.space, sec.getint("trials", 20),
+    report = stechkin_check(symbol, exp.space, exp.trials("stechkin", 20),
                             exp.seed, exp.grid)
     exp.write_json("stechkin", dataclasses.asdict(report))
     # elsewhere the ratio is an empirical observation, with no gate at all
@@ -269,10 +286,7 @@ def _scan_both_routes(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_maximal_check(exp: Experiment) -> int:
-    sec = exp.section("maximal-check")
-    trials = sec.getint("trials", 20)
-    if trials < 1:
-        raise ConfigError(f"[maximal-check] trials must be >= 1, got {trials}")
+    trials = exp.trials("maximal-check", 20)
     n = exp.grid.size
     rng = np.random.default_rng(exp.seed)
     worst = 0.0
@@ -315,7 +329,7 @@ def _cmd_density(exp: Experiment) -> int:
 
 
 def _cmd_axioms(exp: Experiment) -> int:
-    trials = exp.section("axioms").getint("trials", 50)
+    trials = exp.trials("axioms", 50)
     checks = verify_axioms(exp.space, trials, exp.seed, exp.grid)
     exp.write_json("axioms", [c.to_json() for c in checks])
     return _verdict("axioms:", [(c.axiom, c.passed, True) for c in checks])

@@ -23,7 +23,7 @@ from .grid import (
     GridFunction,
     bump_profile,
     dft_pair,
-    draw_mixture,
+    draw_mixtures,
     filter_rows,
     filter_spectrum,
     mixture_stack,
@@ -97,10 +97,16 @@ class Mollifier:
         ``_MIN_DELTA_CELLS * dx``, which is the last rung (the only one when
         the floor is at least 1).  At the bump kernel's floor the band
         ``[-1/delta, 1/delta]`` still lies inside the frequency window.
-        A zero ``f`` raises ``ValueError``: every rung would match it.
+        A zero ``f`` raises ``ValueError``: every rung would match it.  So
+        does a nonzero ``f`` whose norm in ``space`` is 0 (at 1e-200 the
+        powers of its values underflow), since every error then reads 0.
         """
         if not np.any(f.values):
             raise ValueError("f is zero: the check would pass vacuously")
+        if space_norm(space, f) == 0.0:
+            raise ValueError(f"f is nonzero but has norm 0 at p={space.p:g}, "
+                             f"gamma={space.gamma:g} (its powers underflow): "
+                             "the check would pass vacuously")
         floor = _MIN_DELTA_CELLS * self.grid.dx
         delta = max(1.0, floor)
         while True:
@@ -180,20 +186,21 @@ def multiplier_norm_lower_bound(
     """Max Rayleigh ratio ``|W(a) f| / |f|`` over probe functions.
 
     Always a lower bound for the operator norm.  The ``trials`` random
-    complex mixtures are drawn and filtered in the stacks of
-    :func:`grid.stacks`, one FFT pair per stack.  The probe set also holds
-    the pure-frequency probe at the argmax node: it is an eigenvector of
-    the operator with constant modulus, so in every lattice norm its ratio
-    is ``max_k |a(x_k)|``, which at (p=2, gamma=0) is the norm itself.
+    complex mixtures are drawn in one :func:`grid.draw_mixtures` call and
+    filtered in the stacks of :func:`grid.stacks`, one FFT pair per
+    stack.  The probe set also holds the pure-frequency probe at the
+    argmax node: it is an eigenvector of the operator with constant
+    modulus, so in every lattice norm its ratio is ``max_k |a(x_k)|``,
+    which at (p=2, gamma=0) is the norm itself.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     m = a(grid.xi)
+    draws = draw_mixtures(grid, rng, trials, complex_values=True)
     best = 0.0
     for stack in stacks(trials, grid.size):
-        probes = mixture_stack(grid, [
-            draw_mixture(grid, rng, complex_values=True) for _ in stack])
+        probes = mixture_stack(grid, draws[stack.start:stack.stop])
         nf = space_norms(space, grid, probes)
         live = nf != 0.0
         images = space_norms(space, grid, filter_rows(probes, m))

@@ -12,13 +12,11 @@ a node sitting exactly on a boundary is resolved deterministically.
 
 Stacks: ``filter_rows`` filters each row of a ``(k, n)`` array with one FFT
 pair along the last axis (``filter_spectrum`` is its one-function case),
-and the random test functions are drawn one probe at a time
-(``draw_mixture``) and evaluated as a ``(k, n)`` stack (``mixture_stack``);
-``random_mixture`` is the one-probe case.  A row of a stack gets the same
-values, bit for bit, as when it is evaluated on its own.  The probe scalars
-are the draws of ``rng.uniform`` and ``rng.normal``, bit for bit, taken
-through the generator's cheaper ``random`` and ``standard_normal``, and a
-stack of real probes is float64.
+and the random test functions are drawn as a ``(k, 15)`` array of scalars,
+one call per kind of scalar for all k probes (``draw_mixtures``), and
+evaluated as a ``(k, n)`` stack (``mixture_stack``); ``random_mixture`` is
+the one-probe case.  A row of a stack gets the same values, bit for bit,
+as when it is evaluated on its own, and a stack of real probes is float64.
 """
 
 from __future__ import annotations
@@ -334,60 +332,48 @@ def filter_spectrum(f: GridFunction, m: np.ndarray) -> GridFunction:
     return GridFunction(f.grid, filter_rows(f.values, m))
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """``rng.uniform(lo, hi)`` bit for bit, for a third of its cost.
+def draw_mixtures(
+    grid: Grid, rng: np.random.Generator, count: int,
+    complex_values: bool = False,
+) -> np.ndarray:
+    """Draw the scalars of ``count`` probes for :func:`mixture_stack`.
 
-    numpy computes it as ``lo + (hi - lo) * next_double`` in doubles, and
-    ``rng.random()`` returns that same ``next_double``, so this is the same
-    value and leaves the same generator state.
-    """
-    return lo + (hi - lo) * rng.random()
-
-
-def draw_mixture(
-    grid: Grid, rng: np.random.Generator, complex_values: bool = False
-) -> tuple:
-    """Draw one probe's scalars for :func:`mixture_stack` from ``rng``.
-
-    For each of four Gaussian bumps its centre ``c``, ``2 w^2`` for its
-    width ``w`` and its amplitude (complex with ``complex_values``), then
-    the indicator's ends ``a < b`` and height, in that order.  The draws
-    are those of ``rng.uniform`` and ``rng.normal``, bit for bit and with
-    the same generator state after: a uniform is :func:`_uniform`, and
-    ``rng.normal()`` is ``0 + 1 * rng.standard_normal()``.  Each scalar is
-    still drawn on its own, since a batch of normals can take another
-    number of words from the stream.
+    Row ``i`` holds probe ``i``: for each of its four Gaussian bumps the
+    centre ``c``, ``2 w^2`` for the width ``w`` and the amplitude, then the
+    indicator's ends ``a < b`` and its height.  Each kind is drawn for all
+    probes in one call, in this order: centres, widths, amplitudes (real
+    parts, then with ``complex_values`` imaginary parts), the ends ``a``,
+    the lengths ``b - a``, the heights.  The array is float64, or
+    complex128 with ``complex_values``.
     """
     L = grid.half_width * 0.5
-    out = []
-    for _ in range(4):
-        c = _uniform(rng, -0.8 * L, 0.8 * L)
-        w = _uniform(rng, 0.2, 1.5)
-        amp = rng.standard_normal()
-        if complex_values:
-            amp = amp + 1j * rng.standard_normal()
-        # a Python float's ** rounds apart from numpy's square in ~0.1% of
-        # cases, so the square is taken here, as the one-probe path took it
-        out += [c, 2 * w**2, amp]
-    a = _uniform(rng, -0.8 * L, 0.4 * L)
-    b = a + _uniform(rng, 0.2, 0.5 * L)
-    return (*out, a, b, rng.standard_normal())
+    c = rng.uniform(-0.8 * L, 0.8 * L, (count, 4))
+    w = rng.uniform(0.2, 1.5, (count, 4))
+    amp = rng.standard_normal((count, 4))
+    if complex_values:
+        amp = amp + 1j * rng.standard_normal((count, 4))
+    a = rng.uniform(-0.8 * L, 0.4 * L, count)
+    b = a + rng.uniform(0.2, 0.5 * L, count)
+    draws = np.empty((count, 15), dtype=amp.dtype)
+    draws[:, 0:12:3], draws[:, 1:12:3], draws[:, 2:12:3] = c, 2 * w**2, amp
+    draws[:, 12], draws[:, 13], draws[:, 14] = a, b, rng.standard_normal(count)
+    return draws
 
 
-def mixture_stack(grid: Grid, draws: list[tuple]) -> np.ndarray:
+def mixture_stack(grid: Grid, draws: np.ndarray) -> np.ndarray:
     """Node values of each drawn mixture: a ``(len(draws), n)`` stack.
 
     Row ``i`` is the sum of the four bumps ``amp exp(-(t-c)^2/(2w^2))`` of
-    ``draws[i]``, added in draw order, plus the height times the indicator
-    of ``[a, b)``; a row whose values all lie below 1e-12 in modulus gets
-    a 1 at the centre node.  Every row is the same arithmetic as a probe
-    evaluated on its own.  The stack takes its dtype from the draws:
-    float64 when every draw is real, complex128 otherwise.  A real row is
-    the real part of the complex accumulation, whose imaginary part stays
-    zero, so ``np.abs`` of either is the same.
+    ``draws[i]`` (a row of :func:`draw_mixtures`), added in draw order,
+    plus the height times the indicator of ``[a, b)``; a row whose values
+    all lie below 1e-12 in modulus gets a 1 at the centre node.  A row gets
+    the same values in a stack as on its own.  The stack takes its dtype
+    from the draws: float64 for real draws, complex128 for complex ones.
+    A real row is the real part of the complex accumulation, whose
+    imaginary part stays zero, so ``np.abs`` of either is the same.
     """
     # each drawn scalar as a (k, 1) column, broadcast over the nodes t
-    d = np.array(draws).T[:, :, None]
+    d = np.asarray(draws).T[:, :, None]
     t = grid.t
     vals = np.zeros((len(draws), grid.size), dtype=d.dtype)
     for c, spread, amp in zip(d[0:12:3].real, d[1:12:3].real, d[2:12:3]):
@@ -404,10 +390,10 @@ def random_mixture(
     """Random test function: a mixture of four Gaussian bumps and one indicator.
 
     Supported well inside the domain (within ``L/2``) so that convolution
-    wrap-around and boundary truncation stay negligible.  One probe of
-    :func:`draw_mixture` and :func:`mixture_stack`.  Without
+    wrap-around and boundary truncation stay negligible.  The one-probe
+    case of :func:`draw_mixtures` and :func:`mixture_stack`.  Without
     ``complex_values`` the function is real: its row is computed in float64
     and the grid function holds it with a zero imaginary part.
     """
-    draw = draw_mixture(grid, rng, complex_values)
-    return GridFunction(grid, mixture_stack(grid, [draw])[0])
+    draws = draw_mixtures(grid, rng, 1, complex_values)
+    return GridFunction(grid, mixture_stack(grid, draws)[0])

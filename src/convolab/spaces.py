@@ -9,10 +9,13 @@ maximal operator bounded on the space and on its associate.
 ``space_norms`` is the one norm routine: it takes a ``(k, n)`` stack of
 node values and returns the norm of each row, with the weight the grid
 computes once per gamma.  ``space_norm`` is its one-row case for a grid
-function.  The axiom harness ``verify_axioms`` draws its random probes as
-stacks (``grid.mixture_stack``): one call per block of trials takes the
-block's random (f, g) probes, and one call per chunk of a block takes the
-twelve functions built from each of the chunk's trials.
+function.  The axiom harness ``verify_axioms`` draws all its random
+scalars before the first check, one generator call per kind
+(``grid.draw_mixtures``) except the weights u, drawn block by block, and
+evaluates its probes as stacks (``grid.mixture_stack``): one call per
+block of trials takes the block's random (f, g) probes, and one call per
+chunk of a block takes the twelve functions built from each of the
+chunk's trials.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .grid import (Grid, GridFunction, _uniform, draw_mixture, mixture_stack,
-                   stacks)
+from .grid import Grid, GridFunction, draw_mixtures, mixture_stack, stacks
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,18 @@ def verify_axioms(
     empirical constant reported as the slack (A5).  A slack that is NaN,
     or an A5 constant that is not finite, fails its axiom.
 
-    Each trial draws f, g, alpha, u, a and b, in that order.  The trials run
-    in the blocks of ``grid.stacks(trials, 2 n)``, and each block in the
-    chunks of ``grid.stacks(len(block), 12 n)`` (a block of 32 and chunks
-    of 5 at n = 256, 8 and 1 at n = 1024): one ``space_norms`` call
-    takes a block's (f, g) rows, one per chunk its twelve derived rows per
-    trial, and the checks then run in trial order.  A trial with
-    norm(f) = 0 fails A1 and skips its other checks; its alpha, u, a and b
-    are drawn all the same, so the trials after it see other numbers than
-    a harness that drew them only for a nonzero f would.
+    The harness first draws the probes f and g of every trial (rows 2i and
+    2i + 1 of ``grid.draw_mixtures(grid, rng, 2 trials)``), then alpha,
+    then a, then b - a for every trial, each kind in one call.  The trials
+    then run in the blocks of ``grid.stacks(trials, 2 n)``, and each block
+    in the chunks of ``grid.stacks(len(block), 12 n)`` (a block of 32 and
+    chunks of 5 at n = 256, 8 and 1 at n = 1024).  Each block draws its
+    trials' weights u as one ``rng.random((k, n))`` call, so the u of all
+    blocks are one ``(trials, n)`` stream and no result depends on the
+    block sizes.  One ``space_norms`` call takes a block's (f, g) rows, one
+    per chunk its twelve derived rows per trial, and the checks then run in
+    trial order.  A trial with norm(f) = 0 fails A1 and skips its other
+    checks.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -152,21 +157,17 @@ def verify_axioms(
         return ok
 
     check("A1", 0.0, space_norms(space, grid, np.zeros((1, n)))[0] == 0.0)
+    draws = draw_mixtures(grid, rng, 2 * trials)
+    alphas = rng.uniform(0.1, 10.0, trials)
+    starts = rng.uniform(-L, 0.5 * L, trials)
+    ends = starts + rng.uniform(0.1, 0.5 * L, trials)
     for block in stacks(trials, 2 * n):
-        k = len(block)
-        draws, alpha, u, a, b = [], [], [], [], []
-        for _ in block:
-            draws += [draw_mixture(grid, rng), draw_mixture(grid, rng)]
-            # rng.uniform's draws, bit for bit (see grid._uniform)
-            alpha.append(_uniform(rng, 0.1, 10.0))
-            u.append(rng.random(n))
-            a.append(_uniform(rng, -L, 0.5 * L))
-            b.append(a[-1] + _uniform(rng, 0.1, 0.5 * L))
-        fg = np.abs(mixture_stack(grid, draws))
+        k, trial = len(block), slice(block.start, block.stop)
+        fg = np.abs(mixture_stack(grid, draws[2 * block.start:2 * block.stop]))
         nfg = space_norms(space, grid, fg).reshape(k, 2).tolist()
         f, g = fg[0::2], fg[1::2]
-        alpha, u = np.array(alpha), np.array(u)
-        chi = (grid.t >= np.array(a)[:, None]) & (grid.t < np.array(b)[:, None])
+        u, alpha = rng.random((k, n)), alphas[trial]
+        chi = (grid.t >= starts[trial, None]) & (grid.t < ends[trial, None])
 
         # per trial: alpha f, f + g, f u with 0 <= u <= 1, the truncations
         # of f, and the indicator chi of a random finite interval [a, b)

@@ -13,13 +13,13 @@ from convolab import (
     dft_pair,
     make_grid,
     quadrature,
-    random_mixture,
     shift_symbol,
     space_norm,
     spaces,
     symbol_norms,
     tail_truncate,
 )
+from convolab.grid import stacks
 from convolab.symbols import _base_nodes
 
 
@@ -97,42 +97,57 @@ ORACLE_SPACES = [(2.0, 0.0), (1.5, 0.0), (3.0, -0.5), (3.0, 1.0)]
 ORACLE_GRIDS = [(8.0, 256), (16.0, 1024)]
 
 
-def draws_by_uniform(grid, rng, complex_values=False):
-    """Oracle of ``draw_mixture``: one probe's scalars, in draw order, from
-    ``rng.uniform`` and ``rng.normal`` calls."""
+def patch_stack_budget(monkeypatch, module, budget):
+    """Make ``module``'s probe loops plan their stacks with ``budget`` nodes
+    per call: 1 gives one probe or trial per stack, a huge budget one stack
+    for all of them."""
+    monkeypatch.setattr(module, "stacks",
+                        lambda count, nodes: stacks(count, nodes, budget))
+
+
+def draws_by_kind(grid, rng, count, complex_values=False):
+    """Oracle of ``draw_mixtures``: each kind of scalar drawn for all
+    ``count`` probes by one ``rng.uniform`` or ``rng.standard_normal`` call
+    with ``size=``, in draw order, then one tuple per probe."""
     L = grid.half_width * 0.5
-    out = []
-    for _ in range(4):
-        c = rng.uniform(-0.8 * L, 0.8 * L)
-        w = rng.uniform(0.2, 1.5)
-        amp = rng.normal()
-        if complex_values:
-            amp = amp + 1j * rng.normal()
-        out += [c, 2 * w**2, amp]
-    a = rng.uniform(-0.8 * L, 0.4 * L)
-    b = a + rng.uniform(0.2, 0.5 * L)
-    return (*out, a, b, rng.normal())
+    c = rng.uniform(-0.8 * L, 0.8 * L, size=(count, 4))
+    spread = 2 * rng.uniform(0.2, 1.5, size=(count, 4)) ** 2
+    amp = rng.standard_normal(size=(count, 4))
+    if complex_values:
+        amp = amp + 1j * rng.standard_normal(size=(count, 4))
+    a = rng.uniform(-0.8 * L, 0.4 * L, size=count)
+    b = a + rng.uniform(0.2, 0.5 * L, size=count)
+    height = rng.standard_normal(size=count)
+    return [(*(x for j in range(4) for x in (c[i, j], spread[i, j], amp[i, j])),
+             a[i], b[i], height[i]) for i in range(count)]
 
 
-def mixture_by_bump(grid, rng, complex_values=False):
-    """Oracle of ``random_mixture``: the draws of ``draws_by_uniform``, each
-    bump added on its own to a complex accumulation."""
+def mixture_by_bump(grid, draw):
+    """Oracle of one row of ``mixture_stack``: the probe of one draw of
+    ``draws_by_kind`` or row of ``draw_mixtures``, each bump added on its
+    own to a complex accumulation."""
     t = grid.t
-    *bumps, a, b, height = draws_by_uniform(grid, rng, complex_values)
+    *bumps, a, b, height = draw
     vals = np.zeros(grid.size, dtype=complex)
     for c, spread, amp in zip(bumps[0::3], bumps[1::3], bumps[2::3]):
-        vals += amp * np.exp(-((t - c) ** 2) / spread)
-    vals += height * ((t >= a) & (t < b))
+        vals += amp * np.exp(-((t - c.real) ** 2) / spread.real)
+    vals += height * ((t >= a.real) & (t < b.real))
     if np.max(np.abs(vals)) < 1e-12:
         vals[grid.size // 2] = 1.0
     return GridFunction(grid, vals)
 
 
 def axioms_by_trial(space, trials, seed, grid):
-    """Oracle of ``verify_axioms``: one trial at a time, its alpha, u, a and
-    b drawn only when norm(f) != 0."""
+    """Oracle of ``verify_axioms``: the draws of its contract, every trial's
+    f and g, then alpha, a, b - a and u for all trials, and the checks one
+    trial at a time."""
     rng = np.random.default_rng(seed)
     L = grid.half_width
+    draws = draws_by_kind(grid, rng, 2 * trials)
+    alphas = rng.uniform(0.1, 10.0, size=trials).tolist()
+    starts = rng.uniform(-L, 0.5 * L, size=trials)
+    ends = starts + rng.uniform(0.1, 0.5 * L, size=trials)
+    us = rng.uniform(0.0, 1.0, size=(trials, grid.size))
     cuts = np.array([(grid.t >= -m * L / 8) & (grid.t < m * L / 8)
                      for m in range(1, 9)])
     worst = dict.fromkeys(("A1", "A2", "A3", "A4", "A5"), 0.0)
@@ -149,17 +164,14 @@ def axioms_by_trial(space, trials, seed, grid):
         return spaces.space_norms(space, grid, np.vstack(rows)).tolist()
 
     check("A1", 0.0, norms(np.zeros(grid.size)) == [0.0])
-    for _ in range(trials):
-        f = np.abs(random_mixture(grid, rng).values)
-        g = np.abs(random_mixture(grid, rng).values)
+    for i in range(trials):
+        f = np.abs(mixture_by_bump(grid, draws[2 * i]).values)
+        g = np.abs(mixture_by_bump(grid, draws[2 * i + 1]).values)
         nf, ng = norms(f, g)
         if not check("A1", 0.0, nf != 0.0):
             continue
-        alpha = rng.uniform(0.1, 10.0)
-        u = rng.uniform(0.0, 1.0, grid.size)
-        a = rng.uniform(-L, 0.5 * L)
-        b = a + rng.uniform(0.1, 0.5 * L)
-        chi = (grid.t >= a) & (grid.t < b)
+        alpha, u = alphas[i], us[i]
+        chi = (grid.t >= starts[i]) & (grid.t < ends[i])
         n_hom, n_tri, n_dom, *n_cuts, nchi = norms(
             alpha * f, f + g, f * u, f * cuts, chi)
         hom = abs(n_hom - alpha * nf) / (alpha * nf)
@@ -182,8 +194,8 @@ def multiplier_bound_by_trial(a, space, trials, seed, grid):
     """Oracle of ``multiplier_norm_lower_bound``: one probe at a time."""
     rng = np.random.default_rng(seed)
     best = 0.0
-    for _ in range(trials):
-        f = random_mixture(grid, rng, complex_values=True)
+    for draw in draws_by_kind(grid, rng, trials, complex_values=True):
+        f = mixture_by_bump(grid, draw)
         nf = space_norm(space, f)
         if nf != 0.0:
             best = max(best, space_norm(space, apply_multiplier(a, f)) / nf)

@@ -9,10 +9,10 @@ import math
 
 import numpy as np
 
-from convolab import (Grid, SpaceNorm, draw_mixture, maximal_function,
-                      maximal_scan, mixture_stack, random_mixture, space_norm,
-                      space_norms)
+from convolab import (Grid, SpaceNorm, draw_mixtures, maximal_function,
+                      maximal_scan, mixture_stack, space_norm, space_norms)
 from convolab.grid import stacks
+from conftest import draws_by_kind, mixture_by_bump
 
 
 def maximal_norm_estimate(
@@ -23,8 +23,9 @@ def maximal_norm_estimate(
 ) -> float:
     """Lower bound for the operator norm of the maximal operator.
 
-    Maximizes ``|Mf| / |f|`` over random nonzero probes, drawn and scanned
-    in the stacks of ``grid.stacks``.  This is a lower
+    Maximizes ``|Mf| / |f|`` over random nonzero probes, drawn in one
+    ``grid.draw_mixtures`` call and scanned in the stacks of
+    ``grid.stacks``.  This is a lower
     bound only; certified upper bounds are out of scope.  Unsupported at
     the endpoint exponents, where the operator is unbounded (p = 1) or the
     estimate is trivial (p = inf).
@@ -33,11 +34,10 @@ def maximal_norm_estimate(
         raise ValueError("trials must be >= 1")
     if math.isinf(space.p) or not space.p > 1.0:
         raise ValueError("maximal norm estimate requires 1 < p < inf")
-    rng = np.random.default_rng(seed)
+    draws = draw_mixtures(grid, np.random.default_rng(seed), trials)
     best = 0.0
     for stack in stacks(trials, grid.size):
-        probes = np.abs(mixture_stack(grid, [draw_mixture(grid, rng)
-                                             for _ in stack]))
+        probes = np.abs(mixture_stack(grid, draws[stack.start:stack.stop]))
         nf = space_norms(space, grid, probes)
         live = nf != 0.0
         images = space_norms(space, grid, maximal_scan(probes))
@@ -47,10 +47,9 @@ def maximal_norm_estimate(
 
 def maximal_estimate_by_trial(space, trials, seed, grid):
     """Oracle of ``maximal_norm_estimate``: one probe at a time."""
-    rng = np.random.default_rng(seed)
     best = 0.0
-    for _ in range(trials):
-        f = random_mixture(grid, rng)
+    for draw in draws_by_kind(grid, np.random.default_rng(seed), trials):
+        f = mixture_by_bump(grid, draw)
         nf = space_norm(space, f)
         if nf != 0.0:
             best = max(best, space_norm(space, maximal_function(f)) / nf)

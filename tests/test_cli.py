@@ -217,6 +217,9 @@ def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys)
 @pytest.mark.parametrize("command,setting,reason", [
     ("mollify", "f = const(0)", "f is zero"),
     ("density", "f = const(0)", "f is zero"),
+    # nonzero, but its square underflows: the L2 norm of f is 0
+    ("mollify", "f = const(1e-200)", "has norm 0"),
+    ("density", "f = const(1e-200)", "has norm 0"),
     ("sweep", "symbol = const(0)", "zero at every frequency node"),
     ("stechkin", "symbol = const(0)", "zero at every frequency node"),
     # nonzero only on |x| > 2, beyond the window |x| < pi/2 of this grid
@@ -352,6 +355,39 @@ def test_zero_maximal_trials_is_usage_error(tmp_path, capsys):
     assert code == USAGE_ERROR
     assert "trials must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", [0, cli.MAX_TRIALS + 1])
+@pytest.mark.parametrize("command", ["stechkin", "axioms", "maximal-check"])
+def test_trials_out_of_range_is_usage_error(command, trials, tmp_path,
+                                            capsys):
+    # the probe harnesses draw every trial's scalars up front, so a huge
+    # count would end in a MemoryError, not a verdict
+    path = tmp_path / "trials.ini"
+    path.write_text(f"[{command}]\ntrials = {trials}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == USAGE_ERROR
+    assert capsys.readouterr().err == (
+        f"error: [{command}] trials: trials must be >= 1 and at most "
+        f"{cli.MAX_TRIALS}, got {trials}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "file/sub"])
+def test_unusable_out_path_is_usage_error(inside, config_path, tmp_path,
+                                          capsys):
+    # --out names an existing file, or a directory below one
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if inside else blocker
+    code = main(["density", "--config", str(config_path), "--out", str(out)])
+    assert code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {out / 'density.json'}: "
+                            f"{out}: " + ("Not a directory\n" if inside
+                                          else "File exists\n"))
+    assert blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -33,6 +33,7 @@ from conftest import (
     ORACLE_SPACES,
     dft_matrix,
     multiplier_bound_by_trial,
+    patch_stack_budget,
 )
 
 L2 = SpaceNorm(2.0)
@@ -344,6 +345,20 @@ class TestMultiplierNormLowerBound:
                 a = parse_symbol(text)
                 assert (multiplier_norm_lower_bound(a, space, trials, trials, grid)
                         == multiplier_bound_by_trial(a, space, trials, trials, grid))
+
+    @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
+    def test_same_result_for_any_stack_budget(self, L, n, monkeypatch):
+        # the probes are drawn before the first stack, so one probe per
+        # call and all probes in one call give the same bound; in L^3 a
+        # random probe beats the indicator's pure-frequency probe
+        grid = make_grid(L, n)
+        space = SpaceNorm(3.0, -0.5)
+        a = parse_symbol("indicator(-1,1)")
+        trials = STACK_NODES // n + 3
+        want = multiplier_norm_lower_bound(a, space, trials, 5, grid)
+        for budget in (1, 10**9):
+            patch_stack_budget(monkeypatch, fourier, budget)
+            assert multiplier_norm_lower_bound(a, space, trials, 5, grid) == want
 
     @pytest.mark.parametrize("trials", [1, 16, 20])
     def test_one_fft_pair_and_two_norm_calls_per_stack(self, trials,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from convolab import (
     GridFunction,
     dft_pair,
-    draw_mixture,
+    draw_mixtures,
     make_grid,
     mixture_stack,
     quadrature,
@@ -16,7 +16,7 @@ from convolab import (
     sample,
 )
 from convolab.grid import STACK_NODES, stacks
-from conftest import dft_matrix, draws_by_uniform, mixture_by_bump
+from conftest import dft_matrix, draws_by_kind, mixture_by_bump
 
 
 class TestMakeGrid:
@@ -188,56 +188,75 @@ class TestMixtureStack:
                              ids=["real", "complex"])
     def test_rows_equal_sequential_random_mixtures(self, L, n,
                                                    complex_values):
+        # random_mixture is the one-probe case: a stack of one-probe draws
+        # holds the probes of as many random_mixture calls
         grid = make_grid(L, n)
-        drawn, one, by_bump = (np.random.default_rng(n) for _ in range(3))
-        stack = mixture_stack(grid, [draw_mixture(grid, drawn, complex_values)
-                                     for _ in range(12)])
+        drawn, one = (np.random.default_rng(n) for _ in range(2))
+        draws = np.vstack([draw_mixtures(grid, drawn, 1, complex_values)
+                           for _ in range(12)])
+        stack = mixture_stack(grid, draws)
         assert stack.shape == (12, n)
-        for row in stack:
+        for row, draw in zip(stack, draws):
             assert np.array_equal(
                 row, random_mixture(grid, one, complex_values).values)
-            assert np.array_equal(
-                row, mixture_by_bump(grid, by_bump, complex_values).values)
-        assert (drawn.bit_generator.state == one.bit_generator.state
-                == by_bump.bit_generator.state)
+            assert np.array_equal(row, mixture_by_bump(grid, draw).values)
+        assert drawn.bit_generator.state == one.bit_generator.state
+
+    @pytest.mark.parametrize("L,n", [(8.0, 256), (16.0, 1024), (5.0, 200)])
+    @pytest.mark.parametrize("complex_values", [False, True],
+                             ids=["real", "complex"])
+    def test_rows_equal_one_row_evaluations(self, L, n, complex_values):
+        grid = make_grid(L, n)
+        draws = draw_mixtures(grid, np.random.default_rng(n), 12,
+                              complex_values)
+        stack = mixture_stack(grid, draws)
+        for i, row in enumerate(stack):
+            assert np.array_equal(row, mixture_stack(grid, draws[i:i + 1])[0])
+            assert np.array_equal(row, mixture_by_bump(grid, draws[i]).values)
 
     @pytest.mark.parametrize("L,n", [(8.0, 256), (16.0, 1024), (3.0, 64)])
     @pytest.mark.parametrize("complex_values", [False, True],
                              ids=["real", "complex"])
     def test_draws_equal_uniform_and_normal_calls(self, L, n, complex_values):
+        # one rng.uniform or rng.standard_normal call per kind of scalar,
+        # with the same generator state after
         grid = make_grid(L, n)
-        for seed in range(60):
+        for seed in range(20):
             fast, oracle = (np.random.default_rng(seed) for _ in range(2))
-            for _ in range(3):
-                assert (draw_mixture(grid, fast, complex_values)
-                        == draws_by_uniform(grid, oracle, complex_values))
+            for count in (1, 3, 40):
+                draws = draw_mixtures(grid, fast, count, complex_values)
+                assert draws.shape == (count, 15)
+                assert draws.dtype == (np.complex128 if complex_values
+                                       else np.float64)
+                assert np.array_equal(
+                    draws, draws_by_kind(grid, oracle, count, complex_values))
             assert fast.bit_generator.state == oracle.bit_generator.state
 
     @pytest.mark.parametrize("L,n", [(8.0, 256), (16.0, 1024), (3.0, 64)])
     def test_real_draws_stack_in_float64(self, L, n):
         grid = make_grid(L, n)
         rng = np.random.default_rng(n)
-        real = [draw_mixture(grid, rng) for _ in range(8)]
+        real = draw_mixtures(grid, rng, 8)
         stack = mixture_stack(grid, real)
         assert stack.dtype == np.float64
-        cplx = mixture_stack(grid, [draw_mixture(grid, rng, True)
-                                    for _ in range(8)])
+        cplx = mixture_stack(grid, draw_mixtures(grid, rng, 8, True))
         assert cplx.dtype == np.complex128
-        # the same draws with a complex height accumulate in complex128
-        as_complex = mixture_stack(
-            grid, [(*d[:-1], complex(d[-1])) for d in real])
+        # the same draws as complex numbers accumulate in complex128
+        as_complex = mixture_stack(grid, real.astype(complex))
         assert as_complex.dtype == np.complex128
         assert not as_complex.imag.any()
         assert np.array_equal(stack, as_complex.real)
         assert np.array_equal(np.abs(stack), np.abs(as_complex))
         f = random_mixture(grid, np.random.default_rng(n))
-        assert np.array_equal(f.values, stack[0]) and not f.values.imag.any()
+        one = mixture_stack(grid, draw_mixtures(grid, np.random.default_rng(n),
+                                                1))
+        assert np.array_equal(f.values, one[0]) and not f.values.imag.any()
 
     def test_vanishing_row_gets_the_centre_node(self, std_grid):
         # zero amplitudes and height: the row falls back to a unit spike
         zero = (0.0, 1.0, 0.0) * 4 + (-1.0, 1.0, 0.0)
-        live = draw_mixture(std_grid, np.random.default_rng(0))
-        stack = mixture_stack(std_grid, [live, zero])
+        live = draw_mixtures(std_grid, np.random.default_rng(0), 1)[0]
+        stack = mixture_stack(std_grid, np.array([live, zero]))
         spike = np.zeros(std_grid.size)
         spike[std_grid.size // 2] = 1.0
         assert np.array_equal(stack[1], spike)

@@ -17,7 +17,7 @@ from convolab import (
 )
 from convolab.grid import STACK_NODES
 import maximal_estimate
-from conftest import ORACLE_GRIDS, ORACLE_SPACES
+from conftest import ORACLE_GRIDS, ORACLE_SPACES, patch_stack_budget
 from maximal_estimate import maximal_estimate_by_trial, maximal_norm_estimate
 
 
@@ -375,6 +375,17 @@ class TestNormEstimate:
         for trials in (1, STACK_NODES // n + 4):
             assert (maximal_norm_estimate(space, trials, trials, grid)
                     == maximal_estimate_by_trial(space, trials, trials, grid))
+
+    @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
+    def test_same_result_for_any_stack_budget(self, L, n, monkeypatch):
+        # the probes are drawn before the first stack
+        grid = make_grid(L, n)
+        space = SpaceNorm(3.0, -0.5)
+        trials = STACK_NODES // n + 3
+        want = maximal_norm_estimate(space, trials, 5, grid)
+        for budget in (1, 10**9):
+            patch_stack_budget(monkeypatch, maximal_estimate, budget)
+            assert maximal_norm_estimate(space, trials, 5, grid) == want
 
     def test_one_scan_and_two_norm_calls_per_stack(self, monkeypatch):
         grid = make_grid(16.0, 1024)

@@ -18,7 +18,8 @@ from convolab import (
     verify_axioms,
 )
 from convolab.grid import STACK_NODES
-from conftest import ORACLE_GRIDS, ORACLE_SPACES, axioms_by_trial
+from conftest import (ORACLE_GRIDS, ORACLE_SPACES, axioms_by_trial,
+                      patch_stack_budget)
 
 # the broken norms below that are built on the exact one call it through
 # this name, which patching ``spaces.space_norms`` leaves in place
@@ -42,7 +43,8 @@ def _roughness_norm(space, f):
 
 def _moment_norm(space, f):
     # |int t f(t) dt| cancels between the half-lines, so truncations of a
-    # nonnegative f need not increase
+    # nonnegative f need not increase, nor does damping f by u <= 1 need
+    # to shrink it
     return abs(float(quadrature(GridFunction(f.grid, f.grid.t * f.values)).real))
 
 
@@ -270,14 +272,13 @@ class TestAxiomHarness:
         (_zero_norm, ["A1"]),
         (_squared_norm, ["A1"]),
         (_roughness_norm, ["A2", "A3"]),
-        (_moment_norm, ["A3"]),
+        (_moment_norm, ["A2", "A3"]),
         # infinite and NaN norms fail every check they reach
         (_unregularized_weight_norm, ["A1", "A2", "A3", "A4"]),
         (_nan_norm, ["A1", "A2", "A3", "A4", "A5"]),
     ])
     def test_broken_norm_fails(self, monkeypatch, broken, failing, std_grid):
-        # the one-trial oracle draws alpha, u, a and b only for a nonzero
-        # norm(f); a zero norm(f) fails A1 in both, so the lists agree
+        # the one-trial oracle makes the harness's draws and its checks
         monkeypatch.setattr(spaces, "space_norms", _row_wise(broken))
         checks = verify_axioms(SpaceNorm(2.0), trials=20, seed=7, grid=std_grid)
         assert [c.axiom for c in checks if not c.passed] == failing
@@ -296,6 +297,20 @@ class TestAxiomHarness:
         for trials in sorted({1, chunk, chunk + 2, block, block + 2}):
             assert (verify_axioms(space, trials, seed=trials, grid=grid)
                     == axioms_by_trial(space, trials, trials, grid))
+
+    @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
+    def test_same_result_for_any_stack_budget(self, L, n, monkeypatch):
+        # every trial's scalars are drawn before the first block and u is
+        # one stream, so one trial per call and all trials in one call
+        # check the same numbers as the default blocks of 32 or 8
+        grid = make_grid(L, n)
+        space = SpaceNorm(3.0, -0.5)
+        trials = 2 * (STACK_NODES // (2 * n)) + 3
+        want = verify_axioms(space, trials, 5, grid)
+        assert want == axioms_by_trial(space, trials, 5, grid)
+        for budget in (1, 10**9):
+            patch_stack_budget(monkeypatch, spaces, budget)
+            assert verify_axioms(space, trials, 5, grid) == want
 
     def test_homogeneity_exact(self, std_grid, rng):
         f = random_mixture(std_grid, rng)
