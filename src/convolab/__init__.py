@@ -30,10 +30,8 @@ from .grid import (
 from .limitops import (
     LimitSweepConfig,
     band_limited_probe,
-    conjugated_apply,
     density_experiment,
     limit_operator_sweep,
-    modulate,
 )
 from .maximal import maximal_function, maximal_scan
 from .spaces import (

@@ -249,11 +249,13 @@ def _cmd_stechkin(exp: Experiment) -> int:
     report = stechkin_check(symbol, exp.space, exp.trials("stechkin", 20),
                             exp.seed, exp.grid)
     exp.write_json("stechkin", dataclasses.asdict(report))
-    # elsewhere the ratio is an empirical observation, with no gate at all
+    # the sup bound is a theorem only in unweighted L2, the spike probe's
+    # eigenvalue in every space; the ratio is never asserted
     gates = ([("sup_bound", not report.violation, True)]
              if exp.space.is_unweighted_l2 else [])
     return _verdict(f"stechkin: lower={report.lower:.3f} "
-                    f"v_norm={report.v_norm:.3f} ratio={report.ratio:.3f}", gates)
+                    f"v_norm={report.v_norm:.3f} ratio={report.ratio:.3f}",
+                    [*gates, ("eigen", report.eigen_gap <= 1e-12, True)])
 
 
 def _scan_both_routes(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

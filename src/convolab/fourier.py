@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,13 +177,18 @@ def mollify_sweep(
     return rows
 
 
+class MultiplierLowerBound(NamedTuple):
+    lower: float  # the largest Rayleigh ratio over every probe
+    spike: float  # the ratio of the pure-frequency probe alone
+
+
 def multiplier_norm_lower_bound(
     a: Symbol,
     space: SpaceNorm,
     trials: int,
     seed: int,
     grid: Grid,
-) -> float:
+) -> MultiplierLowerBound:
     """Max Rayleigh ratio ``|W(a) f| / |f|`` over probe functions.
 
     Always a lower bound for the operator norm.  The ``trials`` random
@@ -190,8 +196,8 @@ def multiplier_norm_lower_bound(
     filtered in the stacks of :func:`grid.stacks`, one FFT pair per
     stack.  The probe set also holds the pure-frequency probe at the
     argmax node: it is an eigenvector of the operator with constant
-    modulus, so in every lattice norm its ratio is ``max_k |a(x_k)|``,
-    which at (p=2, gamma=0) is the norm itself.
+    modulus, so in every lattice norm its ratio, returned as ``spike``, is
+    ``max_k |a(x_k)|``, which at (p=2, gamma=0) is the norm itself.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -214,7 +220,8 @@ def multiplier_norm_lower_bound(
         # the probe's modulus is 1/(2L), whose powers underflow on a wide grid
         raise ValueError(f"the pure-frequency probe has norm 0 on the grid "
                          f"L={grid.half_width:.12g} n={grid.size}")
-    return max(best, space_norm(space, filter_spectrum(probe, m)) / norm)
+    ratio = space_norm(space, filter_spectrum(probe, m)) / norm
+    return MultiplierLowerBound(max(best, ratio), ratio)
 
 
 @dataclass(frozen=True)
@@ -225,6 +232,7 @@ class StechkinReport:
     ratio: float
     calibration: str
     violation: bool
+    eigen_gap: float
 
 
 def stechkin_check(
@@ -240,11 +248,14 @@ def stechkin_check(
     multiplier norm is ``max_k |a(xi_k)|``, at most the sup norm, so
     ``lower <= sup_norm * (1 + 1e-9)`` is asserted.  For other exponents
     the constant is not constructive; the ratio is recorded as an
-    empirical observation, never asserted.
+    empirical observation, never asserted.  ``eigen_gap`` is the relative
+    gap between the spike probe's ratio and ``max_k |a(xi_k)|``, equal in
+    every space (infinite for a symbol zero at every node).
     """
     norms = symbol_norms(a)
-    lower = multiplier_norm_lower_bound(a, space, trials, seed, grid)
+    lower, spike = multiplier_norm_lower_bound(a, space, trials, seed, grid)
     ratio = lower / norms.v_norm if norms.v_norm > 0 else math.inf
+    peak = float(np.max(np.abs(a(grid.xi))))
     exact = space.is_unweighted_l2
     violation = bool(exact and lower > norms.sup_norm * (1.0 + 1e-9))
     return StechkinReport(
@@ -255,4 +266,5 @@ def stechkin_check(
         calibration=("exact: lower <= sup_norm, the norm at p=2" if exact
                      else "uncalibrated, empirical ratio"),
         violation=violation,
+        eigen_gap=abs(spike - peak) / peak if peak > 0 else math.inf,
     )

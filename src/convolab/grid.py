@@ -317,14 +317,15 @@ def dft_pair(f: GridFunction, direction: str) -> GridFunction:
 def filter_rows(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``inverse(forward(f) * m)`` for each row ``f`` of a ``(k, n)`` stack.
 
-    ``m`` holds spectral samples at ``grid.xi``.  Between the two transforms
-    of :func:`dft_pair` the phase signs cancel, the shifts undo each other
-    and the scales multiply to ``dx * n * dxi/(2*pi) = 1``, which leaves one
-    FFT pair along the last axis; where ``dx`` and ``n`` are powers of two
-    the result is bit-identical to the two calls.  A 1-D array is one row,
-    and a row gets the same values alone as in a stack.
+    ``m`` holds spectral samples at ``grid.xi``, or a ``(k, n)`` stack of
+    them, one per row (a 1-D ``rows`` is filtered by each).  Between the
+    two transforms of :func:`dft_pair` the phase signs cancel, the shifts
+    undo each other and the scales multiply to ``dx*n*dxi/(2*pi) = 1``,
+    which leaves one FFT pair along the last axis; where ``dx`` and ``n``
+    are powers of two the result is bit-identical to the two calls.  A 1-D
+    array is one row, and a row gets the same values alone as in a stack.
     """
-    return np.fft.fft(np.fft.ifft(rows) * np.fft.ifftshift(m))
+    return np.fft.fft(np.fft.ifft(rows) * np.fft.ifftshift(m, axes=-1))
 
 
 def filter_spectrum(f: GridFunction, m: np.ndarray) -> GridFunction:

@@ -1,16 +1,16 @@
-"""Modulation-conjugated operators, decay sweeps, and band-limited probes.
+"""Decay sweeps of the limit operators, and band-limited probes.
 
-Conjugating the convolution operator by a modulation shifts its symbol:
-on a band-limited input whose spectrum lives in a segment K, the
-conjugated operator acts like the symbol restricted to K + h.  When the
-symbol is (numerically) equivalent to zero at infinity, pushing h toward
-+inf drives the conjugated image to zero; the sweep below measures that
-decay row by row against the tail-supremum bound with the exact
-indicator variation constant 3.
-
-Modulations are exact only for shifts on the frequency lattice, so
-``LimitSweepConfig.validate`` rejects off-lattice shifts: frequency leakage
-would otherwise break the identity with the shifted symbol.
+Conjugating the convolution operator by a modulation shifts its symbol,
+``e_h W(a) e_{-h} = W(a(. + h))``: on a band-limited input whose spectrum
+lives in a segment K, it acts like the symbol restricted to K + h.  When
+the symbol is (numerically) equivalent to zero at infinity, pushing h
+toward +inf drives the image to zero; the sweep measures that decay row by
+row against the tail-supremum bound with the exact indicator variation
+constant 3.  It filters the probe with the shifted samples ``a(xi + h)``,
+all shifts in one stack; the modulations are the identity's test oracle.
+They are exact only for shifts on the frequency lattice, so
+``LimitSweepConfig.validate`` rejects off-lattice shifts: frequency
+leakage would otherwise break the identity.
 """
 
 from __future__ import annotations
@@ -21,17 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .fourier import apply_multiplier, make_mollifier
-from .grid import Grid, GridFunction, bump_profile, dft_pair
-from .spaces import SpaceNorm, space_norm
+from .fourier import make_mollifier
+from .grid import Grid, GridFunction, bump_profile, dft_pair, filter_rows
+from .spaces import SpaceNorm, space_norm, space_norms
 from .symbols import Symbol, symbol_norms, tail_truncate
 
 _LATTICE_RTOL = 1e-9
-
-
-def modulate(f: GridFunction, lam: float) -> GridFunction:
-    """Multiply sample-wise by ``e^{i lam t}`` (isometric in every norm)."""
-    return GridFunction(f.grid, f.values * np.exp(1j * lam * f.grid.t))
 
 
 def is_on_lattice(grid: Grid, h: float) -> bool:
@@ -50,15 +45,6 @@ def _out_of_band_mass(f: GridFunction, band: tuple[float, float]) -> float:
     total = float(np.sum(energy))
     outside = float(np.sum(energy[~inside]))
     return outside / total if total else math.inf
-
-
-def conjugated_apply(a: Symbol, h: float, f: GridFunction) -> GridFunction:
-    """The conjugated operator ``e_h . W(a) . e_{-h}`` applied to ``f``.
-
-    On a lattice shift, with a band-limited ``f`` whose band stays inside
-    the frequency window, this equals ``W(a(. + h)) f`` to machine level.
-    """
-    return modulate(apply_multiplier(a, modulate(f, -h)), h)
 
 
 def band_limited_probe(
@@ -162,21 +148,24 @@ class SweepRow:
 def limit_operator_sweep(cfg: LimitSweepConfig) -> list[SweepRow]:
     """Measure the conjugated norms against the tail bound, shift by shift.
 
-    For each shift h the row compares ``r = |e_h W(a) e_{-h} probe|``
-    against ``B = 3 * T * |probe|``.  ``T`` comes from one
-    :func:`symbol_norms` call on ``tail_truncate(a, N)`` with
-    ``N = inf(band) + h`` (the largest cutoff whose complement contains the
-    shifted band).  At p = 2 and gamma = 0 it is the sup norm of the tail,
-    and the bound is a theorem for the discrete model, asserted by callers;
-    in other spaces it is the variation norm and the bound is reported with
-    no calibrated constant.
+    For each shift h the row compares ``r = |W(a(. + h)) probe|``, the norm
+    of ``e_h W(a) e_{-h} probe``, against ``B = 3 * T * |probe|``; the k
+    images are one :func:`filter_rows` call on the stack of ``a(xi + h)``.
+    ``T`` comes from one :func:`symbol_norms` call on ``tail_truncate(a, N)``
+    with ``N = inf(band) + h`` (the largest cutoff whose complement contains
+    the shifted band).  At p = 2 and gamma = 0 it is the sup norm of the
+    tail, and the bound is a theorem for the discrete model, asserted by
+    callers; in other spaces it is the variation norm and the bound is
+    reported with no calibrated constant.
     """
     cfg.validate()
+    grid = cfg.probe.grid
     p2 = cfg.space.is_unweighted_l2
     nf = space_norm(cfg.space, cfg.probe)
+    spectra = cfg.symbol(grid.xi + np.asarray(cfg.shifts)[:, None])
+    norms = space_norms(cfg.space, grid, filter_rows(cfg.probe.values, spectra))
     rows = []
-    for h in cfg.shifts:
-        r = space_norm(cfg.space, conjugated_apply(cfg.symbol, h, cfg.probe))
+    for h, r in zip(cfg.shifts, norms.tolist()):
         tail = symbol_norms(tail_truncate(cfg.symbol, cfg.band[0] + h))
         bound = 3.0 * (tail.sup_norm if p2 else tail.v_norm) * nf
         rows.append(SweepRow(h, r, bound, bool(r <= bound + 1e-8)))

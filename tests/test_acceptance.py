@@ -196,7 +196,8 @@ def test_criterion_09_stechkin_at_p2():
         g = make_grid(8.0, 256)
         for label in ("indicator(-1,1)", "arctan", "rational_decay(1)"):
             a = parse_symbol(label)
-            lower = multiplier_norm_lower_bound(a, L2, trials=10, seed=9, grid=g)
+            lower = multiplier_norm_lower_bound(a, L2, trials=10, seed=9,
+                                                grid=g).lower
             assert lower <= symbol_norms(a).v_norm + 1e-8
             diagonal = float(np.max(np.abs(a(g.xi))))
             assert abs(lower - diagonal) <= 1e-10

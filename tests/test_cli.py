@@ -52,10 +52,15 @@ trials = 20
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+# the benchmark's weighted configs, read by the tests and never changed
+WEIGHTED = SHIPPED.parent / "bench" / "configs"
 
 
 def run_shipped(command, config, tmp_path, *extra):
-    return main([command, "--config", str(SHIPPED / config),
+    """Run ``command`` on ``configs/<config>``, or on the benchmark's
+    ``bench/configs/<config>`` for a ``weighted-*`` config."""
+    folder = WEIGHTED if config.startswith("weighted-") else SHIPPED
+    return main([command, "--config", str(folder / config),
                  "--out", str(tmp_path / "out"), *extra])
 
 
@@ -154,7 +159,8 @@ def test_sweep_rejects_symbol_not_vanishing_at_infinity(tmp_path, capsys):
 def test_stechkin_summary_line(config_path, tmp_path, capsys):
     main(["stechkin", "--config", str(config_path), "--out", str(tmp_path / "o")])
     line = capsys.readouterr().out.strip()
-    assert line == "stechkin: lower=1.000 v_norm=3.000 ratio=0.333 sup_bound=pass"
+    assert line == ("stechkin: lower=1.000 v_norm=3.000 ratio=0.333 "
+                    "sup_bound=pass eigen=pass")
 
 
 def test_density_json_payload(config_path, tmp_path):
@@ -537,24 +543,42 @@ def one_percent_larger(owner, name, route=None):
     return mutant
 
 
-# what each mutant scales by 1%: (owner, attribute[, maximal scan route]);
+def rolled_spectrum(owner, name):
+    """``owner.name`` filtering with its spectral samples rolled by one node."""
+    exact = getattr(owner, name)
+
+    def mutant(f, m):
+        return exact(f, np.roll(m, 1))
+    return mutant
+
+
+# each mutant: (how it breaks, owner, attribute[, maximal scan route]);
 # stechkin applies its multiplier to the spike probe by filter_spectrum
 MUTANTS = {
-    "multiplier": (fourier, "filter_spectrum"),
-    "kernel": (fourier.Mollifier, "spectrum"),
-    "maximal_function": (cli, "maximal_scan"),
-    "oracle": (cli, "maximal_scan", "oracle"),
+    "multiplier": (one_percent_larger, fourier, "filter_spectrum"),
+    "roll": (rolled_spectrum, fourier, "filter_spectrum"),
+    "kernel": (one_percent_larger, fourier.Mollifier, "spectrum"),
+    "maximal_function": (one_percent_larger, cli, "maximal_scan"),
+    "oracle": (one_percent_larger, cli, "maximal_scan", "oracle"),
 }
 
 
-# The asserted gates and what fails each: a 1% mutant, or for density the
+# The asserted gates and what fails each: a mutant, or for density the
 # target fine.ini sets at its own grid (0.1 against the floor rung's 0.110).
 # axioms' A1..A5 fail under the broken norms of test_spaces.py.  sweep's
-# within_bound has no failing 1% mutant yet (ROADMAP, carried-over item 1):
-# its bound 3 * tail_sup * |probe| passes even a 1.5x multiplier.
+# within_bound has no failing mutant yet (ROADMAP, carried-over item 1):
+# its bound 3 * tail_sup * |probe| held even under a 1.5x multiplier, and
+# the multiplier mutant no longer reaches sweep, which filters its stack of
+# shifted spectra with filter_rows.
 @pytest.mark.parametrize("command,config,mutant,gate", [
     ("stechkin", "quick.ini", "multiplier", "sup_bound"),
     ("stechkin", "fine.ini", "multiplier", "sup_bound"),
+    ("stechkin", "quick.ini", "roll", "eigen"),
+    ("stechkin", "fine.ini", "roll", "eigen"),
+    ("stechkin", "weighted-quick.ini", "multiplier", "eigen"),
+    ("stechkin", "weighted-fine.ini", "multiplier", "eigen"),
+    ("stechkin", "weighted-quick.ini", "roll", "eigen"),
+    ("stechkin", "weighted-fine.ini", "roll", "eigen"),
     ("mollify", "quick.ini", "kernel", "decreasing"),
     ("mollify", "fine.ini", "kernel", "decreasing"),
     ("maximal-check", "quick.ini", "maximal_function", "closed_form"),
@@ -566,8 +590,8 @@ MUTANTS = {
 def test_one_percent_mutant_fails_its_gate(command, config, mutant, gate,
                                            tmp_path, capsys, monkeypatch):
     if mutant != "none":
-        owner, name, *route = MUTANTS[mutant]
-        monkeypatch.setattr(owner, name, one_percent_larger(owner, name, *route))
+        make, owner, name, *route = MUTANTS[mutant]
+        monkeypatch.setattr(owner, name, make(owner, name, *route))
     assert run_shipped(command, config, tmp_path) == ASSERTION_FAILURE
     assert f" {gate}=FAIL" in capsys.readouterr().out
     # a failing run still writes its artifact
@@ -671,10 +695,7 @@ def test_density_passes_where_the_grid_floor_is_no_power_of_two(L, tmp_path, cap
 
 
 def test_density_passes_on_weighted_fine_at_its_own_grid(tmp_path, capsys):
-    config = SHIPPED.parent / "bench" / "configs" / "weighted-fine.ini"
-    code = main(["density", "--config", str(config),
-                 "--out", str(tmp_path / "out")])
-    assert code == 0
+    assert run_shipped("density", "weighted-fine.ini", tmp_path) == 0
 
 
 def test_density_on_fine_at_its_own_grid_reports_the_floor_rung(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from convolab import (
     space_norm,
     stechkin_check,
 )
-from convolab.grid import STACK_NODES
+from convolab.grid import STACK_NODES, filter_rows
 from conftest import (
     ORACLE_GRIDS,
     ORACLE_SPACES,
@@ -52,7 +53,9 @@ REFERENCE_SYMBOLS = ["arctan", "indicator(-1,1)", "rational_decay(1)"]
 
 
 def _operator_pairs(L, n):
-    """(one FFT pair, three-transform reference) for each operator call."""
+    """(one FFT pair, reference) for each operator call: the reference is
+    the three-transform route, and for one function filtered by a stack of
+    spectra it is one 1-D call per spectrum."""
     grid = make_grid(L, n)
     rng = np.random.default_rng(n)
     f = random_mixture(grid, rng, complex_values=True)
@@ -62,6 +65,9 @@ def _operator_pairs(L, n):
         yield apply_multiplier(a, f).values, three_transform_multiplier(f, a(grid.xi))
     ref = three_transform_multiplier(f, dft_pair(g, "forward").values)
     yield convolve(f, g).values, ref
+    spectra = np.array([parse_symbol(text)(grid.xi) for text in REFERENCE_SYMBOLS])
+    yield (filter_rows(f.values, spectra),
+           np.array([filter_rows(f.values, m) for m in spectra]))
 
 
 @pytest.mark.parametrize("L,n", EXACT_GRIDS)
@@ -301,19 +307,19 @@ class TestMultiplierNormLowerBound:
             # operator norm on L2 of the grid: the dx weights cancel
             oracle = float(np.linalg.norm(dense, 2))
             got = multiplier_norm_lower_bound(a, L2, trials=5, seed=3, grid=g)
-            assert got == pytest.approx(oracle, abs=1e-10)
+            assert got.lower == pytest.approx(oracle, abs=1e-10)
 
     def test_indicator_diagonal_norm(self, std_grid):
         got = multiplier_norm_lower_bound(
             parse_symbol("indicator(-1,1)"), L2, trials=5, seed=1, grid=std_grid
         )
-        assert got == pytest.approx(1.0, abs=1e-10)
+        assert got.lower == pytest.approx(1.0, abs=1e-10)
 
     def test_rational_peak_at_zero_node(self, std_grid):
         got = multiplier_norm_lower_bound(
             parse_symbol("rational_decay(1)"), L2, trials=5, seed=1, grid=std_grid
         )
-        assert got == pytest.approx(1.0, abs=1e-10)
+        assert got.lower == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("p, gamma", [(3.0, -0.5), (1.5, 0.0)])
     def test_spike_probe_reaches_symbol_max_in_every_space(self, p, gamma):
@@ -324,14 +330,15 @@ class TestMultiplierNormLowerBound:
         peak = float(np.max(np.abs(a(g.xi))))
         got = multiplier_norm_lower_bound(a, SpaceNorm(p, gamma), trials=5,
                                           seed=1, grid=g)
-        assert got >= peak * (1 - 1e-12)
+        assert abs(got.spike - peak) <= 1e-12 * peak
+        assert got.lower >= got.spike
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_identity_symbol_any_exponent(self, p, std_grid):
         got = multiplier_norm_lower_bound(
             parse_symbol("const(1)"), SpaceNorm(p), trials=10, seed=2, grid=std_grid
         )
-        assert got == pytest.approx(1.0, abs=1e-10)
+        assert got.lower == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
     @pytest.mark.parametrize("p,gamma", ORACLE_SPACES)
@@ -398,6 +405,7 @@ class TestStechkin:
         assert report.sup_norm == 1.0
         assert report.ratio == pytest.approx(1 / 3, abs=1e-10)
         assert not report.violation
+        assert report.eigen_gap <= 1e-12
 
     def test_constant_is_equality_case(self, std_grid):
         report = stechkin_check(parse_symbol("const(2)"), L2, trials=5, seed=0,
@@ -413,6 +421,13 @@ class TestStechkin:
         assert report.calibration.startswith("uncalibrated")
         assert not report.violation
         assert 0.0 < report.ratio <= 1.0  # lower bound cannot beat v_norm here
+        assert report.eigen_gap <= 1e-12  # the spike probe is exact anywhere
+
+    def test_zero_symbol_has_no_eigen_check(self, std_grid):
+        # max |a| = 0 leaves no eigenvalue to match: the gap cannot pass
+        report = stechkin_check(parse_symbol("const(0)"), SpaceNorm(3.0, -0.5),
+                                trials=2, seed=0, grid=std_grid)
+        assert report.eigen_gap == math.inf
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,12 @@ from convolab import (
     LimitSweepConfig,
     SpaceNorm,
     band_limited_probe,
-    conjugated_apply,
     density_experiment,
     dft_pair,
     filter_spectrum,
     limit_operator_sweep,
     make_grid,
     make_mollifier,
-    modulate,
     parse_symbol,
     quadrature,
     sample,
@@ -26,6 +24,7 @@ from convolab import (
     tail_truncate,
 )
 from convolab.limitops import _out_of_band_mass, is_on_lattice
+from conjugation import conjugated_apply, modulate
 from conftest import dft_matrix, identity_residual, tail_sup
 
 L2 = SpaceNorm(2.0)
@@ -165,6 +164,23 @@ class TestLimitOperatorSweep:
         rows = limit_operator_sweep(cfg)
         for r1, r2 in zip(rows, rows[1:]):
             assert r2.norm <= r1.norm + 1e-10
+
+    @pytest.mark.parametrize("space", [L2, SpaceNorm(3.0, -0.5)],
+                             ids=["L2", "weighted-L3"])
+    @pytest.mark.parametrize("L,n,targets", [(8.0, 256, (4, 8, 16, 32)),
+                                             (16.0, 1024, (8, 16, 32))],
+                             ids=["quick", "fine"])
+    def test_norms_equal_the_conjugation_oracle(self, L, n, targets, space):
+        # the sweep filters with a(xi + h); the theorem names e_h W(a) e_{-h}
+        grid = make_grid(L, n)
+        a = parse_symbol("rational_decay(1)")
+        f = band_limited_probe(grid, (1.0, 2.0))
+        rows = limit_operator_sweep(LimitSweepConfig(
+            a, f, (1.0, 2.0), lattice_shifts(grid, targets), space))
+        floor = 1e-14 * space_norm(space, f)
+        for row in rows:
+            want = space_norm(space, conjugated_apply(a, row.shift, f))
+            assert abs(row.norm - want) <= max(1e-12 * want, floor)
 
     def test_other_exponent_reports_variation_bound(self, std_grid):
         f = band_limited_probe(std_grid, (1.0, 2.0))
