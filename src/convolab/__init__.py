@@ -8,9 +8,9 @@ modulation-conjugated operators when the symbol dies off at infinity.
 """
 
 from .fourier import (
+    Mollifier,
     apply_multiplier,
     convolve,
-    make_mollifier,
     mollify_sweep,
     multiplier_norm_lower_bound,
     stechkin_check,
@@ -28,7 +28,6 @@ from .grid import (
     sample,
 )
 from .limitops import (
-    LimitSweepConfig,
     band_limited_probe,
     density_experiment,
     limit_operator_sweep,

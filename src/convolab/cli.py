@@ -24,13 +24,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fourier import make_mollifier, mollify_sweep, stechkin_check
+from .fourier import Mollifier, mollify_sweep, stechkin_check
 from .grid import Grid, make_grid, sample, stacks
-from .limitops import (LimitSweepConfig, band_limited_probe, density_experiment,
-                       limit_operator_sweep)
+from .limitops import band_limited_probe, density_experiment, limit_operator_sweep
 from .maximal import maximal_scan
 from .spaces import SpaceNorm, space_norm, verify_axioms
-from .symbols import InconclusiveError, Symbol, parse_symbol
+from .symbols import InconclusiveError, parse_symbol
 
 COMMANDS = ("sweep", "mollify", "stechkin", "maximal-check", "density", "axioms")
 
@@ -185,34 +184,21 @@ class Experiment:
         return trials
 
 
-def _symbol(exp: Experiment, command: str) -> Symbol:
-    """The ``[command] symbol``, refused when it is zero at every frequency
-    node: the operator is then 0 and every bound on it holds vacuously."""
-    symbol = parse_symbol(exp.section(command).get("symbol", "indicator(-1,1)"))
-    if not np.any(symbol(exp.grid.xi)):
-        raise ConfigError(f"[{command}] symbol {symbol.label} is zero at every "
-                          "frequency node of the grid: the check would pass "
-                          "vacuously")
-    return symbol
-
-
 def _cmd_sweep(exp: Experiment) -> int:
     sec = exp.section("sweep")
-    symbol = _symbol(exp, "sweep")
+    symbol = parse_symbol(sec.get("symbol", "indicator(-1,1)"))
     k1, k2 = sec.getfloat("k1", 1.0), sec.getfloat("k2", 2.0)
     targets = sec.getfloats("h", [4.0, 8.0, 16.0, 32.0])
     dxi = exp.grid.dxi
     if not all(math.isfinite(t / dxi) for t in targets):
         raise ConfigError(f"[sweep] h must be below {sys.float_info.max * dxi:.6g}")
-    steps = [round(t / dxi) for t in targets]
+    steps = sorted({round(t / dxi) for t in targets})
     if not all(k >= 1 for k in steps):
         raise ConfigError(f"[sweep] h must be at least half a lattice step "
                           f"({dxi / 2:.6g}), got {targets}")
-    shifts = tuple(sorted({k * dxi for k in steps}))
     profile = sec.get("profile", "bump")
     probe = band_limited_probe(exp.grid, (k1, k2), profile, exp.seed)
-    cfg = LimitSweepConfig(symbol, probe, (k1, k2), shifts, exp.space)
-    rows = limit_operator_sweep(cfg)
+    rows = limit_operator_sweep(symbol, probe, (k1, k2), steps, exp.space)
     exp.write_csv("sweep", "h,norm,bound,within_bound", [
         f"{_fmt(r.shift)},{_fmt(r.norm)},{_fmt(r.bound)},{int(r.within_bound)}"
         for r in rows])
@@ -231,7 +217,7 @@ def _cmd_mollify(exp: Experiment) -> int:
     kind = sec.get("kernel", "gaussian")
     f = sample(sec.get("f", "gaussian"), exp.grid)
     with _overflow_as_usage_error("[mollify] f", exp.grid):
-        rows = mollify_sweep(f, make_mollifier(kind, exp.grid), exp.space)
+        rows = mollify_sweep(f, Mollifier(kind, exp.grid), exp.space)
         # an error at rounding level has converged: it need fall no further
         floor = _ROUNDING_FLOOR * space_norm(exp.space, f)
     exp.write_csv("mollify", "delta,error,bound,pointwise_ok", [
@@ -245,7 +231,7 @@ def _cmd_mollify(exp: Experiment) -> int:
 
 
 def _cmd_stechkin(exp: Experiment) -> int:
-    symbol = _symbol(exp, "stechkin")
+    symbol = parse_symbol(exp.section("stechkin").get("symbol", "indicator(-1,1)"))
     report = stechkin_check(symbol, exp.space, exp.trials("stechkin", 20),
                             exp.seed, exp.grid)
     exp.write_json("stechkin", dataclasses.asdict(report))

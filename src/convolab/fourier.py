@@ -70,6 +70,11 @@ class Mollifier:
     kind: str
     grid: Grid
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "bump_spectrum"):
+            raise ValueError("kind must be 'gaussian' or 'bump_spectrum', "
+                             f"got {self.kind!r}")
+
     def spectrum(self, delta: float) -> np.ndarray:
         """Transform of the kernel at scale delta at ``grid.xi``, unit mass.
 
@@ -135,13 +140,6 @@ class Mollifier:
         return float(quadrature(self.majorant).real)
 
 
-def make_mollifier(kind: str, grid: Grid) -> Mollifier:
-    """The ``kind`` mollifier family on ``grid``."""
-    if kind not in ("gaussian", "bump_spectrum"):
-        raise ValueError(f"kind must be 'gaussian' or 'bump_spectrum', got {kind!r}")
-    return Mollifier(kind, grid)
-
-
 @dataclass(frozen=True)
 class MollifyRow:
     delta: float
@@ -183,7 +181,7 @@ class MultiplierLowerBound(NamedTuple):
 
 
 def multiplier_norm_lower_bound(
-    a: Symbol,
+    m: np.ndarray,
     space: SpaceNorm,
     trials: int,
     seed: int,
@@ -191,18 +189,19 @@ def multiplier_norm_lower_bound(
 ) -> MultiplierLowerBound:
     """Max Rayleigh ratio ``|W(a) f| / |f|`` over probe functions.
 
-    Always a lower bound for the operator norm.  The ``trials`` random
+    ``m`` is the symbol sampled at the frequency nodes, ``a(grid.xi)``, the
+    one sample the caller also checks.  The ratio is always a lower bound
+    for the operator norm.  The ``trials`` random
     complex mixtures are drawn in one :func:`grid.draw_mixtures` call and
     filtered in the stacks of :func:`grid.stacks`, one FFT pair per
     stack.  The probe set also holds the pure-frequency probe at the
     argmax node: it is an eigenvector of the operator with constant
     modulus, so in every lattice norm its ratio, returned as ``spike``, is
-    ``max_k |a(x_k)|``, which at (p=2, gamma=0) is the norm itself.
+    ``max_k |m_k|``, which at (p=2, gamma=0) is the norm itself.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    m = a(grid.xi)
     draws = draw_mixtures(grid, rng, trials, complex_values=True)
     best = 0.0
     for stack in stacks(trials, grid.size):
@@ -250,12 +249,17 @@ def stechkin_check(
     the constant is not constructive; the ratio is recorded as an
     empirical observation, never asserted.  ``eigen_gap`` is the relative
     gap between the spike probe's ratio and ``max_k |a(xi_k)|``, equal in
-    every space (infinite for a symbol zero at every node).
+    every space.  The symbol is sampled at the nodes once; a symbol zero at
+    every node is refused, since every bound on it would hold vacuously.
     """
+    m = a(grid.xi)
+    peak = float(np.max(np.abs(m)))
+    if peak == 0.0:
+        raise ValueError(f"symbol {a.label} is zero at every frequency node "
+                         "of the grid: the check would pass vacuously")
     norms = symbol_norms(a)
-    lower, spike = multiplier_norm_lower_bound(a, space, trials, seed, grid)
+    lower, spike = multiplier_norm_lower_bound(m, space, trials, seed, grid)
     ratio = lower / norms.v_norm if norms.v_norm > 0 else math.inf
-    peak = float(np.max(np.abs(a(grid.xi))))
     exact = space.is_unweighted_l2
     violation = bool(exact and lower > norms.sup_norm * (1.0 + 1e-9))
     return StechkinReport(
@@ -266,5 +270,5 @@ def stechkin_check(
         calibration=("exact: lower <= sup_norm, the norm at p=2" if exact
                      else "uncalibrated, empirical ratio"),
         violation=violation,
-        eigen_gap=abs(spike - peak) / peak if peak > 0 else math.inf,
+        eigen_gap=abs(spike - peak) / peak,
     )

@@ -8,31 +8,24 @@ toward +inf drives the image to zero; the sweep measures that decay row by
 row against the tail-supremum bound with the exact indicator variation
 constant 3.  It filters the probe with the shifted samples ``a(xi + h)``,
 all shifts in one stack; the modulations are the identity's test oracle.
-They are exact only for shifts on the frequency lattice, so
-``LimitSweepConfig.validate`` rejects off-lattice shifts: frequency
-leakage would otherwise break the identity.
+The identity is exact only for shifts on the frequency lattice, so the
+sweep takes integer steps m and shifts by ``h = m * dxi``: an off-lattice
+shift cannot be asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from numbers import Integral
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .fourier import make_mollifier
+from .fourier import Mollifier
 from .grid import Grid, GridFunction, bump_profile, dft_pair, filter_rows
 from .spaces import SpaceNorm, space_norm, space_norms
 from .symbols import Symbol, symbol_norms, tail_truncate
-
-_LATTICE_RTOL = 1e-9
-
-
-def is_on_lattice(grid: Grid, h: float) -> bool:
-    m = h / grid.dxi
-    return abs(m - round(m)) <= _LATTICE_RTOL * max(1.0, abs(m))
-
 
 def _out_of_band_mass(f: GridFunction, band: tuple[float, float]) -> float:
     """Spectral energy of ``f`` outside the closed ``band``, relative to all.
@@ -87,57 +80,6 @@ def band_limited_probe(
 
 
 @dataclass(frozen=True)
-class LimitSweepConfig:
-    """Inputs for a limit-operator decay sweep.
-
-    ``band`` is the true numerical support of the probe's transform
-    (relative out-of-band mass below 1e-10); each shift must sit on the
-    frequency lattice and keep ``band + max(shifts)`` inside the window.
-    The symbol's declared tail limits must both be zero: otherwise the
-    limit operator is not zero and the tail bound says nothing about it.
-    """
-
-    symbol: Symbol
-    probe: GridFunction
-    band: tuple[float, float]
-    shifts: tuple[float, ...]
-    space: SpaceNorm
-
-    def validate(self) -> None:
-        grid = self.probe.grid
-        lo, hi = self.band
-        if not lo < hi:
-            raise ValueError(f"band must be an interval, got {self.band}")
-        if not self.shifts:
-            raise ValueError("shifts must be non-empty")
-        if any(h <= 0 for h in self.shifts):
-            raise ValueError("shifts must be positive")
-        if list(self.shifts) != sorted(self.shifts):
-            raise ValueError("shifts must be increasing")
-        for h in self.shifts:
-            if not is_on_lattice(grid, h):
-                raise ValueError(
-                    f"shift {h} is off the frequency lattice "
-                    f"(not an integer multiple of dxi={grid.dxi})"
-                )
-        if hi + max(self.shifts) >= grid.freq_edge:
-            raise ValueError("band + max shift leaves the frequency window")
-        mass_out = _out_of_band_mass(self.probe, self.band)
-        if mass_out > 1e-10:
-            raise ValueError(
-                "probe spectrum is not confined to the declared band "
-                f"(relative out-of-band mass {mass_out:.3e})"
-            )
-        tail = self.symbol.tail
-        if tail is not None and (tail.limit_neg != 0 or tail.limit_pos != 0):
-            raise ValueError(
-                f"symbol {self.symbol.label} is not equivalent to zero at "
-                f"infinity: a(-inf) = {tail.limit_neg:.12g}, "
-                f"a(+inf) = {tail.limit_pos:.12g}"
-            )
-
-
-@dataclass(frozen=True)
 class SweepRow:
     shift: float
     norm: float
@@ -145,10 +87,25 @@ class SweepRow:
     within_bound: bool
 
 
-def limit_operator_sweep(cfg: LimitSweepConfig) -> list[SweepRow]:
+def limit_operator_sweep(
+    symbol: Symbol,
+    probe: GridFunction,
+    band: tuple[float, float],
+    steps: Sequence[int],
+    space: SpaceNorm,
+) -> list[SweepRow]:
     """Measure the conjugated norms against the tail bound, shift by shift.
 
-    For each shift h the row compares ``r = |W(a(. + h)) probe|``, the norm
+    ``steps`` are increasing positive integers m; each names the lattice
+    shift ``h = m * dxi``, the only shifts on which the conjugation identity
+    is exact.  ``band`` is the true numerical support of the probe's
+    transform (relative out-of-band mass below 1e-10), and ``band + h``
+    must stay inside the frequency window.  The symbol's declared tail
+    limits must both be zero, or the limit operator is not zero and the
+    tail bound says nothing about it.  A symbol zero at every node
+    ``xi + h`` is refused: every bound would hold vacuously.
+
+    For each shift the row compares ``r = |W(a(. + h)) probe|``, the norm
     of ``e_h W(a) e_{-h} probe``, against ``B = 3 * T * |probe|``; the k
     images are one :func:`filter_rows` call on the stack of ``a(xi + h)``.
     ``T`` comes from one :func:`symbol_norms` call on ``tail_truncate(a, N)``
@@ -158,15 +115,43 @@ def limit_operator_sweep(cfg: LimitSweepConfig) -> list[SweepRow]:
     callers; in other spaces it is the variation norm and the bound is
     reported with no calibrated constant.
     """
-    cfg.validate()
-    grid = cfg.probe.grid
-    p2 = cfg.space.is_unweighted_l2
-    nf = space_norm(cfg.space, cfg.probe)
-    spectra = cfg.symbol(grid.xi + np.asarray(cfg.shifts)[:, None])
-    norms = space_norms(cfg.space, grid, filter_rows(cfg.probe.values, spectra))
+    grid = probe.grid
+    lo, hi = band
+    if not lo < hi:
+        raise ValueError(f"band must be an interval, got {band}")
+    if not steps:
+        raise ValueError("steps must be non-empty")
+    if not all(isinstance(m, Integral) and m > 0 for m in steps):
+        raise ValueError(f"steps must be positive integers, got {list(steps)}")
+    if list(steps) != sorted(set(steps)):
+        raise ValueError("steps must be increasing")
+    shifts = grid.dxi * np.asarray(steps)
+    if hi + shifts[-1] >= grid.freq_edge:
+        raise ValueError("band + max shift leaves the frequency window")
+    mass_out = _out_of_band_mass(probe, band)
+    if mass_out > 1e-10:
+        raise ValueError(
+            "probe spectrum is not confined to the declared band "
+            f"(relative out-of-band mass {mass_out:.3e})"
+        )
+    tail = symbol.tail
+    if tail is not None and (tail.limit_neg != 0 or tail.limit_pos != 0):
+        raise ValueError(
+            f"symbol {symbol.label} is not equivalent to zero at "
+            f"infinity: a(-inf) = {tail.limit_neg:.12g}, "
+            f"a(+inf) = {tail.limit_pos:.12g}"
+        )
+    spectra = symbol(grid.xi + shifts[:, None])
+    if not np.any(spectra):
+        raise ValueError(f"symbol {symbol.label} is zero at every frequency "
+                         "node xi + h of the sweep: the check would pass "
+                         "vacuously")
+    p2 = space.is_unweighted_l2
+    nf = space_norm(space, probe)
+    norms = space_norms(space, grid, filter_rows(probe.values, spectra))
     rows = []
-    for h, r in zip(cfg.shifts, norms.tolist()):
-        tail = symbol_norms(tail_truncate(cfg.symbol, cfg.band[0] + h))
+    for h, r in zip(shifts.tolist(), norms.tolist()):
+        tail = symbol_norms(tail_truncate(symbol, lo + h))
         bound = 3.0 * (tail.sup_norm if p2 else tail.v_norm) * nf
         rows.append(SweepRow(h, r, bound, bool(r <= bound + 1e-8)))
     return rows
@@ -205,7 +190,7 @@ def density_experiment(
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     best = None
-    for delta, approx, err in make_mollifier("bump_spectrum", f.grid).rungs(f, space):
+    for delta, approx, err in Mollifier("bump_spectrum", f.grid).rungs(f, space):
         if best is None or err < best[2]:
             best = (delta, approx, err)
         if err < eps:

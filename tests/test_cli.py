@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 import threading
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convolab import cli, fourier
+from convolab import cli, fourier, parse_symbol
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
 from convolab.limitops import SweepRow
 
@@ -131,8 +132,8 @@ def test_bad_grid_half_width_is_usage_error(value, config_path, tmp_path, capsys
 @pytest.mark.parametrize("p,code", [(3, 0), (2, ASSERTION_FAILURE)])
 def test_sweep_fails_only_an_asserted_bound(p, code, tmp_path, capsys,
                                             monkeypatch):
-    def exceeded(cfg):
-        return [SweepRow(cfg.shifts[0], 2.0, 1.0, False)]
+    def exceeded(symbol, probe, band, steps, space):
+        return [SweepRow(steps[0] * probe.grid.dxi, 2.0, 1.0, False)]
 
     monkeypatch.setattr(cli, "limit_operator_sweep", exceeded)
     path = tmp_path / "exp.ini"
@@ -227,6 +228,9 @@ def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys)
     ("mollify", "f = const(1e-200)", "has norm 0"),
     ("density", "f = const(1e-200)", "has norm 0"),
     ("sweep", "symbol = const(0)", "zero at every frequency node"),
+    # nonzero at nodes xi of the grid, but zero at every node xi + h the
+    # sweep filters with: every norm would read 0
+    ("sweep", "symbol = indicator(-49,-47)", "zero at every frequency node"),
     ("stechkin", "symbol = const(0)", "zero at every frequency node"),
     # nonzero only on |x| > 2, beyond the window |x| < pi/2 of this grid
     ("stechkin", "symbol = truncate(rational_decay(1),2)\n[grid]\nn = 8",
@@ -246,6 +250,28 @@ def test_a_zero_input_is_refused_not_passed_vacuously(command, setting, reason,
     assert captured.err.startswith("error:") and reason in captured.err
     assert "vacuously" in captured.err
     assert not list(out.glob(f"{command}.*"))
+
+
+@pytest.mark.parametrize("config,n", [("quick.ini", 256), ("fine.ini", 1024)])
+@pytest.mark.parametrize("command", ["sweep", "stechkin"])
+def test_a_run_samples_its_symbol_at_the_nodes_once(command, config, n,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+    # symbol_norms samples k * 128 + 1 nodes, an odd number, so only the
+    # samples at the grid's nodes (or a stack of them) end in n entries
+    shapes = []
+
+    def counting(text):
+        a = parse_symbol(text)
+
+        def fn(x):
+            shapes.append(np.shape(x))
+            return a.fn(x)
+        return dataclasses.replace(a, fn=fn)
+
+    monkeypatch.setattr(cli, "parse_symbol", counting)
+    assert run_shipped(command, config, tmp_path) == 0
+    assert sum(shape[-1:] == (n,) for shape in shapes) == 1
 
 
 def test_config_without_section_header_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +7,7 @@ from convolab import (
     GridFunction,
     InconclusiveError,
     Grid,
+    Mollifier,
     SpaceNorm,
     Symbol,
     apply_multiplier,
@@ -17,7 +17,6 @@ from convolab import (
     filter_spectrum,
     fourier,
     make_grid,
-    make_mollifier,
     maximal_function,
     mollify_sweep,
     multiplier_norm_lower_bound,
@@ -153,7 +152,7 @@ class TestConvolve:
 
     def test_narrow_kernel_approximates_identity(self, fine_grid):
         f = sample("gaussian", fine_grid)
-        phi = make_mollifier("gaussian", fine_grid)
+        phi = Mollifier("gaussian", fine_grid)
         errors = [
             space_norm(L2, filter_spectrum(f, phi.spectrum(w)) - f)
             for w in (0.5, 0.25, 0.125)
@@ -179,26 +178,26 @@ class TestConvolve:
 
 class TestMollifier:
     def test_gaussian_normalization_and_majorant(self, fine_grid):
-        phi = make_mollifier("gaussian", fine_grid)
+        phi = Mollifier("gaussian", fine_grid)
         assert abs(quadrature(phi.kernel) - 1.0) < 1e-10
         assert phi.majorant_l1 == pytest.approx(1.0, abs=1e-8)
 
     def test_bump_spectrum_band_limit(self, fine_grid):
-        phi = make_mollifier("bump_spectrum", fine_grid)
+        phi = Mollifier("bump_spectrum", fine_grid)
         hat = dft_pair(phi.kernel, "forward")
         outside = np.abs(fine_grid.xi) > 1.0
         assert np.max(np.abs(hat.values[outside])) < 1e-10
         assert abs(quadrature(phi.kernel) - 1.0) < 1e-10
 
     def test_bump_majorant_dominates_kernel(self, fine_grid):
-        phi = make_mollifier("bump_spectrum", fine_grid)
+        phi = Mollifier("bump_spectrum", fine_grid)
         assert np.all(
             phi.majorant.values.real >= np.abs(phi.kernel.values) - 1e-15
         )
         assert phi.majorant_l1 >= 1.0
 
     def test_scaled_conv_stays_in_scaled_band(self, fine_grid):
-        phi = make_mollifier("bump_spectrum", fine_grid)
+        phi = Mollifier("bump_spectrum", fine_grid)
         g = sample("bump", fine_grid)
         for delta in (1.0, 0.5):
             out = filter_spectrum(g, phi.spectrum(delta))
@@ -207,25 +206,25 @@ class TestMollifier:
             assert np.max(np.abs(hat.values[dead])) < 1e-9
 
     def test_scale_validation(self, fine_grid):
-        phi = make_mollifier("gaussian", fine_grid)
+        phi = Mollifier("gaussian", fine_grid)
         with pytest.raises(ValueError, match="resolution"):
             phi.spectrum(0.1 * fine_grid.dx)
         with pytest.raises(ValueError):
             phi.spectrum(-1.0)
-        bump = make_mollifier("bump_spectrum", fine_grid)
+        bump = Mollifier("bump_spectrum", fine_grid)
         with pytest.raises(ValueError, match="resolution"):
             bump.spectrum(1.0 / (2 * fine_grid.freq_edge))
 
     @pytest.mark.parametrize("kind", ["gaussian", "bump_spectrum"])
     def test_unit_scale_is_the_kernel(self, kind, fine_grid):
-        phi = make_mollifier(kind, fine_grid)
+        phi = Mollifier(kind, fine_grid)
         kernel = dft_pair(GridFunction(fine_grid, phi.spectrum(1.0)), "inverse")
         assert np.array_equal(kernel.values, phi.kernel.values)
 
     @pytest.mark.parametrize("delta", [1.0, 0.5, 0.1])
     def test_spectrum_unit_mass_and_exact_band(self, delta, fine_grid):
-        bump = make_mollifier("bump_spectrum", fine_grid).spectrum(delta)
-        gauss = make_mollifier("gaussian", fine_grid).spectrum(delta)
+        bump = Mollifier("bump_spectrum", fine_grid).spectrum(delta)
+        gauss = Mollifier("gaussian", fine_grid).spectrum(delta)
         centre = fine_grid.size // 2
         assert bump[centre] == 1.0 and gauss[centre] == 1.0
         dead = np.abs(delta * fine_grid.xi) >= 1.0
@@ -233,13 +232,20 @@ class TestMollifier:
 
     def test_unknown_kind(self, fine_grid):
         with pytest.raises(ValueError, match="kind"):
-            make_mollifier("sinc", fine_grid)
+            Mollifier("sinc", fine_grid)
+
+    def test_misspelt_kind_raises_when_built(self, fine_grid):
+        # a misspelt kind once built a mollifier with the bump's spectrum
+        with pytest.raises(ValueError) as err:
+            Mollifier("gausian", fine_grid)
+        assert str(err.value) == ("kind must be 'gaussian' or 'bump_spectrum', "
+                                  "got 'gausian'")
 
     @pytest.mark.parametrize("kind", ["gaussian", "bump_spectrum"])
     @pytest.mark.parametrize("grid_name", ["std_grid", "fine_grid"])
     def test_majorant_matches_loop_reference(self, kind, grid_name, request):
         grid = request.getfixturevalue(grid_name)
-        phi = make_mollifier(kind, grid)
+        phi = Mollifier(kind, grid)
         av = np.abs(phi.kernel.values)
         expected = np.empty_like(av)
         running = 0.0
@@ -256,7 +262,7 @@ class TestMollifySweep:
 
     def test_smooth_probe_second_order(self, fine_grid):
         f = sample("gaussian", fine_grid)
-        phi = make_mollifier("gaussian", fine_grid)
+        phi = Mollifier("gaussian", fine_grid)
         rows = mollify_sweep(f, phi, L2)
         errs = [r.error for r in rows]
         assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -267,7 +273,7 @@ class TestMollifySweep:
 
     def test_indicator_probe_half_order_trend(self, fine_grid):
         chi = sample("indicator(-1,1)", fine_grid)
-        phi = make_mollifier("gaussian", fine_grid)
+        phi = Mollifier("gaussian", fine_grid)
         rows = mollify_sweep(chi, phi, L2)
         errs = [r.error for r in rows]
         assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -278,7 +284,7 @@ class TestMollifySweep:
 
     def test_pointwise_bound_both_kernels(self, fine_grid):
         for kind in ("gaussian", "bump_spectrum"):
-            phi = make_mollifier(kind, fine_grid)
+            phi = Mollifier(kind, fine_grid)
             for probe in ("gaussian", "indicator(-1,1)"):
                 rows = mollify_sweep(sample(probe, fine_grid), phi, L2)
                 assert all(r.pointwise_ok for r in rows)
@@ -288,7 +294,7 @@ class TestMollifySweep:
     def test_ladder_halves_down_to_the_grid_floor(self, L, n, last):
         grid = make_grid(L, n)
         f = sample("gaussian", grid)
-        rungs = make_mollifier("gaussian", grid).rungs(f, L2)
+        rungs = Mollifier("gaussian", grid).rungs(f, L2)
         deltas = [delta for delta, _, _ in rungs]
         halvings = [1 / 2**i for i in range(len(deltas) - 1)]
         assert deltas == halvings + [last]
@@ -306,19 +312,20 @@ class TestMultiplierNormLowerBound:
             )
             # operator norm on L2 of the grid: the dx weights cancel
             oracle = float(np.linalg.norm(dense, 2))
-            got = multiplier_norm_lower_bound(a, L2, trials=5, seed=3, grid=g)
+            got = multiplier_norm_lower_bound(a(g.xi), L2, trials=5, seed=3,
+                                              grid=g)
             assert got.lower == pytest.approx(oracle, abs=1e-10)
 
     def test_indicator_diagonal_norm(self, std_grid):
         got = multiplier_norm_lower_bound(
-            parse_symbol("indicator(-1,1)"), L2, trials=5, seed=1, grid=std_grid
-        )
+            parse_symbol("indicator(-1,1)")(std_grid.xi), L2, trials=5, seed=1,
+            grid=std_grid)
         assert got.lower == pytest.approx(1.0, abs=1e-10)
 
     def test_rational_peak_at_zero_node(self, std_grid):
         got = multiplier_norm_lower_bound(
-            parse_symbol("rational_decay(1)"), L2, trials=5, seed=1, grid=std_grid
-        )
+            parse_symbol("rational_decay(1)")(std_grid.xi), L2, trials=5, seed=1,
+            grid=std_grid)
         assert got.lower == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("p, gamma", [(3.0, -0.5), (1.5, 0.0)])
@@ -328,7 +335,7 @@ class TestMultiplierNormLowerBound:
         g = make_grid(8.0, 256)
         a = parse_symbol("arctan")
         peak = float(np.max(np.abs(a(g.xi))))
-        got = multiplier_norm_lower_bound(a, SpaceNorm(p, gamma), trials=5,
+        got = multiplier_norm_lower_bound(a(g.xi), SpaceNorm(p, gamma), trials=5,
                                           seed=1, grid=g)
         assert abs(got.spike - peak) <= 1e-12 * peak
         assert got.lower >= got.spike
@@ -336,8 +343,8 @@ class TestMultiplierNormLowerBound:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_identity_symbol_any_exponent(self, p, std_grid):
         got = multiplier_norm_lower_bound(
-            parse_symbol("const(1)"), SpaceNorm(p), trials=10, seed=2, grid=std_grid
-        )
+            parse_symbol("const(1)")(std_grid.xi), SpaceNorm(p), trials=10, seed=2,
+            grid=std_grid)
         assert got.lower == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
@@ -350,7 +357,8 @@ class TestMultiplierNormLowerBound:
         for trials in (1, chunk, chunk + 4):
             for text in ("arctan", "indicator(-1,1)"):
                 a = parse_symbol(text)
-                assert (multiplier_norm_lower_bound(a, space, trials, trials, grid)
+                assert (multiplier_norm_lower_bound(a(grid.xi), space, trials,
+                                                    trials, grid)
                         == multiplier_bound_by_trial(a, space, trials, trials, grid))
 
     @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
@@ -360,12 +368,12 @@ class TestMultiplierNormLowerBound:
         # random probe beats the indicator's pure-frequency probe
         grid = make_grid(L, n)
         space = SpaceNorm(3.0, -0.5)
-        a = parse_symbol("indicator(-1,1)")
+        m = parse_symbol("indicator(-1,1)")(grid.xi)
         trials = STACK_NODES // n + 3
-        want = multiplier_norm_lower_bound(a, space, trials, 5, grid)
+        want = multiplier_norm_lower_bound(m, space, trials, 5, grid)
         for budget in (1, 10**9):
             patch_stack_budget(monkeypatch, fourier, budget)
-            assert multiplier_norm_lower_bound(a, space, trials, 5, grid) == want
+            assert multiplier_norm_lower_bound(m, space, trials, 5, grid) == want
 
     @pytest.mark.parametrize("trials", [1, 16, 20])
     def test_one_fft_pair_and_two_norm_calls_per_stack(self, trials,
@@ -383,8 +391,8 @@ class TestMultiplierNormLowerBound:
 
         spy("space_norms", fourier.space_norms, 2)
         spy("filter_rows", fourier.filter_rows, 0)
-        multiplier_norm_lower_bound(parse_symbol("arctan"), SpaceNorm(3.0),
-                                    trials, seed=1, grid=grid)
+        multiplier_norm_lower_bound(parse_symbol("arctan")(grid.xi),
+                                    SpaceNorm(3.0), trials, seed=1, grid=grid)
         chunk = STACK_NODES // grid.size
         assert chunk == 16
         want = []
@@ -424,10 +432,11 @@ class TestStechkin:
         assert report.eigen_gap <= 1e-12  # the spike probe is exact anywhere
 
     def test_zero_symbol_has_no_eigen_check(self, std_grid):
-        # max |a| = 0 leaves no eigenvalue to match: the gap cannot pass
-        report = stechkin_check(parse_symbol("const(0)"), SpaceNorm(3.0, -0.5),
-                                trials=2, seed=0, grid=std_grid)
-        assert report.eigen_gap == math.inf
+        # max |a| = 0 leaves no eigenvalue to match, and every bound on the
+        # zero operator holds vacuously: the sample is refused
+        with pytest.raises(ValueError, match="zero at every frequency node"):
+            stechkin_check(parse_symbol("const(0)"), SpaceNorm(3.0, -0.5),
+                           trials=2, seed=0, grid=std_grid)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from convolab import (
     GridFunction,
-    LimitSweepConfig,
+    Mollifier,
     SpaceNorm,
     band_limited_probe,
     density_experiment,
@@ -15,7 +15,6 @@ from convolab import (
     filter_spectrum,
     limit_operator_sweep,
     make_grid,
-    make_mollifier,
     parse_symbol,
     quadrature,
     sample,
@@ -23,15 +22,15 @@ from convolab import (
     symbol_norms,
     tail_truncate,
 )
-from convolab.limitops import _out_of_band_mass, is_on_lattice
+from convolab.limitops import _out_of_band_mass
 from conjugation import conjugated_apply, modulate
 from conftest import dft_matrix, identity_residual, tail_sup
 
 L2 = SpaceNorm(2.0)
 
 
-def lattice_shifts(grid, targets):
-    return tuple(sorted({max(1, round(t / grid.dxi)) * grid.dxi for t in targets}))
+def lattice_steps(grid, targets):
+    return sorted({max(1, round(t / grid.dxi)) for t in targets})
 
 
 class TestModulate:
@@ -76,7 +75,6 @@ class TestConjugatedApply:
         h = round(5.0 / std_grid.dxi) * std_grid.dxi
         res = conjugated_apply(parse_symbol("indicator(-1,1)"), h, f)
         assert space_norm(L2, res) < 1e-10
-        assert is_on_lattice(std_grid, h)
 
     def test_residual_against_matrix_oracle(self):
         # dense check at n=32 that both evaluation routes realize the same map
@@ -103,9 +101,6 @@ class TestConjugatedApply:
             if band[1] + h >= std_grid.freq_edge:
                 continue
             assert identity_residual(a, h, f) < 1e-10
-
-    def test_off_lattice_flagged(self, std_grid):
-        assert not is_on_lattice(std_grid, 1.37 * std_grid.dxi)
 
     def test_uniform_bound_via_shifted_diagonal(self):
         # conjugation re-diagonalizes with the shifted symbol: on the band
@@ -136,10 +131,9 @@ class TestConjugatedApply:
 class TestLimitOperatorSweep:
     def test_compact_symbol_annihilates_past_threshold(self, std_grid):
         f = band_limited_probe(std_grid, (1.0, 2.0))
-        shifts = lattice_shifts(std_grid, (1, 2, 4, 8, 16, 32))
-        cfg = LimitSweepConfig(parse_symbol("indicator(-1,1)"), f,
-                               (1.0, 2.0), shifts, L2)
-        rows = limit_operator_sweep(cfg)
+        steps = lattice_steps(std_grid, (1, 2, 4, 8, 16, 32))
+        rows = limit_operator_sweep(parse_symbol("indicator(-1,1)"), f,
+                                    (1.0, 2.0), steps, L2)
         for row in rows:
             if 1.0 + row.shift > 1.0:  # inf(band) + h beyond supp a
                 assert row.norm < 1e-10
@@ -147,10 +141,9 @@ class TestLimitOperatorSweep:
 
     def test_rational_decay_quarters_per_doubling(self, std_grid):
         f = band_limited_probe(std_grid, (1.0, 2.0))
-        shifts = lattice_shifts(std_grid, (8.0, 16.0, 32.0))
-        cfg = LimitSweepConfig(parse_symbol("rational_decay(1)"), f,
-                               (1.0, 2.0), shifts, L2)
-        rows = limit_operator_sweep(cfg)
+        steps = lattice_steps(std_grid, (8.0, 16.0, 32.0))
+        rows = limit_operator_sweep(parse_symbol("rational_decay(1)"), f,
+                                    (1.0, 2.0), steps, L2)
         for r1, r2 in zip(rows, rows[1:]):
             ratio = r2.norm / r1.norm
             assert 0.25 / 2 <= ratio <= 0.25 * 2
@@ -158,10 +151,9 @@ class TestLimitOperatorSweep:
 
     def test_monotone_decay_for_decaying_tail(self, std_grid):
         f = band_limited_probe(std_grid, (1.0, 2.0), "random", seed=11)
-        shifts = lattice_shifts(std_grid, (4, 6, 8, 12, 16, 24, 32))
-        cfg = LimitSweepConfig(parse_symbol("rational_decay(1)"), f,
-                               (1.0, 2.0), shifts, L2)
-        rows = limit_operator_sweep(cfg)
+        steps = lattice_steps(std_grid, (4, 6, 8, 12, 16, 24, 32))
+        rows = limit_operator_sweep(parse_symbol("rational_decay(1)"), f,
+                                    (1.0, 2.0), steps, L2)
         for r1, r2 in zip(rows, rows[1:]):
             assert r2.norm <= r1.norm + 1e-10
 
@@ -175,8 +167,8 @@ class TestLimitOperatorSweep:
         grid = make_grid(L, n)
         a = parse_symbol("rational_decay(1)")
         f = band_limited_probe(grid, (1.0, 2.0))
-        rows = limit_operator_sweep(LimitSweepConfig(
-            a, f, (1.0, 2.0), lattice_shifts(grid, targets), space))
+        rows = limit_operator_sweep(a, f, (1.0, 2.0),
+                                    lattice_steps(grid, targets), space)
         floor = 1e-14 * space_norm(space, f)
         for row in rows:
             want = space_norm(space, conjugated_apply(a, row.shift, f))
@@ -184,10 +176,9 @@ class TestLimitOperatorSweep:
 
     def test_other_exponent_reports_variation_bound(self, std_grid):
         f = band_limited_probe(std_grid, (1.0, 2.0))
-        shifts = lattice_shifts(std_grid, (8.0, 16.0))
-        cfg = LimitSweepConfig(parse_symbol("rational_decay(1)"), f,
-                               (1.0, 2.0), shifts, SpaceNorm(3.0))
-        rows = limit_operator_sweep(cfg)
+        steps = lattice_steps(std_grid, (8.0, 16.0))
+        rows = limit_operator_sweep(parse_symbol("rational_decay(1)"), f,
+                                    (1.0, 2.0), steps, SpaceNorm(3.0))
         assert all(r.bound > 0 for r in rows)
 
     @pytest.mark.parametrize("space,tail", [
@@ -197,26 +188,25 @@ class TestLimitOperatorSweep:
     def test_bound_is_three_tail_norms_times_probe(self, std_grid, space, tail):
         a = parse_symbol("rational_decay(1)")
         f = band_limited_probe(std_grid, (1.0, 2.0))
-        shifts = lattice_shifts(std_grid, (8.0, 16.0))
-        rows = limit_operator_sweep(
-            LimitSweepConfig(a, f, (1.0, 2.0), shifts, space)
-        )
+        steps = lattice_steps(std_grid, (8.0, 16.0))
+        rows = limit_operator_sweep(a, f, (1.0, 2.0), steps, space)
         nf = space_norm(space, f)
         for row in rows:
             assert row.bound == 3.0 * tail(a, 1.0 + row.shift) * nf
 
     def test_config_validation(self, std_grid):
         f = band_limited_probe(std_grid, (1.0, 2.0))
-        good = lattice_shifts(std_grid, (4.0,))
-        with pytest.raises(ValueError, match="lattice"):
-            LimitSweepConfig(parse_symbol("const(1)"), f, (1.0, 2.0),
-                             (1.234,), L2).validate()
+        a = parse_symbol("const(1)")
+        good = lattice_steps(std_grid, (4.0,))
+        # a step is a whole number of lattice steps, never a float, so an
+        # off-lattice shift cannot be asked for
+        for steps in ([1.234], [10.0], [0], [8, 4], [4, 4], []):
+            with pytest.raises(ValueError, match="steps must be"):
+                limit_operator_sweep(a, f, (1.0, 2.0), steps, L2)
         with pytest.raises(ValueError, match="window"):
-            LimitSweepConfig(parse_symbol("const(1)"), f, (1.0, 2.0),
-                             (130 * std_grid.dxi,), L2).validate()
+            limit_operator_sweep(a, f, (1.0, 2.0), [130], L2)
         with pytest.raises(ValueError, match="band"):
-            LimitSweepConfig(parse_symbol("const(1)"), f, (40.0, 41.0),
-                             good, L2).validate()
+            limit_operator_sweep(a, f, (40.0, 41.0), good, L2)
 
     @pytest.mark.parametrize("text", ["arctan", "const(1)",
                                       "truncate(arctan,3)"])
@@ -224,10 +214,9 @@ class TestLimitOperatorSweep:
         # the limit operator of such a symbol is not zero, so the tail bound
         # would pass a sweep the theorem does not cover
         f = band_limited_probe(std_grid, (1.0, 2.0))
-        cfg = LimitSweepConfig(parse_symbol(text), f, (1.0, 2.0),
-                               lattice_shifts(std_grid, (4.0,)), L2)
         with pytest.raises(ValueError, match="not equivalent to zero at infinity"):
-            cfg.validate()
+            limit_operator_sweep(parse_symbol(text), f, (1.0, 2.0),
+                                 lattice_steps(std_grid, (4.0,)), L2)
 
 
 @dataclass(frozen=True)
@@ -255,7 +244,7 @@ def s0_test_function(g_expr, delta, grid):
     tails = body[np.abs(grid.t) > grid.half_width / 2]
     if peak == 0.0 or (tails.size and float(np.max(tails)) > 1e-12 * peak):
         raise ValueError("descriptor must be supported well inside [-L/2, L/2]")
-    f = filter_spectrum(g, make_mollifier("bump_spectrum", grid).spectrum(delta))
+    f = filter_spectrum(g, Mollifier("bump_spectrum", grid).spectrum(delta))
     band = (-1.0 / delta, 1.0 / delta)
     mass_out = _out_of_band_mass(f, band)
     if mass_out >= 1e-9:
@@ -332,7 +321,7 @@ class TestDensityExperiment:
         result = density_experiment(chi, 0.1, L2)
         assert result.delta == 0.015625
         errors = [err for _, _, err in
-                  make_mollifier("bump_spectrum", fine_grid).rungs(chi, L2)]
+                  Mollifier("bump_spectrum", fine_grid).rungs(chi, L2)]
         assert result.achieved == min(errors)
         assert 0.11 < result.achieved < 0.111
 
