@@ -2,12 +2,11 @@
 
 The multiplier operator is realized diagonally: transform, multiply by the
 symbol sampled at the frequency nodes (no cell averaging, so indicator
-supports stay sharp), transform back, as one FFT pair (``filter_spectrum``).
-Convolution and mollification multiply by the kernel's spectrum in the
-same way, exactly; a mollifier carries its unit-mass spectrum, so no kernel
-is transformed.  Against direct quadrature convolution this differs only by
-circular wrap near the domain boundary, so tests keep supports in the middle
-half.
+supports stay sharp), transform back, as one FFT pair on a ``(k, n)``
+stack (``filter_rows``).  Convolution and mollification multiply by the
+kernel's spectrum, exactly: the mollifier ladder is one stack of spectra.
+Against direct quadrature convolution this differs only by circular wrap
+near the domain boundary, so tests keep supports in the middle half.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ class Mollifier:
     spatial resample of the dilated kernel would leak outside the band
     through the finite window).  ``kernel`` is the unit-scale kernel,
     ``majorant`` its radial majorant and ``majorant_l1`` the majorant's
-    mass.  ``rungs`` walks the one ladder of scales that ``mollify_sweep``
-    and ``density_experiment`` share, set by the grid alone.
+    mass.  ``ladder`` smooths down the one ladder of scales, set by the
+    grid alone, that ``mollify_sweep`` and ``density_experiment`` share.
     """
 
     kind: str
@@ -79,7 +78,7 @@ class Mollifier:
         """Transform of the kernel at scale delta at ``grid.xi``, unit mass.
 
         The samples are divided by their value at ``x = 0``, the kernel's
-        mass, so smoothing is ``filter_spectrum(f, spectrum(delta))``.
+        mass, so smoothing is ``filter_rows(f.values, spectrum(delta))``.
         """
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
@@ -96,31 +95,28 @@ class Mollifier:
             hat = bump_profile(delta * g.xi)
         return hat / hat[g.size // 2]
 
-    def rungs(self, f: GridFunction, space: SpaceNorm):
-        """Yield ``(delta, f * phi_delta, |f * phi_delta - f|)`` down the ladder.
-
-        delta = 1, 1/2, 1/4, ... down to the grid floor
-        ``_MIN_DELTA_CELLS * dx``, which is the last rung (the only one when
-        the floor is at least 1).  At the bump kernel's floor the band
-        ``[-1/delta, 1/delta]`` still lies inside the frequency window.
-        A zero ``f`` raises ``ValueError``: every rung would match it.  So
-        does a nonzero ``f`` whose norm in ``space`` is 0 (at 1e-200 the
-        powers of its values underflow), since every error then reads 0.
+    def ladder(self, f: GridFunction, space: SpaceNorm):
+        """``(deltas, smoothed, errors)``: the scales delta = 1, 1/2, 1/4, ...
+        down to the grid floor ``_MIN_DELTA_CELLS * dx`` (the only rung when
+        the floor is at least 1), the ``(rungs, n)`` stack of ``f * phi_delta``
+        and each ``|f * phi_delta - f|``, in one :func:`filter_rows` and one
+        :func:`space_norms` call.  At the bump kernel's floor the band
+        ``[-1/delta, 1/delta]`` still lies inside the frequency window.  A
+        zero ``f`` raises ``ValueError``: every rung would match it.  So does
+        a nonzero ``f`` whose norm in ``space`` is 0 (at 1e-200 its powers
+        underflow), since every error then reads 0.
         """
-        if not np.any(f.values):
-            raise ValueError("f is zero: the check would pass vacuously")
         if space_norm(space, f) == 0.0:
-            raise ValueError(f"f is nonzero but has norm 0 at p={space.p:g}, "
-                             f"gamma={space.gamma:g} (its powers underflow): "
-                             "the check would pass vacuously")
+            why = "zero" if not np.any(f.values) else (
+                f"nonzero but has norm 0 at p={space.p:g}, "
+                f"gamma={space.gamma:g} (its powers underflow)")
+            raise ValueError(f"f is {why}: the check would pass vacuously")
         floor = _MIN_DELTA_CELLS * self.grid.dx
-        delta = max(1.0, floor)
-        while True:
-            smoothed = filter_spectrum(f, self.spectrum(delta))
-            yield delta, smoothed, space_norm(space, smoothed - f)
-            if delta == floor:
-                return
-            delta = max(delta / 2, floor)
+        deltas = [max(1.0, floor)]
+        while deltas[-1] > floor:
+            deltas.append(max(deltas[-1] / 2, floor))
+        smoothed = filter_rows(f.values, np.stack([self.spectrum(d) for d in deltas]))
+        return deltas, smoothed, space_norms(space, self.grid, smoothed - f.values)
 
     @cached_property
     def kernel(self) -> GridFunction:
@@ -140,8 +136,7 @@ class Mollifier:
         return float(quadrature(self.majorant).real)
 
 
-@dataclass(frozen=True)
-class MollifyRow:
+class MollifyRow(NamedTuple):
     delta: float
     error: float
     bound: float
@@ -151,7 +146,7 @@ class MollifyRow:
 def mollify_sweep(
     f: GridFunction, phi: Mollifier, space: SpaceNorm
 ) -> list[MollifyRow]:
-    """Smooth ``f`` at each rung of ``phi.rungs`` and track the domination.
+    """Smooth ``f`` at each rung of ``phi.ladder`` and track the domination.
 
     Each row carries the approximation error ``|f * phi_delta - f|``, the
     smoothed norm ``|f * phi_delta|``, and whether
@@ -163,16 +158,14 @@ def mollify_sweep(
     if f.grid != phi.grid:
         raise ValueError("grid mismatch between function and mollifier")
     mf = maximal_function(f, "fast").values.real
-    ceiling = phi.majorant_l1 * mf + 1e-8
-    rows = [
-        MollifyRow(delta, err, space_norm(space, smoothed),
-                   bool(np.all(np.abs(smoothed.values) <= ceiling)))
-        for delta, smoothed, err in phi.rungs(f, space)
-    ]
-    if len(rows) < 2:
+    deltas, smoothed, errors = phi.ladder(f, space)
+    if len(deltas) < 2:
         raise ValueError(f"grid too coarse to mollify: dx={f.grid.dx} leaves "
                          "one scale on the ladder")
-    return rows
+    bounds = space_norms(space, f.grid, smoothed)
+    dominated = np.all(np.abs(smoothed) <= phi.majorant_l1 * mf + 1e-8, axis=1)
+    return [MollifyRow(*row) for row in zip(
+        deltas, errors.tolist(), bounds.tolist(), dominated.tolist())]
 
 
 class MultiplierLowerBound(NamedTuple):
@@ -191,36 +184,41 @@ def multiplier_norm_lower_bound(
 
     ``m`` is the symbol sampled at the frequency nodes, ``a(grid.xi)``, the
     one sample the caller also checks.  The ratio is always a lower bound
-    for the operator norm.  The ``trials`` random
-    complex mixtures are drawn in one :func:`grid.draw_mixtures` call and
-    filtered in the stacks of :func:`grid.stacks`, one FFT pair per
-    stack.  The probe set also holds the pure-frequency probe at the
-    argmax node: it is an eigenvector of the operator with constant
-    modulus, so in every lattice norm its ratio, returned as ``spike``, is
-    ``max_k |m_k|``, which at (p=2, gamma=0) is the norm itself.
+    for the operator norm.  Probe 0 is the pure-frequency probe at the
+    argmax node, an eigenvector of the operator with constant modulus: in
+    every lattice norm its ratio, returned as ``spike``, is ``max_k |m_k|``,
+    which at (p=2, gamma=0) is the norm itself.  Probes 1 to ``trials`` are
+    random complex mixtures from one :func:`grid.draw_mixtures` call.  All
+    are filtered in the stacks of :func:`grid.stacks`, one FFT pair per
+    stack, by ``m / max|m|``; the norm is homogeneous, so the ratios are
+    scaled back by ``max|m|``, and no power of an image underflows or
+    overflows, whatever the symbol's scale.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    draws = draw_mixtures(grid, rng, trials, complex_values=True)
-    best = 0.0
-    for stack in stacks(trials, grid.size):
-        probes = mixture_stack(grid, draws[stack.start:stack.stop])
+    peak = float(np.max(np.abs(m)))
+    if peak == 0.0:
+        raise ValueError("the symbol is zero at every frequency node of the "
+                         "grid: the check would pass vacuously")
+    spike = np.arange(grid.size) == np.argmax(np.abs(m))
+    spike = dft_pair(GridFunction(grid, spike), "inverse").values
+    draws = draw_mixtures(grid, np.random.default_rng(seed), trials,
+                          complex_values=True)
+    ratios = []
+    for stack in stacks(trials + 1, grid.size):
+        # probe i > 0 is the mixture of draws[i - 1]
+        probes = mixture_stack(grid, draws[max(stack.start - 1, 0):stack.stop - 1])
+        if stack.start == 0:
+            probes = np.concatenate((spike[None], probes))
         nf = space_norms(space, grid, probes)
+        if stack.start == 0 and nf[0] == 0.0:
+            # the probe's modulus is 1/(2L), whose powers underflow on a wide grid
+            raise ValueError(f"the pure-frequency probe has norm 0 on the grid "
+                             f"L={grid.half_width:.12g} n={grid.size}")
         live = nf != 0.0
-        images = space_norms(space, grid, filter_rows(probes, m))
-        best = max([best, *(images[live] / nf[live]).tolist()])
-
-    spike = np.zeros(grid.size, dtype=complex)
-    spike[int(np.argmax(np.abs(m)))] = 1.0
-    probe = dft_pair(GridFunction(grid, spike), "inverse")
-    norm = space_norm(space, probe)
-    if norm == 0.0:
-        # the probe's modulus is 1/(2L), whose powers underflow on a wide grid
-        raise ValueError(f"the pure-frequency probe has norm 0 on the grid "
-                         f"L={grid.half_width:.12g} n={grid.size}")
-    ratio = space_norm(space, filter_spectrum(probe, m)) / norm
-    return MultiplierLowerBound(max(best, ratio), ratio)
+        images = space_norms(space, grid, filter_rows(probes, m / peak))
+        ratios += (images[live] / nf[live]).tolist()
+    return MultiplierLowerBound(peak * max(ratios), peak * ratios[0])
 
 
 @dataclass(frozen=True)
@@ -249,16 +247,12 @@ def stechkin_check(
     the constant is not constructive; the ratio is recorded as an
     empirical observation, never asserted.  ``eigen_gap`` is the relative
     gap between the spike probe's ratio and ``max_k |a(xi_k)|``, equal in
-    every space.  The symbol is sampled at the nodes once; a symbol zero at
-    every node is refused, since every bound on it would hold vacuously.
+    every space.  The symbol is sampled at the nodes once.
     """
     m = a(grid.xi)
-    peak = float(np.max(np.abs(m)))
-    if peak == 0.0:
-        raise ValueError(f"symbol {a.label} is zero at every frequency node "
-                         "of the grid: the check would pass vacuously")
-    norms = symbol_norms(a)
     lower, spike = multiplier_norm_lower_bound(m, space, trials, seed, grid)
+    norms = symbol_norms(a)
+    peak = float(np.max(np.abs(m)))
     ratio = lower / norms.v_norm if norms.v_norm > 0 else math.inf
     exact = space.is_unweighted_l2
     violation = bool(exact and lower > norms.sup_norm * (1.0 + 1e-9))

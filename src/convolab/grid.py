@@ -10,13 +10,14 @@ callers choose ``L`` so the functions involved decay below 1e-12 at the
 boundary.  Indicator sampling uses the half-open convention ``[c, d)`` so
 a node sitting exactly on a boundary is resolved deterministically.
 
-Stacks: ``filter_rows`` filters each row of a ``(k, n)`` array with one FFT
-pair along the last axis (``filter_spectrum`` is its one-function case),
-and the random test functions are drawn as a ``(k, 15)`` array of scalars,
-one call per kind of scalar for all k probes (``draw_mixtures``), and
-evaluated as a ``(k, n)`` stack (``mixture_stack``); ``random_mixture`` is
-the one-probe case.  A row of a stack gets the same values, bit for bit,
-as when it is evaluated on its own, and a stack of real probes is float64.
+Stacks: every command filters through ``filter_rows``, one FFT pair along
+the last axis of a ``(k, n)`` array (``filter_spectrum`` is its one-row
+case, for the library API).  The random test functions are drawn as a
+``(k, 15)`` array of scalars, one call per kind of scalar for all k probes
+(``draw_mixtures``), and evaluated as a ``(k, n)`` stack
+(``mixture_stack``); ``random_mixture`` is the one-probe case.  A row of a
+stack gets the same values, bit for bit, as when it is evaluated on its
+own, and a stack of real probes is float64.
 """
 
 from __future__ import annotations
@@ -347,6 +348,9 @@ def draw_mixtures(
     the lengths ``b - a``, the heights.  The array is float64, or
     complex128 with ``complex_values``.
     """
+    if grid.half_width < 0.8:  # the lengths b - a are drawn from [0.2, L/4]
+        raise ValueError(f"the random probes need a grid half width L of at "
+                         f"least 0.8, got L={grid.half_width:.12g}")
     L = grid.half_width * 0.5
     c = rng.uniform(-0.8 * L, 0.8 * L, (count, 4))
     w = rng.uniform(0.2, 1.5, (count, 4))

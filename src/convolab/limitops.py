@@ -1,4 +1,4 @@
-"""Decay sweeps of the limit operators, and band-limited probes.
+"""Decay sweeps of the limit operators, band-limited probes and density.
 
 Conjugating the convolution operator by a modulation shifts its symbol,
 ``e_h W(a) e_{-h} = W(a(. + h))``: on a band-limited input whose spectrum
@@ -6,11 +6,10 @@ lives in a segment K, it acts like the symbol restricted to K + h.  When
 the symbol is (numerically) equivalent to zero at infinity, pushing h
 toward +inf drives the image to zero; the sweep measures that decay row by
 row against the tail-supremum bound with the exact indicator variation
-constant 3.  It filters the probe with the shifted samples ``a(xi + h)``,
-all shifts in one stack; the modulations are the identity's test oracle.
-The identity is exact only for shifts on the frequency lattice, so the
-sweep takes integer steps m and shifts by ``h = m * dxi``: an off-lattice
-shift cannot be asked for.
+constant 3.  It filters the probe with the shifted samples ``a(xi + h)`` on
+the frequency lattice ``h = m * dxi``, where the identity is exact, all
+shifts in one stack; the modulations are the identity's test oracle.  The
+density check picks its rung from the one stack of ``Mollifier.ladder``.
 """
 
 from __future__ import annotations
@@ -179,22 +178,20 @@ def density_experiment(
 ) -> DensityResult:
     """Approximate ``f`` by a band-limited function within ``eps``.
 
-    Walks the bump kernel's ladder ``Mollifier.rungs`` (delta = 1, 1/2,
-    ... down to the grid floor) and returns the first rung with
-    ``|f * phi_delta - f| < eps`` or, when no rung gets there, the rung that
-    came closest; callers compare ``achieved`` with ``eps``.  Each rung's
-    spectrum vanishes exactly outside ``[-1/delta, 1/delta]``, a band that
-    the floor keeps inside the frequency window, so no separate smoothing
-    step is needed.
+    Smooths ``f`` down the bump kernel's ladder ``Mollifier.ladder``
+    (delta = 1, 1/2, ... down to the grid floor) and returns the first rung
+    with ``|f * phi_delta - f| < eps`` or, when no rung gets there, the rung
+    that came closest; callers compare ``achieved`` with ``eps``.  Each
+    rung's spectrum vanishes exactly outside ``[-1/delta, 1/delta]``, a band
+    that the floor keeps inside the frequency window, so no separate
+    smoothing step is needed.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    best = None
-    for delta, approx, err in Mollifier("bump_spectrum", f.grid).rungs(f, space):
-        if best is None or err < best[2]:
-            best = (delta, approx, err)
-        if err < eps:
-            break
-    delta, approx, err = best
-    band = (-1.0 / delta, 1.0 / delta)
-    return DensityResult(approx, delta, err, band, _out_of_band_mass(approx, band))
+    deltas, smoothed, errors = Mollifier("bump_spectrum", f.grid).ladder(f, space)
+    below = np.flatnonzero(errors < eps)
+    i = int(below[0]) if below.size else int(np.argmin(errors))
+    approx = GridFunction(f.grid, smoothed[i])
+    band = (-1.0 / deltas[i], 1.0 / deltas[i])
+    return DensityResult(approx, deltas[i], float(errors[i]), band,
+                         _out_of_band_mass(approx, band))

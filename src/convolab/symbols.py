@@ -195,6 +195,7 @@ def symbol_norms(a: Symbol) -> SymbolNorms:
     at an endpoint) or a tail limit.  A segment whose differences change
     sign, in Re or Im, apart from its first and last (where a declared jump
     sits), shows the declaration false and raises ``InconclusiveError``.
+    So does a window ``[-W, W]`` too wide for floats, whose nodes overflow.
     """
     if a.tail is None:
         raise InconclusiveError(
@@ -202,6 +203,9 @@ def symbol_norms(a: Symbol) -> SymbolNorms:
             "real line cannot be certified from window samples"
         )
     base = _base_nodes(a)
+    if not math.isfinite(float(base[-1]) - float(base[0])):
+        raise InconclusiveError(f"symbol {a.label}: the width of its sampling "
+                                f"window [-W, W], W = {base[-1]:.6g}, overflows")
     nodes = np.linspace(base[:-1], base[1:], _PER_SEGMENT + 1, axis=1)[:, :-1]
     vals = a(np.concatenate([nodes.ravel(), base[-1:]]))
     steps = np.diff(vals)

@@ -10,6 +10,7 @@ from convolab import (
     SymbolNorms,
     apply_multiplier,
     dft_pair,
+    filter_spectrum,
     make_grid,
     quadrature,
     shift_symbol,
@@ -192,16 +193,20 @@ def axioms_by_trial(space, trials, seed, grid):
 
 def multiplier_bound_by_trial(a, space, trials, seed, grid):
     """Oracle of ``multiplier_norm_lower_bound``: one probe at a time; the
-    bound over every probe and the spike probe's ratio."""
+    bound over every probe and the spike probe's ratio, each filtered by
+    ``a / max|a|`` and scaled back by ``max|a|``."""
+    m = a(grid.xi)
+    peak = float(np.max(np.abs(m)))
     rng = np.random.default_rng(seed)
     best = 0.0
     for draw in draws_by_kind(grid, rng, trials, complex_values=True):
         f = mixture_by_bump(grid, draw)
         nf = space_norm(space, f)
         if nf != 0.0:
-            best = max(best, space_norm(space, apply_multiplier(a, f)) / nf)
+            best = max(best, space_norm(space, filter_spectrum(f, m / peak)) / nf)
     spike = np.zeros(grid.size, dtype=complex)
-    spike[int(np.argmax(np.abs(a(grid.xi))))] = 1.0
+    spike[int(np.argmax(np.abs(m)))] = 1.0
     probe = dft_pair(GridFunction(grid, spike), "inverse")
-    ratio = space_norm(space, apply_multiplier(a, probe)) / space_norm(space, probe)
-    return max(best, ratio), ratio
+    ratio = (space_norm(space, filter_spectrum(probe, m / peak))
+             / space_norm(space, probe))
+    return peak * max(best, ratio), peak * ratio

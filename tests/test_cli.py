@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convolab import cli, fourier, parse_symbol
+from convolab import Grid, SymbolNorms, cli, fourier, limitops, parse_symbol, spaces
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
 from convolab.limitops import SweepRow
+from reference_runs import ROOT, RUNS
 
 CONFIG = """
 [grid]
@@ -57,11 +58,15 @@ SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 WEIGHTED = SHIPPED.parent / "bench" / "configs"
 
 
+def shipped(config):
+    """``configs/<config>``, or the benchmark's ``bench/configs/<config>``
+    for a ``weighted-*`` config."""
+    return (WEIGHTED if config.startswith("weighted-") else SHIPPED) / config
+
+
 def run_shipped(command, config, tmp_path, *extra):
-    """Run ``command`` on ``configs/<config>``, or on the benchmark's
-    ``bench/configs/<config>`` for a ``weighted-*`` config."""
-    folder = WEIGHTED if config.startswith("weighted-") else SHIPPED
-    return main([command, "--config", str(folder / config),
+    """Run ``command`` on the shipped or weighted ``config``."""
+    return main([command, "--config", str(shipped(config)),
                  "--out", str(tmp_path / "out"), *extra])
 
 
@@ -570,19 +575,21 @@ def one_percent_larger(owner, name, route=None):
 
 
 def rolled_spectrum(owner, name):
-    """``owner.name`` filtering with its spectral samples rolled by one node."""
+    """``owner.name`` filtering with each row of its spectral samples rolled
+    by one node."""
     exact = getattr(owner, name)
 
-    def mutant(f, m):
-        return exact(f, np.roll(m, 1))
+    def mutant(rows, m):
+        return exact(rows, np.roll(m, 1, axis=-1))
     return mutant
 
 
 # each mutant: (how it breaks, owner, attribute[, maximal scan route]);
-# stechkin applies its multiplier to the spike probe by filter_spectrum
+# stechkin filters its probe stacks, and mollify and density their ladder,
+# by fourier's filter_rows
 MUTANTS = {
-    "multiplier": (one_percent_larger, fourier, "filter_spectrum"),
-    "roll": (rolled_spectrum, fourier, "filter_spectrum"),
+    "multiplier": (one_percent_larger, fourier, "filter_rows"),
+    "roll": (rolled_spectrum, fourier, "filter_rows"),
     "kernel": (one_percent_larger, fourier.Mollifier, "spectrum"),
     "maximal_function": (one_percent_larger, cli, "maximal_scan"),
     "oracle": (one_percent_larger, cli, "maximal_scan", "oracle"),
@@ -622,6 +629,61 @@ def test_one_percent_mutant_fails_its_gate(command, config, mutant, gate,
     assert f" {gate}=FAIL" in capsys.readouterr().out
     # a failing run still writes its artifact
     assert list((tmp_path / "out").glob(f"{command}.*"))
+
+
+def scaled_symbol_norms(owner, name):
+    """``owner.name`` with every norm of the symbol 1% too small."""
+    exact = getattr(owner, name)
+
+    def mutant(a):
+        return SymbolNorms(*(0.99 * v for v in exact(a)))
+    return mutant
+
+
+# the audit's mutants: MUTANTS and one per norm routine, each patched
+# under every name a command calls it by; the maximal-scan mutants come
+# first, so that fine maximal-check (0.4 s a run) runs once
+AUDIT_MUTANTS = [
+    [MUTANTS[name]]
+    for name in ("maximal_function", "oracle", "multiplier", "roll", "kernel")
+] + [
+    [(one_percent_larger, owner, "space_norms") for owner in (spaces, fourier,
+                                                              limitops)],
+    [(one_percent_larger, Grid, "power_weight")],
+    [(scaled_symbol_norms, owner, "symbol_norms") for owner in (fourier,
+                                                                limitops)],
+]
+
+CONFIGS = sorted({config for _, config, _ in RUNS})
+
+# The reference runs that no audit mutant makes exit 2, and the ROADMAP
+# item that will give each a gate a 1% error fails.
+UNGUARDED = {
+    **{f"sweep {config}": "items 1, 16 and 12: the tail bound, not r(h)"
+       for config in CONFIGS},
+    **{f"density {config}": "item 17: some rung below eps, not its error"
+       for config in CONFIGS},
+    **{f"axioms {config}": "item 19's closed-form gate and item 12: "
+       "the lattice axioms are scale-free" for config in CONFIGS},
+}
+
+
+def test_every_reference_run_but_the_listed_ones_fails_a_mutant(
+        tmp_path, capsys, monkeypatch):
+    unguarded = set()
+    for command, config, extra in RUNS:
+        for patches in AUDIT_MUTANTS:
+            with monkeypatch.context() as m:
+                for make, owner, name, *route in patches:
+                    m.setattr(owner, name, make(owner, name, *route))
+                code = main([command, "--config", str(ROOT / config),
+                             "--out", str(tmp_path / "out"), *extra])
+            if code == ASSERTION_FAILURE:
+                break
+        else:
+            unguarded.add(f"{command} {config}")
+    capsys.readouterr()
+    assert unguarded == set(UNGUARDED)
 
 
 @pytest.mark.parametrize("flag,floor", [(("--grid-n", "128"), "0.0625"),
@@ -690,6 +752,61 @@ def test_stechkin_on_a_grid_where_its_spike_probe_vanishes_is_usage_error(
     assert capsys.readouterr().err == (
         "error: the pure-frequency probe has norm 0 on the grid L=1e+200 n=256\n")
     assert not (tmp_path / "out").exists()
+
+
+def shipped_with(config, tmp_path, section, key, value):
+    """A copy of a shipped or weighted config with ``[section] key`` set."""
+    cfg = configparser.ConfigParser()
+    cfg.read(shipped(config))
+    cfg[section][key] = value
+    path = tmp_path / config
+    with path.open("w") as fh:
+        cfg.write(fh)
+    return str(path)
+
+
+@pytest.mark.parametrize("config,scale", [
+    ("weighted-quick.ini", "1e-104"), ("quick.ini", "1e-160"),
+    ("quick.ini", "1e-163"), ("quick.ini", "1e300")])
+def test_stechkin_bound_does_not_depend_on_the_symbol_scale(config, scale,
+                                                            tmp_path, capsys):
+    # filtered by a itself, |image|^p went subnormal at 1e-104 in L^3 and
+    # at 1e-160 in L^2, vanished at 1e-163 and overflowed at 1e300
+    path = shipped_with(config, tmp_path, "stechkin", "symbol", f"const({scale})")
+    out = tmp_path / "out"
+    assert main(["stechkin", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(" eigen=pass\n")
+    report = json.loads((out / "stechkin.json").read_text())["result"]
+    assert report["lower"] == pytest.approx(float(scale), rel=1e-12)
+    assert report["eigen_gap"] <= 1e-12
+
+
+def test_stechkin_on_a_symbol_wider_than_floats_is_usage_error(tmp_path, capsys):
+    # its sampling window [-1e308, 1e308] is 2e308 = inf wide: the norms
+    # read NaN, the sup bound passed and stechkin.json held NaN
+    path = shipped_with("quick.ini", tmp_path, "stechkin", "symbol",
+                        "shift(arctan,1e308)")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["stechkin", "--config", path, "--out", str(out)])
+    assert code == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: symbol shift(arctan,1e+308): the width of "
+                          "its sampling window")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stechkin", "axioms"])
+def test_grid_too_narrow_for_the_random_probes_is_usage_error(command, tmp_path,
+                                                              capsys):
+    # the indicator lengths are drawn from [0.2, L/4]: empty below L = 0.8
+    assert run_shipped(command, "quick.ini", tmp_path, "--grid-L", "0.7") == USAGE_ERROR
+    assert capsys.readouterr().err == ("error: the random probes need a grid "
+                                       "half width L of at least 0.8, got L=0.7\n")
+    assert not (tmp_path / "out").exists()
+    assert run_shipped(command, "quick.ini", tmp_path, "--grid-L", "0.8") == 0
 
 
 @pytest.mark.parametrize("command,code", [("axioms", 0), ("mollify", USAGE_ERROR)])

@@ -13,6 +13,7 @@ from convolab import (
     apply_multiplier,
     band_limited_probe,
     convolve,
+    density_experiment,
     dft_pair,
     filter_spectrum,
     fourier,
@@ -294,11 +295,38 @@ class TestMollifySweep:
     def test_ladder_halves_down_to_the_grid_floor(self, L, n, last):
         grid = make_grid(L, n)
         f = sample("gaussian", grid)
-        rungs = Mollifier("gaussian", grid).rungs(f, L2)
-        deltas = [delta for delta, _, _ in rungs]
+        deltas, smoothed, errors = Mollifier("gaussian", grid).ladder(f, L2)
+        assert smoothed.shape == (len(deltas), n) and errors.shape == (len(deltas),)
         halvings = [1 / 2**i for i in range(len(deltas) - 1)]
         assert deltas == halvings + [last]
         assert last == 0.5 * grid.dx and halvings[-1] / 2 <= last
+
+    @pytest.mark.parametrize("caller, norm_calls", [
+        (lambda f, phi: phi.ladder(f, L2), 1),
+        (lambda f, phi: mollify_sweep(f, phi, L2), 2),
+        (lambda f, phi: density_experiment(f, 1e-6, L2), 1)],
+        ids=["ladder", "mollify_sweep", "density_experiment"])
+    def test_ladder_is_one_filter_call_and_one_norm_call(
+            self, caller, norm_calls, fine_grid, monkeypatch):
+        # every rung in one (rungs, n) stack: one filter call and one norm
+        # call on smoothed - f; mollify_sweep adds the smoothed norms
+        calls = []
+
+        def spy(name):
+            exact = getattr(fourier, name)
+
+            def call(*args):
+                calls.append((name, np.shape(args[-1])))
+                return exact(*args)
+            monkeypatch.setattr(fourier, name, call)
+
+        spy("filter_rows")
+        spy("space_norms")
+        f = sample("indicator(-1,1)", fine_grid)
+        caller(f, Mollifier("bump_spectrum", fine_grid))
+        stack = (7, fine_grid.size)  # delta = 1 .. 1/64
+        assert calls == [("filter_rows", stack),
+                         *[("space_norms", stack)] * norm_calls]
 
 
 class TestMultiplierNormLowerBound:
@@ -378,8 +406,9 @@ class TestMultiplierNormLowerBound:
     @pytest.mark.parametrize("trials", [1, 16, 20])
     def test_one_fft_pair_and_two_norm_calls_per_stack(self, trials,
                                                        monkeypatch):
-        # each stack of at most STACK_NODES nodes: its probes' norms, one
-        # filter call, its images' norms; the spike probe takes neither path
+        # one loop over the stacks of trials + 1 probes, the spike probe
+        # first, each of at most STACK_NODES nodes: its probes' norms, one
+        # filter call, its images' norms
         grid = make_grid(16.0, 1024)
         calls = []
 
@@ -391,17 +420,33 @@ class TestMultiplierNormLowerBound:
 
         spy("space_norms", fourier.space_norms, 2)
         spy("filter_rows", fourier.filter_rows, 0)
-        multiplier_norm_lower_bound(parse_symbol("arctan")(grid.xi),
-                                    SpaceNorm(3.0), trials, seed=1, grid=grid)
+        m = parse_symbol("arctan")(grid.xi)
+        got = multiplier_norm_lower_bound(m, SpaceNorm(3.0), trials, seed=1,
+                                          grid=grid)
         chunk = STACK_NODES // grid.size
         assert chunk == 16
         want = []
-        for done in range(0, trials, chunk):
-            shape = (min(chunk, trials - done), grid.size)
+        for done in range(0, trials + 1, chunk):
+            shape = (min(chunk, trials + 1 - done), grid.size)
             want += [("space_norms", shape), ("filter_rows", shape),
                      ("space_norms", shape)]
         assert calls == want
         assert all(rows * n <= STACK_NODES for _, (rows, n) in calls)
+        peak = np.max(np.abs(m))
+        assert abs(got.spike - peak) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-104, 1e300])
+    @pytest.mark.parametrize("p, gamma", [(2.0, 0.0), (3.0, -0.5)])
+    def test_bound_scales_with_the_symbol(self, scale, p, gamma):
+        # the filter is m / max|m|: the powers of the images of a tiny or a
+        # huge symbol neither underflow nor overflow
+        grid = make_grid(8.0, 256)
+        m = parse_symbol("arctan")(grid.xi)
+        space = SpaceNorm(p, gamma)
+        want = multiplier_norm_lower_bound(m, space, 5, 1, grid)
+        got = multiplier_norm_lower_bound(scale * m, space, 5, 1, grid)
+        assert got.lower == pytest.approx(scale * want.lower, rel=1e-14)
+        assert got.spike == pytest.approx(scale * want.spike, rel=1e-14)
 
 
 class TestStechkin:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ class TestSymbolNorms:
         bare = Symbol(np.cos)
         with pytest.raises(InconclusiveError):
             symbol_norms(bare)
+
+    def test_window_wider_than_floats_is_inconclusive(self):
+        # W = 1e308 makes the window's width 2e308 = inf, and its samples
+        # inf and NaN; at W = 1e307 the window samples cleanly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InconclusiveError, match="overflows"):
+                symbol_norms(parse_symbol("shift(arctan,1e308)"))
+        norms = symbol_norms(parse_symbol("shift(arctan,1e307)"))
+        assert norms == pytest.approx((math.pi / 2, math.pi, 1.5 * math.pi))
 
     @pytest.mark.parametrize("a,refused", [
         pytest.param(_sin_inverse(), True, id="sin_inverse"),
