@@ -239,8 +239,8 @@ def _cmd_stechkin(exp: Experiment) -> int:
     # eigenvalue in every space; the ratio is never asserted
     gates = ([("sup_bound", not report.violation, True)]
              if exp.space.is_unweighted_l2 else [])
-    return _verdict(f"stechkin: lower={report.lower:.3f} "
-                    f"v_norm={report.v_norm:.3f} ratio={report.ratio:.3f}",
+    return _verdict(f"stechkin: lower={_fmt(report.lower)} "
+                    f"v_norm={_fmt(report.v_norm)} ratio={_fmt(report.ratio)}",
                     [*gates, ("eigen", report.eigen_gap <= 1e-12, True)])
 
 

@@ -223,6 +223,13 @@ def _gaussian(x: np.ndarray, center, spread) -> np.ndarray:
         return np.exp(-((x - center) ** 2) / spread)
 
 
+def rational_decay(x: np.ndarray, s: float) -> np.ndarray:
+    """``(1 + x^2)^(-s)``.  Far out the square overflows to inf and the value
+    is inf^(-s) = 0, which is exact, so that overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return (1.0 + np.asarray(x, float) ** 2) ** (-s)
+
+
 def parse_profile(text: str) -> Profile:
     """Parse a spatial function descriptor into a vectorized callable.
 
@@ -259,7 +266,7 @@ def parse_profile(text: str) -> Profile:
         (s,) = float_args(name, args, (1.0,))
         if s <= 0:
             raise ValueError("rational_decay exponent must be positive")
-        return lambda x: (1.0 + np.asarray(x, float) ** 2) ** (-s)
+        return lambda x: rational_decay(x, s)
     if name == "const":
         (k,) = float_args(name, args, (1.0,))
         return lambda x: np.full_like(np.asarray(x, float), k, dtype=float)

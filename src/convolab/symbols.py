@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import float_args, parse_call
+from .grid import float_args, parse_call, rational_decay
 
 # relative offset used to probe one-sided values next to a breakpoint
 _SIDE_EPS = 1e-9
@@ -113,7 +113,7 @@ def parse_symbol(text: str) -> Symbol:
         (s,) = float_args(name, args, (1.0,))
         if s <= 0:
             raise ValueError("rational_decay exponent must be positive")
-        return Symbol(lambda x: (1.0 + np.asarray(x, float) ** 2) ** (-s), (0.0,),
+        return Symbol(lambda x: rational_decay(x, s), (0.0,),
                       TailBehavior(0.0, 0.0, 0.0), f"rational_decay({s})")
     if name in ("shift", "truncate"):
         if len(args) != 2:

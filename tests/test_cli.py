@@ -165,8 +165,22 @@ def test_sweep_rejects_symbol_not_vanishing_at_infinity(tmp_path, capsys):
 def test_stechkin_summary_line(config_path, tmp_path, capsys):
     main(["stechkin", "--config", str(config_path), "--out", str(tmp_path / "o")])
     line = capsys.readouterr().out.strip()
-    assert line == ("stechkin: lower=1.000 v_norm=3.000 ratio=0.333 "
+    assert line == ("stechkin: lower=1 v_norm=3 ratio=0.333333333333 "
                     "sup_bound=pass eigen=pass")
+
+
+@pytest.mark.parametrize("config,scale,line", [
+    ("weighted-quick.ini", "1e-104",
+     "stechkin: lower=1e-104 v_norm=1e-104 ratio=1 eigen=pass"),
+    ("quick.ini", "1e300",
+     "stechkin: lower=1e+300 v_norm=1e+300 ratio=1 sup_bound=pass eigen=pass"),
+], ids=["weighted-quick-1e-104", "quick-1e300"])
+def test_stechkin_summary_line_keeps_every_scale(config, scale, line, tmp_path,
+                                                 capsys):
+    # with three fixed decimals these read 0.000, and 301 digits
+    path = shipped_with(config, tmp_path, "stechkin", "symbol", f"const({scale})")
+    assert main(["stechkin", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_density_json_payload(config_path, tmp_path):
@@ -236,6 +250,9 @@ def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys)
     # nonzero at nodes xi of the grid, but zero at every node xi + h the
     # sweep filters with: every norm would read 0
     ("sweep", "symbol = indicator(-49,-47)", "zero at every frequency node"),
+    # (1 + x^2)^(-s) is 0 out there, where x^2 overflows: no warning either
+    ("sweep", "symbol = shift(rational_decay(1),1e308)",
+     "zero at every frequency node"),
     ("stechkin", "symbol = const(0)", "zero at every frequency node"),
     # nonzero only on |x| > 2, beyond the window |x| < pi/2 of this grid
     ("stechkin", "symbol = truncate(rational_decay(1),2)\n[grid]\nn = 8",

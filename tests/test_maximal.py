@@ -124,7 +124,7 @@ class TestOracleRowBlocks:
         [(_EDGE_SIZES, None, False), (_EDGE_SIZES, 64, False),
          ((1000, 1024), None, False), ((1000, 1024, 4096), 64, False),
          ((1000, 1024), 1, False),
-         (range(1, 301), None, True), (range(1, 301), 64, True),
+         (_EDGE_SIZES, None, True), (_EDGE_SIZES, 64, True),
          ((1000, 1024, 4096), None, True), ((1000, 1024, 4096), 64, True),
          ((1000, 1024), 1, True)],
         ids=["n1-300-None", "n1-300-64", "n1000-1024-None", "n1000-4096-64",
@@ -135,21 +135,18 @@ class TestOracleRowBlocks:
                                        monkeypatch):
         # rows per block: one block up to n = 32 (64), ragged last blocks
         # above it, and one-row blocks whose head is a single column plus
-        # the tail's stand-in; a 2-D stack scans each row as on its own.
-        # 1000 ends in a ragged block and 1024 in a whole one at 32 and 64
-        # rows, so 4096 adds no block edge and is kept only where it is cheap
+        # the tail's stand-in; each row of a 2-D stack is checked against
+        # the row loop too.  1000 ends in a ragged block and 1024 in a whole
+        # one at 32 and 64 rows; 4096 adds no block edge, only longer rows
         if row_block is not None:
             monkeypatch.setattr(maximal, "_ROW_BLOCK", row_block)
         for n in sizes:
             inputs = _scan_inputs(n, rng)
-            if stacked:
-                got = maximal._oracle_scan(np.stack(inputs))
-                for row, av in zip(got, inputs):
-                    assert np.array_equal(row, maximal._oracle_scan(av)), n
-            else:
-                for av in inputs:
-                    want = _row_loop_scan(av, row_block=maximal._ROW_BLOCK)
-                    assert np.array_equal(maximal._oracle_scan(av), want), n
+            got = (maximal._oracle_scan(np.stack(inputs)) if stacked
+                   else [maximal._oracle_scan(av) for av in inputs])
+            for row, av in zip(got, inputs):
+                want = _row_loop_scan(av, row_block=maximal._ROW_BLOCK)
+                assert np.array_equal(row, want), n
 
 
 class TestStackedFastScan:

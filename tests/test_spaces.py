@@ -169,14 +169,17 @@ class TestSpaceNorms:
             assert np.array_equal(space_norms(SpaceNorm(p), std_grid, rows),
                                   norms)
 
-    # 5 trials fill one chunk on this grid and 32 one block; 7 and 12 leave
-    # a ragged last chunk, 34 a ragged last block of one ragged chunk
-    @pytest.mark.parametrize("trials", [1, 5, 7, 12, 32, 34])
-    def test_axiom_harness_makes_two_calls_per_chunk(self, trials, std_grid,
-                                                     monkeypatch):
-        # the zero function, then per block of K trials one call on its
-        # (f, g) rows and, per chunk of k trials in it, one on its 12 k
-        # derived rows, each call within the node budget
+    # at n = 256 4 trials fill one chunk and 32 one block; 6 leaves a ragged
+    # last chunk, 34 a ragged last block of one ragged chunk.  At n = 1024 a
+    # chunk is one trial and a block 8; 10 leaves a ragged last block
+    @pytest.mark.parametrize("L,n,trials", [
+        *((8.0, 256, t) for t in (1, 4, 6, 32, 34)),
+        *((16.0, 1024, t) for t in (1, 8, 10)),
+    ])
+    def test_axiom_harness_makes_one_call_per_chunk(self, L, n, trials,
+                                                    monkeypatch):
+        # the zero function, then per chunk of k trials one call on its
+        # 14 k rows, each call within the node budget
         calls = []
 
         def spy(space, grid, rows):
@@ -185,16 +188,14 @@ class TestSpaceNorms:
 
         monkeypatch.setattr(spaces, "space_norms", spy)
         verify_axioms(SpaceNorm(3.0, -0.5), trials=trials, seed=7,
-                      grid=std_grid)
-        n = std_grid.size
-        chunk = STACK_NODES // (12 * n)
+                      grid=make_grid(L, n))
+        chunk = STACK_NODES // (14 * n)
         block = STACK_NODES // (2 * n)
-        assert (chunk, block) == (5, 32)
+        assert (chunk, block) == {256: (4, 32), 1024: (1, 8)}[n]
         want = [(1, n)]
         for done in range(0, trials, block):
             K = min(block, trials - done)
-            want.append((2 * K, n))
-            want += [(12 * min(chunk, K - lo), n) for lo in range(0, K, chunk)]
+            want += [(14 * min(chunk, K - lo), n) for lo in range(0, K, chunk)]
         assert calls == want
         assert all(rows * n <= STACK_NODES for rows, _ in calls)
         assert sum(rows for rows, _ in calls) == 1 + 14 * trials
@@ -278,12 +279,12 @@ class TestAxiomHarness:
         (_nan_norm, ["A1", "A2", "A3", "A4", "A5"]),
     ])
     def test_broken_norm_fails(self, monkeypatch, broken, failing, std_grid):
-        # the one-trial oracle makes the harness's draws and its checks
+        # the one-trial oracle makes the harness's draws and its checks, and
+        # gives the same whole report, NaN and inf slacks passed over alike
         monkeypatch.setattr(spaces, "space_norms", _row_wise(broken))
         checks = verify_axioms(SpaceNorm(2.0), trials=20, seed=7, grid=std_grid)
         assert [c.axiom for c in checks if not c.passed] == failing
-        oracle = axioms_by_trial(SpaceNorm(2.0), 20, 7, std_grid)
-        assert [c.axiom for c in oracle if not c.passed] == failing
+        assert checks == axioms_by_trial(SpaceNorm(2.0), 20, 7, std_grid)
 
     @pytest.mark.parametrize("L,n", ORACLE_GRIDS)
     @pytest.mark.parametrize("p,gamma", ORACLE_SPACES)
@@ -291,7 +292,7 @@ class TestAxiomHarness:
         # trials 1, one full chunk, one chunk and a ragged remainder, one
         # full block of (f, g) probes, and one block and a ragged remainder
         grid = make_grid(L, n)
-        chunk = max(1, STACK_NODES // (12 * n))
+        chunk = max(1, STACK_NODES // (14 * n))
         block = max(chunk, STACK_NODES // (2 * n))
         space = SpaceNorm(p, gamma)
         for trials in sorted({1, chunk, chunk + 2, block, block + 2}):
