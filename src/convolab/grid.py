@@ -261,7 +261,8 @@ def parse_profile(text: str) -> Profile:
         return lambda x: bump_profile(x, c, w)
     if name == "xgaussian":
         float_args(name, args, ())
-        return lambda x: np.asarray(x, float) * np.exp(-np.asarray(x, float) ** 2)
+        return lambda x: np.asarray(x, float) * _gaussian(
+            np.asarray(x, float), 0.0, 1.0)
     if name == "rational_decay":
         (s,) = float_args(name, args, (1.0,))
         if s <= 0:

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convolab import Grid, SymbolNorms, cli, fourier, limitops, parse_symbol, spaces
+from convolab import (Grid, SpaceNorm, SymbolNorms, cli, fourier, limitops,
+                      make_grid, parse_symbol, spaces)
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
 from convolab.limitops import SweepRow
 from reference_runs import ROOT, RUNS
@@ -253,6 +254,9 @@ def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys)
     # (1 + x^2)^(-s) is 0 out there, where x^2 overflows: no warning either
     ("sweep", "symbol = shift(rational_decay(1),1e308)",
      "zero at every frequency node"),
+    # x exp(-x^2) is 0 at every node but 0 itself: no overflow warning
+    ("density", "f = xgaussian\n[grid]\nL = 1e200", "f is zero"),
+    ("mollify", "f = xgaussian\n[grid]\nL = 1e200", "f is zero"),
     ("stechkin", "symbol = const(0)", "zero at every frequency node"),
     # nonzero only on |x| > 2, beyond the window |x| < pi/2 of this grid
     ("stechkin", "symbol = truncate(rational_decay(1),2)\n[grid]\nn = 8",
@@ -615,7 +619,8 @@ MUTANTS = {
 
 # The asserted gates and what fails each: a mutant, or for density the
 # target fine.ini sets at its own grid (0.1 against the floor rung's 0.110).
-# axioms' A1..A5 fail under the broken norms of test_spaces.py.  sweep's
+# axioms' A1..A5 fail under the broken norms of test_spaces.py, and its
+# closed_form under the audit's space_norms mutant below.  sweep's
 # within_bound has no failing mutant yet (ROADMAP, carried-over item 1):
 # its bound 3 * tail_sup * |probe| held even under a 1.5x multiplier, and
 # the multiplier mutant no longer reaches sweep, which filters its stack of
@@ -680,8 +685,10 @@ UNGUARDED = {
        for config in CONFIGS},
     **{f"density {config}": "item 17: some rung below eps, not its error"
        for config in CONFIGS},
-    **{f"axioms {config}": "item 19's closed-form gate and item 12: "
-       "the lattice axioms are scale-free" for config in CONFIGS},
+    # the closed-form gate is asserted at gamma = 0 only until item 12
+    **{f"axioms {config}": "item 12: the lattice axioms are scale-free, and "
+       "the weighted closed form is only reported" for config in CONFIGS
+       if "weighted" in config},
 }
 
 
@@ -749,6 +756,19 @@ def test_input_whose_powers_overflow_is_usage_error(command, space, tmp_path,
     assert err.count("\n") == 1
     assert not caught
     assert not out.exists()
+
+
+def test_density_whose_cube_overflows_in_weighted_l3_is_usage_error(
+        tmp_path, capsys):
+    # 1e103 squares to 1e206, and the cube overflows: the norm's integer
+    # power raises under the command's errstate, as pow did
+    path = shipped_with("weighted-quick.ini", tmp_path, "density", "f",
+                        "const(1e103)")
+    code = main(["density", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: [density] f: values too large")
+    assert err.count("\n") == 1
 
 
 def test_density_overflow_on_a_wide_grid_names_the_grid(tmp_path, capsys):
@@ -838,6 +858,31 @@ def test_gaussians_far_out_on_a_wide_grid_give_no_warning(command, code,
     err = capsys.readouterr().err
     assert "Warning" not in err
     assert err.count("\n") == (code == USAGE_ERROR)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("L,n", [(8.0, 256), (16.0, 1024), (16.0, 4096)])
+def test_gaussian_norm_meets_its_closed_form(p, L, n):
+    closed = cli._gaussian_closed_form(SpaceNorm(p), make_grid(L, n))
+    assert closed["asserted"] and closed["gap"] <= 1e-12
+
+
+@pytest.mark.parametrize("config,extra,asserted", [
+    ("quick.ini", (), True), ("fine.ini", (), True),
+    # the weight's node samples miss the closed form by 5% (item 12)
+    ("weighted-quick.ini", (), False),
+    # the Gaussian is cut off at |x| = 0.8, or falls between the nodes
+    ("quick.ini", ("--grid-L", "0.8"), False),
+    ("quick.ini", ("--grid-L", "1e200"), False),
+], ids=["quick", "fine", "weighted-quick", "L=0.8", "L=1e200"])
+def test_axioms_asserts_the_closed_form_where_the_grid_resolves_it(
+        config, extra, asserted, tmp_path, capsys):
+    assert run_shipped("axioms", config, tmp_path, *extra) == 0
+    assert (" closed_form=pass" in capsys.readouterr().out) == asserted
+    closed = json.loads((tmp_path / "out" / "axioms.json").read_text())["result"][-1]
+    assert closed["check"] == "closed_form" and closed["asserted"] == asserted
+    # where it is not asserted, the gap is far above the tolerance
+    assert (closed["gap"] <= 1e-12) == asserted
 
 
 def test_infinite_exponent_header(tmp_path):

@@ -201,6 +201,71 @@ class TestSpaceNorms:
         assert sum(rows for rows, _ in calls) == 1 + 14 * trials
 
 
+def _pow_norms(space, grid, rows):
+    """``space_norms`` through libm's ``pow``: ``|f|**p`` at a float p."""
+    integrand = np.abs(rows) ** float(space.p)
+    if space.gamma != 0.0:
+        integrand = integrand * grid.power_weight(space.gamma)
+    return np.power(grid.dx * integrand.sum(axis=-1), 1.0 / space.p)
+
+
+def _power_rows(grid, rng):
+    # real mixtures whose even nodes hold exact zeros, 1e-200 (every power
+    # underflows to 0) and values whose square, cube, fourth or fifth power
+    # is subnormal; a Gaussian with 1e-200 tails and zeros beyond; zeros
+    tiny = [0.0, 1e-200, 1e-160, 1e-105, 1e-80, 1e-62]
+    rows = [random_mixture(grid, rng).values.real.copy() for _ in range(2)]
+    for row in rows:
+        row[::2] = np.resize(tiny, grid.size // 2)
+    gauss = np.exp(-grid.t**2)
+    gauss[np.abs(grid.t) > 4.0] = 1e-200
+    gauss[np.abs(grid.t) > 6.0] = 0.0
+    return np.array(rows + [gauss, np.zeros(grid.size)])
+
+
+class TestIntegerPower:
+    """Integer p is multiplied out; other p go through ``pow``."""
+
+    @pytest.mark.parametrize("space", [SpaceNorm(1.0), SpaceNorm(1.0, -0.5),
+                                       SpaceNorm(2.0), SpaceNorm(2.0, -0.5)],
+                             ids=str)
+    def test_p1_and_p2_bit_identical_to_pow(self, space, std_grid, rng):
+        rows = _power_rows(std_grid, rng)
+        assert np.array_equal(space_norms(space, std_grid, rows),
+                              _pow_norms(space, std_grid, rows))
+
+    @pytest.mark.parametrize("space", [SpaceNorm(p, gamma) for p in (3.0, 4.0, 5.0)
+                                       for gamma in (0.0, -0.5, 1.0)], ids=str)
+    def test_higher_powers_within_rounding_of_pow(self, space, std_grid, rng):
+        rows = _power_rows(std_grid, rng)
+        kept = rows.copy()
+        got = space_norms(space, std_grid, rows)
+        want = _pow_norms(space, std_grid, rows)
+        assert np.array_equal(rows, kept)  # the power works on a copy
+        assert got[-1] == want[-1] == 0.0
+        assert np.all(np.abs(got - want) <= 4e-16 * want)
+        for norm, row in zip(got, rows):
+            assert norm == space_norms(space, std_grid, row)
+
+    def test_integer_and_float_exponents_agree(self, std_grid, rng):
+        rows = _power_rows(std_grid, rng)
+        assert SpaceNorm(3) == SpaceNorm(3.0)
+        assert np.array_equal(space_norms(SpaceNorm(3), std_grid, rows),
+                              space_norms(SpaceNorm(3.0), std_grid, rows))
+
+    @pytest.mark.parametrize("space", [SpaceNorm(1.0, -0.5), SpaceNorm(2.0),
+                                       SpaceNorm(3.0, -0.5)], ids=str)
+    def test_boolean_rows_are_powered_as_floats(self, space, std_grid):
+        mask = np.abs(std_grid.t) < 1.0
+        assert (space_norms(space, std_grid, mask)
+                == space_norms(space, std_grid, mask.astype(float)))
+
+    def test_overflowing_cube_raises_under_errstate(self, std_grid):
+        # 1e103 squares to 1e206; the cube overflows in the multiplication
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            space_norms(SpaceNorm(3.0), std_grid, np.full(std_grid.size, 1e103))
+
+
 class TestPowerWeight:
     """The weight each grid computes once per gamma."""
 
