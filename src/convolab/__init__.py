@@ -20,7 +20,6 @@ from .grid import (
     GridFunction,
     dft_pair,
     draw_mixtures,
-    filter_spectrum,
     make_grid,
     mixture_stack,
     quadrature,

@@ -25,12 +25,11 @@ from .grid import (
     dft_pair,
     draw_mixtures,
     filter_rows,
-    filter_spectrum,
     mixture_stack,
     quadrature,
     stacks,
 )
-from .maximal import maximal_function
+from .maximal import maximal_scan
 from .spaces import SpaceNorm, space_norm, space_norms
 from .symbols import Symbol, symbol_norms
 
@@ -40,14 +39,14 @@ _MIN_DELTA_CELLS = 0.5
 
 def apply_multiplier(a: Symbol, f: GridFunction) -> GridFunction:
     """Apply the convolution operator with symbol ``a`` to ``f``."""
-    return filter_spectrum(f, a(f.grid.xi))
+    return GridFunction(f.grid, filter_rows(f.values, a(f.grid.xi)))
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """Convolution via the transform pair (spectra multiply exactly)."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch between convolution operands")
-    return filter_spectrum(f, dft_pair(g, "forward").values)
+    return GridFunction(f.grid, filter_rows(f.values, dft_pair(g, "forward").values))
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def mollify_sweep(
     """
     if f.grid != phi.grid:
         raise ValueError("grid mismatch between function and mollifier")
-    mf = maximal_function(f, "fast").values.real
+    mf = maximal_scan(np.abs(f.values))
     deltas, smoothed, errors = phi.ladder(f, space)
     if len(deltas) < 2:
         raise ValueError(f"grid too coarse to mollify: dx={f.grid.dx} leaves "

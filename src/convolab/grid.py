@@ -11,8 +11,7 @@ boundary.  Indicator sampling uses the half-open convention ``[c, d)`` so
 a node sitting exactly on a boundary is resolved deterministically.
 
 Stacks: every command filters through ``filter_rows``, one FFT pair along
-the last axis of a ``(k, n)`` array (``filter_spectrum`` is its one-row
-case, for the library API).  The random test functions are drawn as a
+the last axis of a ``(k, n)`` array.  The random test functions are drawn as a
 ``(k, 15)`` array of scalars, one call per kind of scalar for all k probes
 (``draw_mixtures``), and evaluated as a ``(k, n)`` stack
 (``mixture_stack``); ``random_mixture`` is the one-probe case.  A row of a
@@ -117,23 +116,6 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: complex) -> "GridFunction":
-        return GridFunction(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
-
-def _check_same_grid(f: GridFunction, g: GridFunction) -> None:
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch between operands")
 
 
 def make_grid(half_width: float, size: int) -> Grid:
@@ -335,11 +317,6 @@ def filter_rows(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     array is one row, and a row gets the same values alone as in a stack.
     """
     return np.fft.fft(np.fft.ifft(rows) * np.fft.ifftshift(m, axes=-1))
-
-
-def filter_spectrum(f: GridFunction, m: np.ndarray) -> GridFunction:
-    """:func:`filter_rows` on one grid function."""
-    return GridFunction(f.grid, filter_rows(f.values, m))
 
 
 def draw_mixtures(

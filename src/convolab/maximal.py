@@ -9,7 +9,8 @@ domain the function is modeled as zero, which only lowers averages.
 
 Two routes are provided, both behind ``maximal_scan``: it takes one row
 of |f| values or a ``(trials, n)`` stack of rows and scans each row as on
-its own, and ``maximal_function`` wraps it for one grid function.
+its own.  ``maximal_function`` wraps it for one grid function; no
+command calls it, and it stays for the library API and the benchmark.
 ``oracle`` enumerates the means of all O(n^2) windows with a prefix-sum
 scan.  It takes the start nodes in blocks of ``_ROW_BLOCK`` rows, each
 block one matrix of window means.  The block's prefix sums are counted

@@ -10,7 +10,6 @@ from convolab import (
     SymbolNorms,
     apply_multiplier,
     dft_pair,
-    filter_spectrum,
     make_grid,
     quadrature,
     shift_symbol,
@@ -19,7 +18,7 @@ from convolab import (
     symbol_norms,
     tail_truncate,
 )
-from convolab.grid import stacks
+from convolab.grid import filter_rows, stacks
 from convolab.symbols import _base_nodes
 from conjugation import conjugated_apply
 
@@ -51,7 +50,8 @@ def identity_residual(a, h, f):
     """L2 distance from the conjugated operator to the direct route
     ``W(a(. + h)) f`` of the shifted symbol (oracle of the identity)."""
     direct = apply_multiplier(shift_symbol(a, h), f)
-    return space_norm(SpaceNorm(2.0), conjugated_apply(a, h, f) - direct)
+    residual = conjugated_apply(a, h, f).values - direct.values
+    return space_norm(SpaceNorm(2.0), GridFunction(f.grid, residual))
 
 
 def tail_sup(a, cutoff):
@@ -203,10 +203,12 @@ def multiplier_bound_by_trial(a, space, trials, seed, grid):
         f = mixture_by_bump(grid, draw)
         nf = space_norm(space, f)
         if nf != 0.0:
-            best = max(best, space_norm(space, filter_spectrum(f, m / peak)) / nf)
+            image = GridFunction(grid, filter_rows(f.values, m / peak))
+            best = max(best, space_norm(space, image) / nf)
     spike = np.zeros(grid.size, dtype=complex)
     spike[int(np.argmax(np.abs(m)))] = 1.0
     probe = dft_pair(GridFunction(grid, spike), "inverse")
-    ratio = (space_norm(space, filter_spectrum(probe, m / peak))
+    image = GridFunction(grid, filter_rows(probe.values, m / peak))
+    ratio = (space_norm(space, image)
              / space_norm(space, probe))
     return peak * max(best, ratio), peak * ratio

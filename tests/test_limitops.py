@@ -12,7 +12,6 @@ from convolab import (
     band_limited_probe,
     density_experiment,
     dft_pair,
-    filter_spectrum,
     limit_operator_sweep,
     make_grid,
     parse_symbol,
@@ -22,6 +21,7 @@ from convolab import (
     symbol_norms,
     tail_truncate,
 )
+from convolab.grid import filter_rows
 from convolab.limitops import _out_of_band_mass
 from conjugation import conjugated_apply, modulate
 from conftest import dft_matrix, identity_residual, tail_sup
@@ -244,7 +244,8 @@ def s0_test_function(g_expr, delta, grid):
     tails = body[np.abs(grid.t) > grid.half_width / 2]
     if peak == 0.0 or (tails.size and float(np.max(tails)) > 1e-12 * peak):
         raise ValueError("descriptor must be supported well inside [-L/2, L/2]")
-    f = filter_spectrum(g, Mollifier("bump_spectrum", grid).spectrum(delta))
+    spectrum = Mollifier("bump_spectrum", grid).spectrum(delta)
+    f = GridFunction(grid, filter_rows(g.values, spectrum))
     band = (-1.0 / delta, 1.0 / delta)
     mass_out = _out_of_band_mass(f, band)
     if mass_out >= 1e-9:
@@ -313,7 +314,8 @@ class TestDensityExperiment:
         assert result.delta == 0.5 * std_grid.dx
         # the closest rung is still a genuine band-limited approximant
         assert result.out_of_band_mass < 1e-9
-        assert result.achieved == space_norm(L2, result.approximant - chi)
+        error = GridFunction(std_grid, result.approximant.values - chi.values)
+        assert result.achieved == space_norm(L2, error)
 
     def test_grid_floor_reports_best_error(self, fine_grid):
         # on (16, 1024) the floor rung dx/2 = 1/64 is the closest, at 0.110

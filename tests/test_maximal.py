@@ -313,9 +313,9 @@ class TestDiscreteModel:
         h = GridFunction(g, r.normal(size=64))
         mf = maximal_function(f).values.real
         mh = maximal_function(h).values.real
-        msum = maximal_function(f + h).values.real
+        msum = maximal_function(GridFunction(g, f.values + h.values)).values.real
         assert np.all(msum <= mf + mh + 1e-12)
-        mscaled = maximal_function(alpha * f).values.real
+        mscaled = maximal_function(GridFunction(g, alpha * f.values)).values.real
         assert np.max(np.abs(mscaled - abs(alpha) * mf)) < 1e-12
 
 
