@@ -199,6 +199,10 @@ def multiplier_norm_lower_bound(
     if peak == 0.0:
         raise ValueError("the symbol is zero at every frequency node of the "
                          "grid: the check would pass vacuously")
+    if 1 / peak == math.inf:
+        # numpy divides a complex m by peak as m * (1 / peak)
+        raise ValueError(f"max|a(xi_k)| = {peak:g} is too small to scale the "
+                         "symbol by: its reciprocal overflows")
     spike = np.arange(grid.size) == np.argmax(np.abs(m))
     spike = dft_pair(GridFunction(grid, spike), "inverse").values
     draws = draw_mixtures(grid, np.random.default_rng(seed), trials,

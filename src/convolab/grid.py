@@ -11,9 +11,9 @@ boundary.  Indicator sampling uses the half-open convention ``[c, d)`` so
 a node sitting exactly on a boundary is resolved deterministically.
 
 Stacks: every command filters through ``filter_rows``, one FFT pair along
-the last axis of a ``(k, n)`` array.  The random test functions are drawn as a
-``(k, 15)`` array of scalars, one call per kind of scalar for all k probes
-(``draw_mixtures``), and evaluated as a ``(k, n)`` stack
+the last axis of a ``(k, n)`` array.  The random test functions are drawn
+as a ``(k, 15)`` array of scalars, one call per kind of scalar for all k
+probes (``draw_mixtures``), and evaluated as a ``(k, n)`` stack
 (``mixture_stack``); ``random_mixture`` is the one-probe case.  A row of a
 stack gets the same values, bit for bit, as when it is evaluated on its
 own, and a stack of real probes is float64.
@@ -117,7 +117,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
 
-
 def make_grid(half_width: float, size: int) -> Grid:
     """Build a grid on ``[-half_width, half_width)`` with ``size`` nodes.
 
@@ -189,8 +188,10 @@ def float_args(
 
 
 def bump_profile(x: np.ndarray, center: float = 0.0, width: float = 1.0) -> np.ndarray:
-    """Smooth compactly supported bump: exp(1/(u^2-1)) for |u|<1, u=(x-c)/w."""
-    u = (np.asarray(x, dtype=float) - center) / width
+    """Smooth compactly supported bump: exp(1/(u^2-1)) for |u|<1, u=(x-c)/w.
+    Where a tiny w makes u overflow to inf, the value 0 is exact."""
+    with np.errstate(over="ignore"):
+        u = (np.asarray(x, dtype=float) - center) / width
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0
     out[inside] = np.exp(1.0 / (u[inside] ** 2 - 1.0))
@@ -235,7 +236,14 @@ def parse_profile(text: str) -> Profile:
         mu, sigma = float_args(name, args, (0.0, 1.0))
         if sigma <= 0:
             raise ValueError("gaussian width must be positive")
-        return lambda x: _gaussian(np.asarray(x, float), mu, 2 * sigma**2)
+        try:
+            spread = 2 * sigma**2
+        except OverflowError:
+            spread = math.inf
+        if not 0 < spread < math.inf:
+            raise ValueError(f"gaussian width {sigma:g} gives 2 sigma^2 = "
+                             f"{spread:g}, which is not positive and finite")
+        return lambda x: _gaussian(np.asarray(x, float), mu, spread)
     if name == "bump":
         c, w = float_args(name, args, (0.0, 1.0))
         if w <= 0:

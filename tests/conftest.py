@@ -209,6 +209,5 @@ def multiplier_bound_by_trial(a, space, trials, seed, grid):
     spike[int(np.argmax(np.abs(m)))] = 1.0
     probe = dft_pair(GridFunction(grid, spike), "inverse")
     image = GridFunction(grid, filter_rows(probe.values, m / peak))
-    ratio = (space_norm(space, image)
-             / space_norm(space, probe))
+    ratio = space_norm(space, image) / space_norm(space, probe)
     return peak * max(best, ratio), peak * ratio

@@ -175,7 +175,9 @@ def test_stechkin_summary_line(config_path, tmp_path, capsys):
      "stechkin: lower=1e-104 v_norm=1e-104 ratio=1 eigen=pass"),
     ("quick.ini", "1e300",
      "stechkin: lower=1e+300 v_norm=1e+300 ratio=1 sup_bound=pass eigen=pass"),
-], ids=["weighted-quick-1e-104", "quick-1e300"])
+    ("quick.ini", "1e-308",
+     "stechkin: lower=1e-308 v_norm=1e-308 ratio=1 sup_bound=pass eigen=pass"),
+], ids=["weighted-quick-1e-104", "quick-1e300", "quick-1e-308"])
 def test_stechkin_summary_line_keeps_every_scale(config, scale, line, tmp_path,
                                                  capsys):
     # with three fixed decimals these read 0.000, and 301 digits
@@ -226,6 +228,11 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
      ("stechkin", "symbol = shift(arctan)"),
      ("density", "f = indicator(1,1)"),
      ("density", "f = gaussian(0,0)"),
+     # 2 sigma^2 overflows to inf, or underflows to 0
+     ("density", "f = gaussian(0,1e200)"),
+     ("mollify", "f = gaussian(0,1e-170)"),
+     # 1 / max|a(xi_k)| overflows
+     ("stechkin", "symbol = const(1e-309)"),
      ("density", "f = bump(0,0)"),
      ("density", "f = nosuch(1)"),
      ("density", "f = 1abc"),
@@ -858,6 +865,17 @@ def test_gaussians_far_out_on_a_wide_grid_give_no_warning(command, code,
     err = capsys.readouterr().err
     assert "Warning" not in err
     assert err.count("\n") == (code == USAGE_ERROR)
+
+
+@pytest.mark.parametrize("command", ["mollify", "density"])
+def test_a_bump_of_tiny_width_gives_no_warning(command, tmp_path, capsys):
+    # (t - c) / w overflows to inf off the centre, where the bump is 0, exact
+    path = shipped_with("quick.ini", tmp_path, command, "f", "bump(0,1e-310)")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert not caught
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
