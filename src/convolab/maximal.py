@@ -49,10 +49,10 @@ length of the whole array.  Both routes must agree to 1e-12; the oracle
 defines correctness.
 
 ``maximal-check`` scans its noise trials in draw order, in the stacks of
-``grid.stacks`` with the budget ``cli._CHUNK_NODES`` = 4096 nodes.  It
-runs each stack's fast scan on a worker thread while the oracle runs on
-the caller: the two share no state, and the oracle's subtractions,
-divisions and max reductions release the GIL.
+``grid.stacks`` with the budget ``cli._CHUNK_NODES`` = 4096 nodes.  The
+caller and one worker thread take the next ``(route, stack)`` scan from
+one shared queue until none is left: scans share no state, and the
+oracle's subtractions, divisions and max reductions release the GIL.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import json
+import sys
 import threading
 import time
 import warnings
@@ -546,20 +547,128 @@ def test_maximal_check_scans_its_trials_in_draw_order_within_the_budget(
         config, tmp_path, capsys, monkeypatch):
     # stacking every trial at once would raise peak memory; see _CHUNK_NODES
     trials, n, seed = shipped_trials(config)
-    exact, stacks = cli.maximal_scan, {"fast": [], "oracle": []}
+    draws = np.abs(np.random.default_rng(seed).normal(size=(trials, n)))
+    position = {row.tobytes(): i for i, row in enumerate(draws)}
+    exact, lock = cli.maximal_scan, threading.Lock()
+    stacks = {"fast": {}, "oracle": {}}
 
+    # two threads scan, so each stack is recorded under the draw position
+    # of its first row, not in the order the scans happen to start
     def spy(av, mode="fast"):
         if av.ndim == 2:
-            stacks[mode].append(av.copy())
+            with lock:
+                stacks[mode][position[av[0].tobytes()]] = av.copy()
         return exact(av, mode)
 
     monkeypatch.setattr(cli, "maximal_scan", spy)
     assert run_shipped("maximal-check", config, tmp_path) == 0
-    draws = np.abs(np.random.default_rng(seed).normal(size=(trials, n)))
-    for mode, chunks in stacks.items():
+    for mode, by_position in stacks.items():
+        chunks = [by_position[i] for i in sorted(by_position)]
         assert all(av.size <= cli._CHUNK_NODES for av in chunks), mode
         assert sum(len(av) for av in chunks) == trials, mode
         assert np.array_equal(np.concatenate(chunks), draws), mode
+
+
+def test_maximal_check_starts_one_thread_however_many_stacks(
+        tmp_path, capsys, monkeypatch):
+    trials, n, _ = shipped_trials("fine.ini")
+    assert len(cli.stacks(trials, n, cli._CHUNK_NODES)) > 2
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    assert run_shipped("maximal-check", "fine.ini", tmp_path) == 0
+    assert len(started) == 1
+
+
+def serial_worst_gap(trials, n, seed):
+    """max |fast - oracle| over the stacks of maximal-check, one at a time."""
+    rng, worst = np.random.default_rng(seed), 0.0
+    for stack in cli.stacks(trials, n, cli._CHUNK_NODES):
+        av = np.abs(rng.normal(size=(len(stack), n)))
+        gap = np.abs(cli.maximal_scan(av, "fast") - cli.maximal_scan(av, "oracle"))
+        worst = max(worst, float(np.max(gap)))
+    return worst
+
+
+@pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
+def test_worst_gap_equals_a_serial_scan_of_the_same_draws(config):
+    trials, n, seed = shipped_trials(config)
+    worst = cli._worst_gap(np.random.default_rng(seed), trials, n)
+    assert worst.hex() == serial_worst_gap(trials, n, seed).hex()
+
+
+def test_worst_gap_takes_each_scan_once_under_rapid_thread_switches(monkeypatch):
+    # 40 stacks of 32 short rows: the two threads meet at the queue often
+    trials, n, seed = 1280, 128, 3
+    serial = serial_worst_gap(trials, n, seed)
+    exact, lock, taken = cli.maximal_scan, threading.Lock(), []
+
+    def spy(av, mode="fast"):
+        with lock:
+            taken.append((mode, av[0].tobytes()))
+        return exact(av, mode)
+
+    monkeypatch.setattr(cli, "maximal_scan", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worst = cli._worst_gap(np.random.default_rng(seed), trials, n)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(taken) == len(set(taken)) == 2 * 40
+    assert worst.hex() == serial.hex()
+
+
+def test_maximal_check_fails_on_a_nan_in_the_fast_scan(tmp_path, capsys, monkeypatch):
+    # max(0.0, nan) is 0.0: a fold by max would pass this scan
+    exact = cli.maximal_scan
+
+    def mutant(av, mode="fast"):
+        out = exact(av, mode)
+        if mode == "fast" and av.ndim == 2:
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(cli, "maximal_scan", mutant)
+    assert run_shipped("maximal-check", "quick.ini", tmp_path) == ASSERTION_FAILURE
+    assert "fast_vs_oracle_worst=nan" in capsys.readouterr().out
+
+
+def test_maximal_check_reraises_an_interrupt_after_the_workers_scan(
+        tmp_path, monkeypatch):
+    # the caller is interrupted while the worker's first scan still runs:
+    # the worker finishes that scan, takes no other, and is joined
+    exact, caller = cli.maximal_scan, threading.current_thread()
+    worker_scanning, interrupted = threading.Event(), threading.Event()
+    worker_scans, late = [], []
+
+    def scan(av, mode="fast"):
+        if av.ndim == 2:
+            if threading.current_thread() is caller:
+                worker_scanning.wait(10)
+                interrupted.set()
+                raise KeyboardInterrupt
+            if interrupted.is_set():
+                late.append(mode)
+            worker_scanning.set()
+            time.sleep(0.1)
+            out = exact(av, mode)
+            worker_scans.append(mode)
+            return out
+        return exact(av, mode)
+
+    monkeypatch.setattr(cli, "maximal_scan", scan)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_shipped("maximal-check", "fine.ini", tmp_path)
+    assert threading.active_count() == threads
+    assert (len(worker_scans), late) == (1, [])
+    assert not (tmp_path / "out").exists()
 
 
 def failing_route(failing):

@@ -224,6 +224,13 @@ class TestTruncate:
         norms = symbol_norms(t)
         assert norms.sup_norm == pytest.approx(1.0 / 101.0, abs=1e-9)
 
+    @pytest.mark.parametrize("cutoff", [9.0, 33.5])
+    def test_truncated_tail_sup_is_not_read_low(self, cutoff):
+        # a side probe at N(1 + 1e-9) alone reads 1/(1 + N^2) about 2e-9 low
+        t = tail_truncate(parse_symbol("rational_decay(1)"), cutoff)
+        exact = 1.0 / (1.0 + cutoff * cutoff)
+        assert symbol_norms(t).sup_norm == pytest.approx(exact, rel=1e-15)
+
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError):
             tail_truncate(parse_symbol("const(1)"), -1.0)
