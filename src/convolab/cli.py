@@ -317,20 +317,19 @@ def _cmd_density(exp: Experiment) -> int:
 
 def _gaussian_closed_form(space: SpaceNorm, grid: Grid) -> dict:
     """The norm of the sampled ``exp(-x^2/2)`` against its closed form
-    ``((2/p)^((gamma+1)/2) Gamma((gamma+1)/2))^(1/p)``, 1 at p = inf.
+    ``((2/p)^((gamma+1)/2) Gamma((gamma+1)/2))^(1/p)``.
 
     The relative gap is asserted at gamma = 0 where the grid resolves the
     Gaussian: by Poisson summation the rectangle rule misses
     ``int exp(-p x^2/2)`` by about ``2 exp(-2 pi^2/(p dx^2))`` of itself,
     and the nodes on [-L, L) miss ``erfc(L sqrt(p/2))`` of it; together
-    below 1e-14.  At p = inf the first term reads 2.  At gamma != 0 the
-    weight's node samples miss the closed form by several percent, so the
-    gap is only reported.
+    below 1e-14.  At gamma != 0 the weight's node samples miss the closed
+    form by several percent, so the gap is only reported.
     """
     p, gamma = space.p, space.gamma
     norm = space_norm(space, sample("gaussian", grid))
-    reference = 1.0 if math.isinf(p) else (
-        (2 / p) ** ((gamma + 1) / 2) * math.gamma((gamma + 1) / 2)) ** (1 / p)
+    reference = ((2 / p) ** ((gamma + 1) / 2)
+                 * math.gamma((gamma + 1) / 2)) ** (1 / p)
     quadrature_error = (2 * math.exp(-2 * math.pi**2 / (p * grid.dx * grid.dx))
                         + math.erfc(grid.half_width * math.sqrt(p / 2)))
     return {"check": "closed_form", "norm": norm, "reference": reference,

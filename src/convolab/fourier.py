@@ -95,9 +95,10 @@ class Mollifier:
         return hat / hat[g.size // 2]
 
     def ladder(self, f: GridFunction, space: SpaceNorm):
-        """``(deltas, smoothed, errors)``: the scales delta = 1, 1/2, 1/4, ...
-        down to the grid floor ``_MIN_DELTA_CELLS * dx`` (the only rung when
-        the floor is at least 1), the ``(rungs, n)`` stack of ``f * phi_delta``
+        """``(deltas, smoothed, errors)``: the scales delta = d, d/2, d/4, ...
+        from d = min(1, L) down to the grid floor ``_MIN_DELTA_CELLS * dx``
+        (the only rung when the floor is at least 1; at most
+        1 + ceil(log2 n) rungs), the ``(rungs, n)`` stack of ``f * phi_delta``
         and each ``|f * phi_delta - f|``, in one :func:`filter_rows` and one
         :func:`space_norms` call.  At the bump kernel's floor the band
         ``[-1/delta, 1/delta]`` still lies inside the frequency window.  A
@@ -111,7 +112,7 @@ class Mollifier:
                 f"gamma={space.gamma:g} (its powers underflow)")
             raise ValueError(f"f is {why}: the check would pass vacuously")
         floor = _MIN_DELTA_CELLS * self.grid.dx
-        deltas = [max(1.0, floor)]
+        deltas = [max(min(1.0, self.grid.half_width), floor)]
         while deltas[-1] > floor:
             deltas.append(max(deltas[-1] / 2, floor))
         smoothed = filter_rows(f.values, np.stack([self.spectrum(d) for d in deltas]))

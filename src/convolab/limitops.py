@@ -179,12 +179,12 @@ def density_experiment(
     """Approximate ``f`` by a band-limited function within ``eps``.
 
     Smooths ``f`` down the bump kernel's ladder ``Mollifier.ladder``
-    (delta = 1, 1/2, ... down to the grid floor) and returns the first rung
-    with ``|f * phi_delta - f| < eps`` or, when no rung gets there, the rung
-    that came closest; callers compare ``achieved`` with ``eps``.  Each
-    rung's spectrum vanishes exactly outside ``[-1/delta, 1/delta]``, a band
-    that the floor keeps inside the frequency window, so no separate
-    smoothing step is needed.
+    (delta = min(1, L), halved down to the grid floor) and returns the
+    first rung with ``|f * phi_delta - f| < eps`` or, when no rung gets
+    there, the rung that came closest; callers compare ``achieved`` with
+    ``eps``.  Each rung's spectrum vanishes exactly outside
+    ``[-1/delta, 1/delta]``, a band that the floor keeps inside the
+    frequency window, so no separate smoothing step is needed.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")

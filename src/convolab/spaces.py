@@ -2,9 +2,9 @@
 
 The abstract lattice norm is represented by this closed family, which is
 enough to exercise every lattice axiom numerically and admits closed-form
-oracle values.  For ``p < inf`` the weight exponent must satisfy the
-Muckenhoupt power-weight condition ``-1 < gamma < p - 1``, which keeps the
-maximal operator bounded on the space and on its associate.
+oracle values.  A space takes ``1 < p < inf`` and ``-1 < gamma < p - 1``:
+the A_p power weights, exactly those for which the maximal operator is
+bounded on the space and on its associate, as the paper assumes of X.
 
 ``space_norms`` is the one norm routine: it takes a ``(k, n)`` stack of
 node values and returns the norm of each row, with the weight the grid
@@ -34,19 +34,10 @@ class SpaceNorm:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if math.isinf(self.p):
-            if self.gamma != 0.0:
-                raise ValueError("p = inf supports only gamma = 0")
-            return
-        if not 1.0 <= self.p:
-            raise ValueError(f"exponent must satisfy 1 <= p <= inf, got {self.p}")
-        # unweighted Lp is a lattice norm at every exponent; a nontrivial
-        # power weight must satisfy the Muckenhoupt condition
-        if self.gamma != 0.0 and not (-1.0 < self.gamma < self.p - 1.0):
+        if not (1.0 < self.p < math.inf and -1.0 < self.gamma < self.p - 1.0):
             raise ValueError(
-                f"power weight gamma={self.gamma} violates -1 < gamma < p-1 "
-                f"for p={self.p} (maximal-operator boundedness fails)"
-            )
+                f"space needs 1 < p < inf and -1 < gamma < p - 1, where the "
+                f"maximal operator is bounded; got p={self.p}, gamma={self.gamma}")
 
     @property
     def is_unweighted_l2(self) -> bool:
@@ -58,36 +49,32 @@ class SpaceNorm:
 def space_norms(space: SpaceNorm, grid: Grid, rows: np.ndarray) -> np.ndarray:
     """Norm of each row of a ``(k, n)`` stack of node values on ``grid``.
 
-    ``(dx * sum |f|^p w)^(1/p)`` per row, or the row max of |f| at p = inf;
-    a 1-D array is one row.  The weight is the grid's, and gamma = 0 makes
-    no weight pass.  A non-finite integrand raises ``ValueError``; it is
-    looked for only when a row total is not finite.
+    ``(dx * sum |f|^p w)^(1/p)`` per row; a 1-D array is one row.  The weight
+    is the grid's, and gamma = 0 makes no weight pass.  A non-finite integrand
+    raises ``ValueError``; the nodes are scanned only if a row total is not
+    finite.
 
-    An integer p is multiplied out by squaring, in place on ``|f|``: p = 1
-    makes no pass and p = 2 is one ``np.square``, bit-identical to
-    ``|f|**2.0``.  libm's ``pow``, which ``|f|**p`` calls at other p,
-    costs about 4 ns a node, 18 ns at an exact zero and over 100 ns where
-    the power underflows, against about 1 ns a multiplication.  A multiplied
-    power differs from ``pow``'s by a few roundings, which moves a norm by
-    at most a few units in the last place unless a row's powers are all
-    subnormal.
+    An integer p is multiplied out by squaring, in place on ``|f|``: p = 2
+    is one ``np.square``, bit-identical to ``|f|**2.0``.  libm's ``pow``,
+    which ``|f|**p`` calls at other p, costs about 4 ns a node, 18 ns at an
+    exact zero and over 100 ns where the power underflows, against about
+    1 ns a multiplication.  A multiplied power differs from ``pow``'s by a
+    few roundings, which moves a norm by at most a few units in the last
+    place unless a row's powers are all subnormal.
     """
     # float64, so that a boolean or integer stack can be powered in place
     integrand = np.abs(rows).astype(float, copy=False)
-    if not math.isinf(space.p):
-        if float(space.p).is_integer():
-            integrand = _integer_power(integrand, int(space.p))
-        else:
-            integrand = integrand**space.p
-        if space.gamma != 0.0:  # x * 1.0 == x: no weight pass at gamma = 0
-            integrand *= grid.power_weight(space.gamma)
-    totals = (integrand.max if math.isinf(space.p) else integrand.sum)(axis=-1)
+    if float(space.p).is_integer():
+        integrand = _integer_power(integrand, int(space.p))
+    else:
+        integrand = integrand**space.p
+    if space.gamma != 0.0:  # x * 1.0 == x: no weight pass at gamma = 0
+        integrand *= grid.power_weight(space.gamma)
+    totals = integrand.sum(axis=-1)
     # a non-finite integrand makes its row total non-finite, while a total
     # that overflows from finite values is an infinite norm
     if not np.all(np.isfinite(totals)) and not np.all(np.isfinite(integrand)):
         raise ValueError("norm integrand has a non-finite value at a node")
-    if math.isinf(space.p):
-        return totals
     # np.power, not **: a float64 scalar's ** rounds apart from an array's,
     # and a row must get the same norm alone as in a stack
     return np.power(grid.dx * totals, 1.0 / space.p)
@@ -118,12 +105,9 @@ def associate_space(space: SpaceNorm) -> SpaceNorm:
     """Dual-exponent rule: p' = p/(p-1) and gamma' = -gamma*p'/p.
 
     With these parameters the Hoelder pairing |int f g| <= |f| |g|' holds.
-    Only 1 < p < inf is supported: at the endpoints the associate space
-    exists but the maximal operator is unbounded there, so the standing
-    hypotheses fail.
+    gamma' = -gamma/(p - 1) lies in (-1, p' - 1) when gamma lies in
+    (-1, p - 1), so the associate of a space is a space.
     """
-    if math.isinf(space.p) or space.p == 1.0:
-        raise ValueError("associate space supported only for 1 < p < inf")
     p_dual = space.p / (space.p - 1.0)
     return SpaceNorm(p_dual, -space.gamma * p_dual / space.p)
 

@@ -5,8 +5,6 @@ one-probe-at-a-time oracle, for the estimate of the norm of M on X and on
 X' that ``maximal-check`` is to report (ROADMAP, item 7).
 """
 
-import math
-
 import numpy as np
 
 from convolab import (Grid, SpaceNorm, draw_mixtures, maximal_function,
@@ -26,14 +24,10 @@ def maximal_norm_estimate(
     Maximizes ``|Mf| / |f|`` over random nonzero probes, drawn in one
     ``grid.draw_mixtures`` call and scanned in the stacks of
     ``grid.stacks``.  This is a lower
-    bound only; certified upper bounds are out of scope.  Unsupported at
-    the endpoint exponents, where the operator is unbounded (p = 1) or the
-    estimate is trivial (p = inf).
+    bound only; certified upper bounds are out of scope.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if math.isinf(space.p) or not space.p > 1.0:
-        raise ValueError("maximal norm estimate requires 1 < p < inf")
     draws = draw_mixtures(grid, np.random.default_rng(seed), trials)
     best = 0.0
     for stack in stacks(trials, grid.size):

@@ -237,7 +237,11 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
      ("density", "f = bump(0,0)"),
      ("density", "f = nosuch(1)"),
      ("density", "f = 1abc"),
-     ("maximal-check", "trials = 1\n[space]\np = oo")],
+     ("maximal-check", "trials = 1\n[space]\np = oo"),
+     # outside 1 < p < inf, -1 < gamma < p - 1, M is unbounded on X or X'
+     ("maximal-check", "trials = 1\n[space]\np = inf"),
+     ("maximal-check", "trials = 1\n[space]\np = 1"),
+     ("maximal-check", "trials = 1\n[space]\np = 1\ngamma = -0.5")],
 )
 def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys):
     path = tmp_path / "bad.ini"
@@ -247,6 +251,25 @@ def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys)
     assert code == USAGE_ERROR
     assert "error:" in capsys.readouterr().err
     assert not list(out.glob(f"{command}.*"))
+
+
+@pytest.mark.parametrize("space", ["p = inf", "p = 1", "p = 1\ngamma = -0.5",
+                                   "p = 2\ngamma = 1"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_space_outside_the_a_p_range_is_refused(command, space, tmp_path,
+                                                   capsys):
+    # at p = inf every band-limited function stays 1/2 from a jump in the
+    # sup norm, yet density and mollify on indicator(-1,1) passed there
+    path = tmp_path / "space.ini"
+    path.write_text(CONFIG.replace("p = 2\ngamma = 0", space))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert "1 < p < inf and -1 < gamma < p - 1" in captured.err
+    assert " got p=" in captured.err and ", gamma=" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,setting,reason", [
@@ -410,16 +433,6 @@ def test_deeply_nested_descriptor_is_usage_error(levels, tmp_path, capsys):
     assert main(["stechkin", "--config", str(path), "--out", str(out)]) == USAGE_ERROR
     assert capsys.readouterr().err == (
         "error: symbol descriptor nests calls deeper than 32 levels\n")
-    assert not out.exists()
-
-
-def test_zero_maximal_trials_is_usage_error(tmp_path, capsys):
-    path = tmp_path / "zero.ini"
-    path.write_text(CONFIG.replace("trials = 8", "trials = 0"))
-    out = tmp_path / "o"
-    code = main(["maximal-check", "--config", str(path), "--out", str(out)])
-    assert code == USAGE_ERROR
-    assert "trials must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -836,6 +849,17 @@ def test_mollify_ladder_follows_the_grid(flag, floor, tmp_path, capsys):
     assert rows[-1].split(",")[0] == floor
 
 
+def test_ladder_on_a_narrow_grid_starts_at_its_half_width(tmp_path, capsys):
+    # delta starts at min(1, L): 13 rungs from L = 1e-300 down to dx/2, where
+    # a ladder from delta = 1 would take 1,010
+    flags = ("--grid-L", "1e-300", "--grid-n", "4096")
+    assert run_shipped("mollify", "quick.ini", tmp_path, *flags) == 0
+    rows = (tmp_path / "out" / "mollify.csv").read_text().splitlines()[2:]
+    assert len(rows) == 13
+    assert rows[0].split(",")[0] == "1e-300"
+    assert run_shipped("density", "quick.ini", tmp_path, *flags) == 0
+
+
 def test_mollify_with_a_single_rung_is_usage_error(tmp_path, capsys):
     # at n = 8 dx = 2, so the ladder has one scale and shows no convergence
     assert run_shipped("mollify", "quick.ini", tmp_path, "--grid-n", "8") == USAGE_ERROR
@@ -1010,15 +1034,6 @@ def test_axioms_asserts_the_closed_form_where_the_grid_resolves_it(
     assert closed["check"] == "closed_form" and closed["asserted"] == asserted
     # where it is not asserted, the gap is far above the tolerance
     assert (closed["gap"] <= 1e-12) == asserted
-
-
-def test_infinite_exponent_header(tmp_path):
-    path = tmp_path / "p.ini"
-    path.write_text(CONFIG.replace("p = 2", "p = inf"))
-    out = tmp_path / "o"
-    assert main(["maximal-check", "--config", str(path), "--out", str(out)]) == 0
-    first = (out / "maximal-check.csv").read_text().splitlines()[0]
-    assert first == "# L=8 n=256 p=inf gamma=0 seed=42"
 
 
 @pytest.mark.parametrize("L", ["20", "24"])
