@@ -104,19 +104,33 @@ class Mollifier:
         ``[-1/delta, 1/delta]`` still lies inside the frequency window.  A
         zero ``f`` raises ``ValueError``: every rung would match it.  So does
         a nonzero ``f`` whose norm in ``space`` is 0 (at 1e-200 its powers
-        underflow), since every error then reads 0.
+        underflow), since every error then reads 0, and a rung whose error
+        reads 0 although ``f * phi_delta`` differs from ``f`` by more than
+        rounding (``1e-12 max|f|``; at a large p its powers underflow).  So
+        does an ``f`` on another grid than the mollifier's.
         """
+        if f.grid != self.grid:
+            raise ValueError("grid mismatch between function and mollifier")
+        underflow = (f"nonzero but has norm 0 at p={space.p:g}, "
+                     f"gamma={space.gamma:g} (its powers underflow)")
         if space_norm(space, f) == 0.0:
-            why = "zero" if not np.any(f.values) else (
-                f"nonzero but has norm 0 at p={space.p:g}, "
-                f"gamma={space.gamma:g} (its powers underflow)")
+            why = "zero" if not np.any(f.values) else underflow
             raise ValueError(f"f is {why}: the check would pass vacuously")
         floor = _MIN_DELTA_CELLS * self.grid.dx
         deltas = [max(min(1.0, self.grid.half_width), floor)]
         while deltas[-1] > floor:
             deltas.append(max(deltas[-1] / 2, floor))
         smoothed = filter_rows(f.values, np.stack([self.spectrum(d) for d in deltas]))
-        return deltas, smoothed, space_norms(space, self.grid, smoothed - f.values)
+        errors = space_norms(space, self.grid, smoothed - f.values)
+        if not np.all(errors):
+            # an error at rounding level may read 0; a larger one has underflowed
+            gaps = np.max(np.abs(smoothed - f.values), axis=1)
+            lost = (errors == 0.0) & (gaps > 1e-12 * np.max(np.abs(f.values)))
+            if np.any(lost):
+                raise ValueError(f"the error f * phi_delta - f at delta="
+                                 f"{deltas[np.argmax(lost)]:g} is {underflow}: "
+                                 "the check would pass vacuously")
+        return deltas, smoothed, errors
 
     @cached_property
     def kernel(self) -> GridFunction:
@@ -155,8 +169,6 @@ def mollify_sweep(
     it by lattice monotonicity).  A grid whose ladder has a single rung
     (dx >= 2) is rejected: one row shows no convergence.
     """
-    if f.grid != phi.grid:
-        raise ValueError("grid mismatch between function and mollifier")
     mf = maximal_scan(np.abs(f.values))
     deltas, smoothed, errors = phi.ladder(f, space)
     if len(deltas) < 2:

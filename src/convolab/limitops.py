@@ -15,9 +15,8 @@ density check picks its rung from the one stack of ``Mollifier.ladder``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,12 +73,12 @@ def band_limited_probe(
     f = dft_pair(GridFunction(grid, hat), "inverse")
     peak = float(np.max(np.abs(f.values)))
     if peak == 0.0:
-        raise ValueError("band too narrow for this grid: probe vanished")
+        raise ValueError("band too narrow for this grid: probe vanished, so "
+                         "the check would pass vacuously")
     return GridFunction(grid, f.values / peak)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     shift: float
     norm: float
     bound: float
@@ -156,21 +155,12 @@ def limit_operator_sweep(
     return rows
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(NamedTuple):
     approximant: GridFunction
     delta: float
     achieved: float
     band: tuple[float, float]
     out_of_band_mass: float
-
-    def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "achieved": self.achieved,
-            "band": list(self.band),
-            "out_of_band_mass": self.out_of_band_mass,
-        }
 
 
 def density_experiment(

@@ -118,10 +118,6 @@ class AxiomCheck:
     passed: bool
     worst_slack: float
 
-    def to_json(self) -> dict:
-        return {"axiom": self.axiom, "pass": self.passed,
-                "worst_slack": self.worst_slack}
-
 
 def verify_axioms(
     space: SpaceNorm,

@@ -289,6 +289,13 @@ def test_a_space_outside_the_a_p_range_is_refused(command, space, tmp_path,
     ("density", "f = xgaussian\n[grid]\nL = 1e200", "f is zero"),
     ("mollify", "f = xgaussian\n[grid]\nL = 1e200", "f is zero"),
     ("stechkin", "symbol = const(0)", "zero at every frequency node"),
+    # every p-th power of f * phi_delta - f underflows at some rung: the
+    # errors read 0 and passed, at p = 1e300 from the first rung on
+    ("density", "epsilon = 0.3\n[space]\np = 650", "phi_delta - f at delta="),
+    ("density", "epsilon = 0.3\n[space]\np = 1e300", "phi_delta - f at delta=1 "),
+    ("mollify", "[space]\np = 100", "phi_delta - f at delta="),
+    # no frequency node of this grid lies in the band (1, 2): a zero probe
+    ("sweep", "[grid]\nL = 0.5", "probe vanished"),
     # nonzero only on |x| > 2, beyond the window |x| < pi/2 of this grid
     ("stechkin", "symbol = truncate(rational_decay(1),2)\n[grid]\nn = 8",
      "zero at every frequency node"),
@@ -929,6 +936,21 @@ def test_stechkin_on_a_grid_where_its_spike_probe_vanishes_is_usage_error(
     assert capsys.readouterr().err == (
         "error: the pure-frequency probe has norm 0 on the grid L=1e+200 n=256\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,p", [("axioms", "300"), ("stechkin", "1100")])
+def test_space_exponent_whose_powers_overflow_is_usage_error(command, p, tmp_path,
+                                                             capsys):
+    # the probes' p-th powers overflow: numpy warned four times, then the
+    # norm refused a non-finite integrand
+    path = shipped_with("quick.ini", tmp_path, "space", "p", p)
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: [space] p: values too large on the grid "
+                          "L=8 n=256 (")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def shipped_with(config, tmp_path, section, key, value):

@@ -301,6 +301,13 @@ class TestMollifySweep:
         assert deltas == halvings + [last]
         assert last == 0.5 * grid.dx and halvings[-1] / 2 <= last
 
+    def test_ladder_refuses_a_function_on_another_grid(self):
+        # smoothing with another grid's spectra gave errors 0.509, 0.256,
+        # 0.088 where f's own grid gives 0.362, 0.125, 0.035
+        f = sample("gaussian", make_grid(16.0, 256))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            Mollifier("gaussian", make_grid(8.0, 256)).ladder(f, L2)
+
     @pytest.mark.parametrize("caller, norm_calls", [
         (lambda f, phi: phi.ladder(f, L2), 1),
         (lambda f, phi: mollify_sweep(f, phi, L2), 2),
@@ -330,6 +337,11 @@ class TestMollifySweep:
 
 
 class TestMultiplierNormLowerBound:
+    def test_trials_validated(self, std_grid):
+        m = parse_symbol("indicator(-1,1)")(std_grid.xi)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            multiplier_norm_lower_bound(m, L2, 0, 1, std_grid)
+
     def test_against_dense_operator_oracle(self, rng):
         # assemble Finv diag(a) F explicitly and take its spectral norm
         g = make_grid(4.0, 16)

@@ -77,6 +77,10 @@ class TestSample:
             # t = 0 is a node, where this descriptor blows up
             sample(lambda t: np.where(t == 0.0, np.inf, t), std_grid)
 
+    def test_scalar_callable_fills_every_node(self, std_grid):
+        f = sample(lambda t: 2.5, std_grid)
+        assert f.values.shape == (std_grid.size,) and np.all(f.values == 2.5)
+
 
 class TestQuadrature:
     def test_indicator_length(self):
@@ -148,6 +152,10 @@ class TestTransformPair:
             slow = dft_matrix(g, direction) @ f.values
             assert np.max(np.abs(fast.values - slow)) < 1e-12
 
+    def test_unknown_direction_rejected(self, std_grid):
+        with pytest.raises(ValueError, match="direction must be"):
+            dft_pair(sample("gaussian", std_grid), "backward")
+
     @settings(max_examples=20, deadline=None)
     @given(
         alpha=st.floats(-5, 5, allow_nan=False),
@@ -172,6 +180,11 @@ class TestTransformPair:
         assert src.flags.writeable and not f.values.flags.writeable
         src[0] = 7.0
         assert f.values[0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(), (63,), (65,), (2, 64)])
+    def test_values_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"values must have shape \(64,\)"):
+            GridFunction(make_grid(8.0, 64), np.zeros(shape))
 
 
 class TestMixtureStack:

@@ -205,6 +205,8 @@ class TestLimitOperatorSweep:
                 limit_operator_sweep(a, f, (1.0, 2.0), steps, L2)
         with pytest.raises(ValueError, match="window"):
             limit_operator_sweep(a, f, (1.0, 2.0), [130], L2)
+        with pytest.raises(ValueError, match="band must be an interval"):
+            limit_operator_sweep(a, f, (2.0, 1.0), good, L2)
         with pytest.raises(ValueError, match="band"):
             limit_operator_sweep(a, f, (40.0, 41.0), good, L2)
 

@@ -290,6 +290,10 @@ class TestDiscreteModel:
         assert m[j] == pytest.approx(64 / 97, abs=1e-13)
         assert m[j] == pytest.approx(2 / 3, abs=2 * g.dx)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            maximal_scan(np.ones(8), "slow")
+
     def test_constant_fixed_point(self, std_grid):
         c = GridFunction(std_grid, np.full(std_grid.size, 2.5))
         m = maximal_function(c).values.real

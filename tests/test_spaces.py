@@ -391,9 +391,3 @@ class TestAxiomHarness:
     def test_trials_validated(self, std_grid):
         with pytest.raises(ValueError):
             verify_axioms(SpaceNorm(2.0), trials=0, seed=1, grid=std_grid)
-
-    def test_report_is_json_ready(self, std_grid):
-        checks = verify_axioms(SpaceNorm(2.0), trials=5, seed=3, grid=std_grid)
-        for c in checks:
-            d = c.to_json()
-            assert set(d) == {"axiom", "pass", "worst_slack"}
