@@ -193,6 +193,8 @@ def _cmd_sweep(exp: Experiment) -> int:
     symbol = parse_symbol(sec.get("symbol", "indicator(-1,1)"))
     k1, k2 = sec.getfloat("k1", 1.0), sec.getfloat("k2", 2.0)
     targets = sec.getfloats("h", [4.0, 8.0, 16.0, 32.0])
+    if not targets:
+        raise ConfigError(f"[sweep] h: needs at least one shift, got {sec['h']!r}")
     dxi = exp.grid.dxi
     if not all(math.isfinite(t / dxi) for t in targets):
         raise ConfigError(f"[sweep] h must be below {sys.float_info.max * dxi:.6g}")
@@ -281,11 +283,15 @@ def _worst_gap(rng: np.random.Generator, trials: int, n: int) -> float:
 def _cmd_maximal_check(exp: Experiment) -> int:
     trials = exp.trials("maximal-check", 20)
     n = exp.grid.size
+    chi = sample("indicator(-1,1)", exp.grid)
+    if not np.any(chi.values):
+        raise ValueError(f"indicator(-1,1) holds no node of the grid L="
+                         f"{_fmt(exp.grid.half_width)} n={n}: the check "
+                         "would pass vacuously")
     worst = _worst_gap(np.random.default_rng(exp.seed), trials, n)
 
     # the discrete M chi in closed form: the best window from node j runs
     # to the far end of the nodes i0..i1 of the sampled chi
-    chi = sample("indicator(-1,1)", exp.grid)
     m = maximal_scan(np.abs(chi.values), "fast")
     i0, i1 = np.flatnonzero(chi.values)[[0, -1]]
     j = np.arange(n)

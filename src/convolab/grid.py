@@ -34,7 +34,7 @@ ProfileLike = Union[str, Profile]
 
 # The probe harnesses (the axiom harness, the multiplier and maximal norm
 # lower bounds) evaluate their random probes in stacks of at most this many
-# nodes per call: 5 axiom trials of 12 rows at n = 256, 16 probes at 1024.
+# nodes per call: 4 axiom trials of 14 rows at n = 256, 16 probes at 1024.
 STACK_NODES = 2**14
 
 
@@ -236,10 +236,7 @@ def parse_profile(text: str) -> Profile:
         mu, sigma = float_args(name, args, (0.0, 1.0))
         if sigma <= 0:
             raise ValueError("gaussian width must be positive")
-        try:
-            spread = 2 * sigma**2
-        except OverflowError:
-            spread = math.inf
+        spread = 2 * (sigma * sigma)  # inf or 0 where sigma^2 over- or underflows
         if not 0 < spread < math.inf:
             raise ValueError(f"gaussian width {sigma:g} gives 2 sigma^2 = "
                              f"{spread:g}, which is not positive and finite")

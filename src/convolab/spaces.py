@@ -25,6 +25,8 @@ import numpy as np
 
 from .grid import Grid, GridFunction, draw_mixtures, mixture_stack, stacks
 
+_TINY = np.finfo(float).tiny  # the smallest normal float64
+
 
 @dataclass(frozen=True)
 class SpaceNorm:
@@ -52,7 +54,9 @@ def space_norms(space: SpaceNorm, grid: Grid, rows: np.ndarray) -> np.ndarray:
     ``(dx * sum |f|^p w)^(1/p)`` per row; a 1-D array is one row.  The weight
     is the grid's, and gamma = 0 makes no weight pass.  A non-finite integrand
     raises ``ValueError``; the nodes are scanned only if a row total is not
-    finite.
+    finite.  A nonzero row whose total, or ``dx`` times it, underflowed is
+    summed again divided by its ``max|f|`` and its norm multiplied back by
+    it, as the norm is homogeneous.  Overflow is left to ``np.errstate``.
 
     An integer p is multiplied out by squaring, in place on ``|f|``: p = 2
     is one ``np.square``, bit-identical to ``|f|**2.0``.  libm's ``pow``,
@@ -60,40 +64,49 @@ def space_norms(space: SpaceNorm, grid: Grid, rows: np.ndarray) -> np.ndarray:
     exact zero and over 100 ns where the power underflows, against about
     1 ns a multiplication.  A multiplied power differs from ``pow``'s by a
     few roundings, which moves a norm by at most a few units in the last
-    place unless a row's powers are all subnormal.
+    place.
     """
     # float64, so that a boolean or integer stack can be powered in place
-    integrand = np.abs(rows).astype(float, copy=False)
-    if float(space.p).is_integer():
-        integrand = _integer_power(integrand, int(space.p))
-    else:
-        integrand = integrand**space.p
-    if space.gamma != 0.0:  # x * 1.0 == x: no weight pass at gamma = 0
-        integrand *= grid.power_weight(space.gamma)
+    integrand = _integrand(space, grid, np.abs(rows).astype(float, copy=False))
     totals = integrand.sum(axis=-1)
     # a non-finite integrand makes its row total non-finite, while a total
     # that overflows from finite values is an infinite norm
     if not np.all(np.isfinite(totals)) and not np.all(np.isfinite(integrand)):
         raise ValueError("norm integrand has a non-finite value at a node")
+    mass = grid.dx * totals
     # np.power, not **: a float64 scalar's ** rounds apart from an array's,
     # and a row must get the same norm alone as in a stack
-    return np.power(grid.dx * totals, 1.0 / space.p)
+    norms = np.power(mass, 1.0 / space.p)
+    lowest = mass if grid.dx < 1.0 else totals  # the smaller of the two
+    if lowest.min() < _TINY:
+        # every other row, and a zero one, is divided by 1: the same norm
+        peaks = np.max(np.abs(rows), axis=-1)
+        scale = np.where((lowest < _TINY) & (peaks > 0), peaks, 1.0)
+        totals = _integrand(space, grid, np.abs(rows) / scale[..., None]).sum(axis=-1)
+        norms = scale * np.power(grid.dx * totals, 1.0 / space.p)
+    return norms
 
 
-def _integer_power(x: np.ndarray, k: int) -> np.ndarray:
-    """``x**k`` for an integer ``k >= 1`` by square-and-multiply, squaring
-    ``x`` in place: one more array at most, none when k is a power of 2."""
-    power = None
-    while True:
-        if k & 1:
-            if power is None:
-                power = x if k == 1 else x.copy()
-            else:
-                power *= x
-        k >>= 1
-        if not k:
-            return power
-        np.square(x, out=x)
+def _integrand(space: SpaceNorm, grid: Grid, x: np.ndarray) -> np.ndarray:
+    """``x^p w`` for a float stack ``x`` of ``|f|``.  An integer p is
+    multiplied out by square-and-multiply, squaring ``x`` in place: one more
+    array at most, none when p is a power of 2."""
+    if float(space.p).is_integer():
+        power, k = None, int(space.p)
+        while k:
+            if k & 1:
+                if power is None:
+                    power = x if k == 1 else x.copy()
+                else:
+                    power *= x
+            k >>= 1
+            if k:
+                np.square(x, out=x)
+    else:
+        power = x**space.p
+    if space.gamma != 0.0:  # x * 1.0 == x: no weight pass at gamma = 0
+        power *= grid.power_weight(space.gamma)
+    return power
 
 
 def space_norm(space: SpaceNorm, f: GridFunction) -> float:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from convolab import (Grid, SpaceNorm, SymbolNorms, cli, fourier, limitops,
-                      make_grid, parse_symbol, spaces)
+                      make_grid, parse_symbol, sample, spaces)
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
+from convolab.grid import filter_rows
 from convolab.limitops import SweepRow
 from reference_runs import ROOT, RUNS
 
@@ -275,9 +276,6 @@ def test_a_space_outside_the_a_p_range_is_refused(command, space, tmp_path,
 @pytest.mark.parametrize("command,setting,reason", [
     ("mollify", "f = const(0)", "f is zero"),
     ("density", "f = const(0)", "f is zero"),
-    # nonzero, but its square underflows: the L2 norm of f is 0
-    ("mollify", "f = const(1e-200)", "has norm 0"),
-    ("density", "f = const(1e-200)", "has norm 0"),
     ("sweep", "symbol = const(0)", "zero at every frequency node"),
     # nonzero at nodes xi of the grid, but zero at every node xi + h the
     # sweep filters with: every norm would read 0
@@ -289,11 +287,6 @@ def test_a_space_outside_the_a_p_range_is_refused(command, space, tmp_path,
     ("density", "f = xgaussian\n[grid]\nL = 1e200", "f is zero"),
     ("mollify", "f = xgaussian\n[grid]\nL = 1e200", "f is zero"),
     ("stechkin", "symbol = const(0)", "zero at every frequency node"),
-    # every p-th power of f * phi_delta - f underflows at some rung: the
-    # errors read 0 and passed, at p = 1e300 from the first rung on
-    ("density", "epsilon = 0.3\n[space]\np = 650", "phi_delta - f at delta="),
-    ("density", "epsilon = 0.3\n[space]\np = 1e300", "phi_delta - f at delta=1 "),
-    ("mollify", "[space]\np = 100", "phi_delta - f at delta="),
     # no frequency node of this grid lies in the band (1, 2): a zero probe
     ("sweep", "[grid]\nL = 0.5", "probe vanished"),
     # nonzero only on |x| > 2, beyond the window |x| < pi/2 of this grid
@@ -411,7 +404,7 @@ def test_shared_parser_keeps_no_state_between_runs(config_path, tmp_path,
 
 @pytest.mark.parametrize("section,key,value", [
     ("axioms", "trials", "x"), ("grid", "n", "abc"), ("run", "seed", "1.5"),
-    ("sweep", "k1", "one")])
+    ("sweep", "k1", "one"), ("sweep", "h", "")])
 def test_unparsable_config_value_names_its_section_and_key(
         section, key, value, tmp_path, capsys):
     cfg = configparser.ConfigParser()
@@ -493,6 +486,39 @@ def test_negative_seed_is_usage_error(command, source, config_path, tmp_path,
     assert f"{name} must be a non-negative integer, got -1" in (
         capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n,L", [("78", "1e20"), ("146", "1e200"), ("82", "1e300")])
+def test_maximal_check_refuses_a_grid_where_chi_holds_no_node(n, L, tmp_path,
+                                                              capsys, monkeypatch):
+    # no node lies in [-1, 1): the closed form would have no chi to check,
+    # and the run failed with an IndexError after every noise scan
+    def no_scan(*args):
+        raise AssertionError("noise scanned before the grid was checked")
+
+    monkeypatch.setattr(cli, "_worst_gap", no_scan)
+    code = run_shipped("maximal-check", "quick.ini", tmp_path, "--grid-n", n,
+                       "--grid-L", L)
+    assert code == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: indicator(-1,1) holds no node of the grid ")
+    assert err.endswith(" the check would pass vacuously\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n,L", [("146", "1e200"), ("78", "1e20"),
+                                 ("8", "1e-300"), ("10", "0.8")])
+@pytest.mark.parametrize("config", ["quick.ini", "weighted-quick.ini"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_degenerate_grid_gives_a_verdict_or_one_error_line(command, config, n,
+                                                             L, tmp_path, capsys):
+    # grids far wider or narrower than the configs' functions: a run may
+    # pass, fail or refuse, but never end in a traceback
+    code = run_shipped(command, config, tmp_path, "--grid-n", n, "--grid-L", L)
+    assert code in (0, USAGE_ERROR, ASSERTION_FAILURE)
+    err = capsys.readouterr().err
+    assert err.count("\n") <= 1 and "Traceback" not in err
 
 
 def test_maximal_check_passes_where_chi_is_shorter_than_its_interval(tmp_path, capsys):
@@ -928,14 +954,102 @@ def test_density_overflow_on_a_wide_grid_names_the_grid(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_stechkin_on_a_grid_where_its_spike_probe_vanishes_is_usage_error(
-        tmp_path, capsys):
-    # the spike probe's modulus 1/(2L) = 5e-201 squares to 0
-    code = run_shipped("stechkin", "quick.ini", tmp_path, "--grid-L", "1e200")
-    assert code == USAGE_ERROR
-    assert capsys.readouterr().err == (
-        "error: the pure-frequency probe has norm 0 on the grid L=1e+200 n=256\n")
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("extra,p", [(("--grid-L", "1e200"), "2"), ((), "500")],
+                         ids=["L=1e200", "p=500"])
+def test_stechkin_measures_its_spike_probe_where_its_powers_underflow(
+        extra, p, tmp_path, capsys):
+    # the spike probe's modulus 1/(2L) = 5e-201 squares to 0, and at p = 500
+    # 1/16 does: the norm rescales the probe, and indicator(-1,1) has
+    # multiplier norm 1 in every space
+    path = shipped_with("quick.ini", tmp_path, "space", "p", p)
+    out = tmp_path / "out"
+    assert main(["stechkin", "--config", path, "--out", str(out), *extra]) == 0
+    assert capsys.readouterr().out.startswith("stechkin: lower=1 ")
+    report = json.loads((out / "stechkin.json").read_text())["result"]
+    assert report["lower"] == pytest.approx(1.0, rel=1e-12)
+    assert report["eigen_gap"] <= 1e-12
+
+
+def mollify_rows(command_out):
+    """The ``(delta, error, bound)`` columns of a ``mollify.csv``."""
+    lines = (command_out / "mollify.csv").read_text().splitlines()[2:]
+    return np.array([[float(v) for v in line.split(",")[:3]] for line in lines])
+
+
+def test_mollify_measures_a_constant_whose_powers_underflow(tmp_path, capsys):
+    # const(1e-200) squares to 0: it read norm 0 and was refused.  Its rows
+    # are 1e-200 times those of const(1), the bound 4e-200 against 4
+    rows = {}
+    for scale in ("1", "1e-200"):
+        path = shipped_with("quick.ini", tmp_path, "mollify", "f", f"const({scale})")
+        out = tmp_path / scale
+        assert main(["mollify", "--config", path, "--out", str(out)]) == 0
+        rows[scale] = mollify_rows(out)
+    assert capsys.readouterr().out.count(" decreasing=pass pointwise=pass") == 2
+    big, small = rows["1"], rows["1e-200"]
+    assert np.array_equal(small[:, 0], big[:, 0])
+    assert small[:, 2] == pytest.approx(1e-200 * big[:, 2], rel=1e-12)
+    assert big[0, 2] == pytest.approx(4.0, rel=1e-12)
+    # the errors are at rounding level, of 1 and of 1e-200 alike
+    assert np.all(small[:, 1] <= 1e-12 * small[:, 2])
+
+
+def test_density_measures_a_constant_whose_powers_underflow(tmp_path, capsys):
+    results = []
+    for scale in ("1", "1e-200"):
+        path = shipped_with("quick.ini", tmp_path, "density", "f", f"const({scale})")
+        out = tmp_path / scale
+        assert main(["density", "--config", path, "--out", str(out)]) == 0
+        results.append(json.loads((out / "density.json").read_text())["result"])
+    captured = capsys.readouterr()
+    assert captured.out.count(" within_epsilon=pass") == 2 and captured.err == ""
+    assert results[1]["delta"] == results[0]["delta"] == 1.0
+    assert results[1]["achieved"] <= 1e-200 * 1e-12
+
+
+def density_at(p, tmp_path):
+    """``(delta, achieved)`` of quick's density run at epsilon 0.3 and ``p``."""
+    path = shipped_with("quick.ini", tmp_path, "density", "epsilon", "0.3")
+    cfg = configparser.ConfigParser()
+    cfg.read(path)
+    cfg["space"]["p"] = p
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    out = tmp_path / f"p{p}"
+    assert main(["density", "--config", path, "--out", str(out)]) == ASSERTION_FAILURE
+    result = json.loads((out / "density.json").read_text())["result"]
+    return result["delta"], result["achieved"]
+
+
+def test_density_error_is_continuous_in_p_where_its_powers_underflow(tmp_path,
+                                                                    capsys):
+    # from p = 650 on some rung's |f * phi_delta - f|^p underflowed; at
+    # p = 1e300 every one did and the run was refused.  The achieved error
+    # moves by 0.02% from p = 600 to 650, and by 0.2% from 600 to 1e300
+    delta, before = density_at("600", tmp_path)
+    for p in ("650", "1e300"):
+        d, achieved = density_at(p, tmp_path)
+        assert d == delta
+        assert before < achieved < before * 1.01
+    # at p = 1e300 the norm is max|f * phi_delta - f| to rounding
+    grid = make_grid(8.0, 256)
+    f = sample("indicator(-1,1)", grid).values
+    smooth = filter_rows(
+        f, fourier.Mollifier("bump_spectrum", grid).spectrum(delta))
+    assert achieved == pytest.approx(np.max(np.abs(smooth - f)), rel=1e-12)
+
+
+def test_mollify_error_is_continuous_in_p_where_its_powers_underflow(tmp_path,
+                                                                    capsys):
+    # at p = 100 some rung's error read 0 and the run was refused
+    finals = []
+    for p in ("90", "100"):
+        path = shipped_with("quick.ini", tmp_path, "space", "p", p)
+        out = tmp_path / p
+        assert main(["mollify", "--config", path, "--out", str(out)]) == 0
+        finals.append(mollify_rows(out)[-1, 1])
+    assert capsys.readouterr().out.count(" decreasing=pass pointwise=pass") == 2
+    assert finals[0] < finals[1] < finals[0] * 1.01
 
 
 @pytest.mark.parametrize("command,p", [("axioms", "300"), ("stechkin", "1100")])

@@ -308,6 +308,15 @@ class TestMollifySweep:
         with pytest.raises(ValueError, match="grid mismatch"):
             Mollifier("gaussian", make_grid(8.0, 256)).ladder(f, L2)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_ladder_refuses_a_function_of_norm_zero(self, gamma):
+        # the zero function, and at gamma > 0 one nonzero only at t = 0,
+        # where the weight is 0: every rung would match it
+        grid = make_grid(8.0, 256)
+        f = GridFunction(grid, (np.arange(grid.size) == grid.size // 2) * (gamma > 0))
+        with pytest.raises(ValueError, match="f is zero in the space"):
+            Mollifier("gaussian", grid).ladder(f, SpaceNorm(2.0, gamma))
+
     @pytest.mark.parametrize("caller, norm_calls", [
         (lambda f, phi: phi.ladder(f, L2), 1),
         (lambda f, phi: mollify_sweep(f, phi, L2), 2),

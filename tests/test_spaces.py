@@ -155,6 +155,26 @@ class TestSpaceNorms:
         assert got[3] == math.inf
         assert np.isfinite(np.delete(got, 3)).all()
 
+    @pytest.mark.parametrize("space", [SpaceNorm(p, gamma)
+                                       for p in (1.5, 2.0, 3.0, 650.0)
+                                       for gamma in (0.0, -0.5)], ids=str)
+    def test_homogeneous_where_the_powers_underflow(self, space, std_grid):
+        # |2^-k f|^p is |f|^p 2^-kp exactly until it leaves the normal range;
+        # past that the row is rescaled by its max, a power of 2 times max|f|
+        f = np.exp(-std_grid.t**2) * (1.0 + 0.5 * np.sin(3.0 * std_grid.t))
+        norm = space_norms(space, std_grid, f)
+        ks = (0, 300, 600, 1000)
+        got = space_norms(space, std_grid, np.array([f * 2.0**-k for k in ks]))
+        for k, scaled in zip(ks, got):
+            want = 2.0**-k * norm
+            # pow rounds its exponent 1/p, which moves an unscaled norm by
+            # about |ln mass| 2^-53 relative: 1.2e-14 at p = 1.5 and k = 300
+            log_mass = space.p * math.log(want)
+            rel = 1e-15 + (2.0**-53 * abs(log_mass)
+                           if log_mass > math.log(np.finfo(float).tiny) else 0.0)
+            assert scaled == pytest.approx(want, rel=rel, abs=0.0)
+            assert scaled == space_norms(space, std_grid, f * 2.0**-k)
+
     def test_no_weight_pass_at_gamma_zero(self, std_grid, rng, monkeypatch):
         def weight(grid, gamma):
             raise AssertionError("weight sampled at gamma = 0")
