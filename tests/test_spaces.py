@@ -175,6 +175,14 @@ class TestSpaceNorms:
             assert scaled == pytest.approx(want, rel=rel, abs=0.0)
             assert scaled == space_norms(space, std_grid, f * 2.0**-k)
 
+    def test_rescales_where_only_dx_times_the_total_underflows(self):
+        # dx = 2.5e-301: the total 8 c^2 of a constant c is normal, but dx
+        # times it is subnormal, which cost the unscaled norm 4e-13 at 7.7e-7
+        grid = make_grid(1e-300, 8)
+        for c in (1e-5, 3e-6, 7.7e-7):
+            got = space_norms(SpaceNorm(2.0), grid, np.full(grid.size, c))
+            assert got == pytest.approx(c * math.sqrt(2e-300), rel=1e-15, abs=0.0)
+
     def test_no_weight_pass_at_gamma_zero(self, std_grid, rng, monkeypatch):
         def weight(grid, gamma):
             raise AssertionError("weight sampled at gamma = 0")
