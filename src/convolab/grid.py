@@ -50,10 +50,12 @@ def stacks(count: int, nodes: int, budget: int = STACK_NODES) -> list[range]:
 class Grid:
     """Uniform lattice on ``[-L, L)`` paired with its dual frequency lattice.
 
-    Spatial nodes are ``t_j = -L + j*dx`` for ``j = 0..n-1`` with
-    ``dx = 2L/n``; frequency nodes are ``x_k = k*dxi`` for
-    ``k = -n/2..n/2-1`` with ``dxi = pi/L``.  Hence ``dx*dxi = 2*pi/n`` and
-    the frequency window is ``[-pi*n/(2L), pi*n/(2L))``.
+    Spatial nodes are ``t_j = (j - n/2)*dx`` for ``j = 0..n-1`` with
+    ``dx = L/(n/2)``, so node n/2 is exactly 0; frequency nodes are
+    ``x_k = k*dxi`` for ``k = -n/2..n/2-1`` with ``dxi = pi/L``.  Hence
+    ``dx*dxi = 2*pi/n`` and the frequency window is
+    ``[-pi*(n/2)/L, pi*(n/2)/L)``.  No formula forms ``2L``, which
+    overflows for L near the largest float.
     """
 
     half_width: float
@@ -61,7 +63,7 @@ class Grid:
 
     @property
     def dx(self) -> float:
-        return 2.0 * self.half_width / self.size
+        return self.half_width / (self.size / 2)
 
     @property
     def dxi(self) -> float:
@@ -69,7 +71,7 @@ class Grid:
 
     @cached_property
     def t(self) -> np.ndarray:
-        nodes = -self.half_width + self.dx * np.arange(self.size)
+        nodes = (np.arange(self.size) - self.size // 2) * self.dx
         nodes.setflags(write=False)
         return nodes
 
@@ -95,7 +97,7 @@ class Grid:
     @property
     def freq_edge(self) -> float:
         """Right edge of the (half-open) frequency window."""
-        return math.pi * self.size / (2.0 * self.half_width)
+        return math.pi * (self.size / 2) / self.half_width
 
 
 @dataclass(frozen=True)
@@ -283,7 +285,7 @@ def quadrature(f: GridFunction) -> complex:
 # discrete transform pair
 
 def _phase_signs(n: int) -> np.ndarray:
-    # e^{i t_j x_k} = (-1)^k e^{2 pi i jk/n}: the (-1)^k comes from the -L offset.
+    # e^{i t_j x_k} = (-1)^k e^{2 pi i jk/n}: the (-1)^k comes from the -n/2 offset.
     k = np.arange(-n // 2, n // 2)
     return np.where(k % 2 == 0, 1.0, -1.0)
 

@@ -9,14 +9,16 @@ row against the tail-supremum bound with the exact indicator variation
 constant 3.  It filters the probe with the shifted samples ``a(xi + h)`` on
 the frequency lattice ``h = m * dxi``, where the identity is exact, all
 shifts in one stack; the modulations are the identity's test oracle.  The
-density check picks its rung from the one stack of ``Mollifier.ladder``.
+probe is a bump envelope over the band, and the density check picks its
+rung from the one stack of ``Mollifier.ladder``; both are band-limited by
+construction.
 """
 
 from __future__ import annotations
 
 import math
 from numbers import Integral
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,39 +40,20 @@ def _out_of_band_mass(f: GridFunction, band: tuple[float, float]) -> float:
     return outside / total if total else math.inf
 
 
-def band_limited_probe(
-    grid: Grid,
-    band: tuple[float, float],
-    profile: str = "bump",
-    seed: Optional[int] = None,
-) -> GridFunction:
+def band_limited_probe(grid: Grid, band: tuple[float, float]) -> GridFunction:
     """A test function whose spectrum vanishes identically outside ``band``.
 
-    Built directly in frequency: a bump envelope over the band, optionally
-    modulated by random smooth coefficients (``profile="random"``), then
-    transformed back.  The out-of-band spectral mass is exactly zero.
+    Built directly in frequency, a bump envelope over the band transformed
+    back and scaled to peak modulus 1.  The out-of-band spectral mass is
+    exactly zero.
     """
     lo, hi = band
     if not lo < hi:
         raise ValueError(f"band must be an interval, got {band}")
     if hi >= grid.freq_edge or lo <= -grid.freq_edge:
         raise ValueError(f"band {band} exceeds the frequency window")
-    u = (2.0 * grid.xi - (lo + hi)) / (hi - lo)
-    env = bump_profile(u)
-    if profile == "random":
-        rng = np.random.default_rng(seed)
-        mask = np.abs(u) < 1.0
-        coef = np.zeros(grid.size, dtype=complex)
-        # smooth random modulation: low-order cosine series over the band
-        phase = np.pi * u[mask]
-        for m in range(4):
-            coef[mask] += (rng.normal() + 1j * rng.normal()) * np.cos(m * phase)
-        hat = env * (1.0 + 0.5 * coef / max(1, np.max(np.abs(coef))))
-    elif profile == "bump":
-        hat = env.astype(complex)
-    else:
-        raise ValueError(f"unknown probe profile {profile!r}")
-    f = dft_pair(GridFunction(grid, hat), "inverse")
+    env = bump_profile((2.0 * grid.xi - (lo + hi)) / (hi - lo))
+    f = dft_pair(GridFunction(grid, env), "inverse")
     peak = float(np.max(np.abs(f.values)))
     if peak == 0.0:
         raise ValueError("band too narrow for this grid: probe vanished, so "
@@ -160,7 +143,6 @@ class DensityResult(NamedTuple):
     delta: float
     achieved: float
     band: tuple[float, float]
-    out_of_band_mass: float
 
 
 def density_experiment(
@@ -183,5 +165,4 @@ def density_experiment(
     i = int(below[0]) if below.size else int(np.argmin(errors))
     approx = GridFunction(f.grid, smoothed[i])
     band = (-1.0 / deltas[i], 1.0 / deltas[i])
-    return DensityResult(approx, deltas[i], float(errors[i]), band,
-                         _out_of_band_mass(approx, band))
+    return DensityResult(approx, deltas[i], float(errors[i]), band)

@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import json
+import math
 import sys
 import threading
 import time
@@ -10,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convolab import (Grid, SpaceNorm, SymbolNorms, cli, fourier, limitops,
-                      make_grid, parse_symbol, sample, spaces)
+from convolab import (Grid, SpaceNorm, SymbolNorms, cli, density_experiment,
+                      fourier, limitops, make_grid, parse_symbol, sample, spaces)
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
 from convolab.grid import filter_rows
 from convolab.limitops import SweepRow
@@ -34,7 +35,6 @@ symbol = indicator(-1,1)
 k1 = 1
 k2 = 2
 h = 4, 8, 16, 32
-profile = bump
 
 [mollify]
 kernel = gaussian
@@ -98,6 +98,28 @@ def test_commands_succeed_and_write_artifacts(command, artifact, config_path,
     assert code == 0
     assert (out / artifact).exists()
     assert capsys.readouterr().out.startswith(command.split("-")[0])
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in SHIPPED.glob("*.ini")))
+def test_a_shipped_config_sets_only_keys_a_command_reads(config, tmp_path,
+                                                         monkeypatch, capsys):
+    # unknown keys are ignored, so a key no command reads looks like a
+    # setting and changes nothing; fine's density runs at n = 4096
+    read = set()
+    get = cli._Config.get
+
+    def recording_get(self, section, option, **kwargs):
+        read.add((section, self.optionxform(option)))
+        return get(self, section, option, **kwargs)
+
+    monkeypatch.setattr(cli._Config, "get", recording_get)
+    cfg = configparser.ConfigParser()
+    cfg.read(shipped(config))
+    for command in filter(cfg.has_section, cli.COMMANDS):
+        extra = (("--grid-n", "4096") if (command, config) == ("density", "fine.ini")
+                 else ())
+        assert run_shipped(command, config, tmp_path, *extra) == 0
+    assert {(s, k) for s in cfg.sections() for k in cfg[s]} - read == set()
 
 
 def test_csv_headers_record_run_parameters(config_path, tmp_path):
@@ -193,8 +215,13 @@ def test_density_json_payload(config_path, tmp_path):
     main(["density", "--config", str(config_path), "--out", str(out)])
     payload = json.loads((out / "density.json").read_text())
     result = payload["result"]
+    assert set(result) == {"delta", "achieved", "band", "epsilon"}
     assert result["achieved"] < result["epsilon"]
-    assert result["out_of_band_mass"] < 1e-9
+    # the approximant the payload describes: the rung of that delta
+    grid = make_grid(8.0, 256)
+    approx = density_experiment(sample("indicator(-1,1)", grid),
+                                result["epsilon"], SpaceNorm(2.0)).approximant
+    assert limitops._out_of_band_mass(approx, result["band"]) < 1e-9
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):
@@ -224,7 +251,6 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
      ("sweep", "h = -4, 0.1, 4"),
      ("sweep", "k1 = 3"),
      ("sweep", "k2 = 100"),
-     ("sweep", "profile = sinc"),
      ("stechkin", "symbol = indicator(2,1)"),
      ("stechkin", "symbol = rational_decay(0)"),
      ("stechkin", "symbol = shift(arctan)"),
@@ -489,26 +515,21 @@ def test_negative_seed_is_usage_error(command, source, config_path, tmp_path,
 
 
 @pytest.mark.parametrize("n,L", [("78", "1e20"), ("146", "1e200"), ("82", "1e300")])
-def test_maximal_check_refuses_a_grid_where_chi_holds_no_node(n, L, tmp_path,
-                                                              capsys, monkeypatch):
-    # no node lies in [-1, 1): the closed form would have no chi to check,
-    # and the run failed with an IndexError after every noise scan
-    def no_scan(*args):
-        raise AssertionError("noise scanned before the grid was checked")
-
-    monkeypatch.setattr(cli, "_worst_gap", no_scan)
+def test_maximal_check_passes_where_chi_holds_only_the_origin_node(n, L, tmp_path,
+                                                                   capsys):
+    # node n/2 is t = 0, so chi holds it; with -L + j*dx these grids put
+    # that node at 16384, -1.7e184 and -1.5e284 and chi held no node
     code = run_shipped("maximal-check", "quick.ini", tmp_path, "--grid-n", n,
                        "--grid-L", L)
-    assert code == USAGE_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: indicator(-1,1) holds no node of the grid ")
-    assert err.endswith(" the check would pass vacuously\n")
-    assert err.count("\n") == 1
-    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == ""
+    assert code == 0
+    assert maximal_check_rows(tmp_path / "out")[1] == ["closed_form", "0",
+                                                        "1e-12", "1"]
 
 
 @pytest.mark.parametrize("n,L", [("146", "1e200"), ("78", "1e20"),
-                                 ("8", "1e-300"), ("10", "0.8")])
+                                 ("8", "1e-300"), ("10", "0.8"),
+                                 ("256", "1e308")])
 @pytest.mark.parametrize("config", ["quick.ini", "weighted-quick.ini"])
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_a_degenerate_grid_gives_a_verdict_or_one_error_line(command, config, n,
@@ -944,14 +965,18 @@ def test_density_whose_cube_overflows_in_weighted_l3_is_usage_error(
     assert err.count("\n") == 1
 
 
-def test_density_overflow_on_a_wide_grid_names_the_grid(tmp_path, capsys):
-    # spectra scale with dx = 2L/n: here the width alone overflows them
+def test_density_measures_on_a_wide_grid(tmp_path, capsys):
+    # spectra scale with dx = L/(n/2) = 7.8e197; only the squared spectrum
+    # of the out-of-band mass overflowed here, and the run was refused.
+    # chi holds the origin node alone, |f| = sqrt(dx), and the one rung
+    # delta = dx/2 misses eps = 0.35 by far: a verdict, not a refusal
     code = run_shipped("density", "quick.ini", tmp_path, "--grid-L", "1e200")
-    assert code == USAGE_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: [density] f: values too large on the grid "
-                          "L=1e+200 n=256 (")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == ""
+    assert code == ASSERTION_FAILURE
+    result = json.loads((tmp_path / "out" / "density.json").read_text())["result"]
+    dx = make_grid(1e200, 256).dx
+    assert result["delta"] == dx / 2
+    assert 0.35 < result["achieved"] < math.sqrt(dx)
 
 
 @pytest.mark.parametrize("extra,p", [(("--grid-L", "1e200"), "2"), ((), "500")],

@@ -32,6 +32,24 @@ class TestMakeGrid:
         g = make_grid(math.pi, 8)
         assert g.dx * g.dxi == pytest.approx(2 * math.pi / 8, rel=1e-15)
 
+    @pytest.mark.parametrize("L,n", [(8.0, 256), (16.0, 1024), (16.0, 4096)])
+    def test_nodes_and_window_keep_the_bits_of_the_2L_formulas(self, L, n):
+        g = make_grid(L, n)
+        assert g.dx == 2.0 * L / n
+        assert g.freq_edge == math.pi * n / (2.0 * L)
+        assert np.array_equal(g.t, -L + (2.0 * L / n) * np.arange(n))
+
+    @pytest.mark.parametrize("L,n", [(1e200, 146), (1e20, 78), (1e300, 82),
+                                     (1e308, 256)])
+    def test_origin_node_is_zero(self, L, n):
+        # -L + j*dx put node n/2 at -1.7e184, 16384 and -1.5e284 on the
+        # first three grids; at L = 1e308, 2L overflowed and t held NaN
+        g = make_grid(L, n)
+        assert g.t[n // 2] == 0.0
+        assert np.all(np.isfinite(g.t))
+        assert g.t[0] == pytest.approx(-L, rel=1e-15)
+        assert math.isfinite(g.dx) and math.isfinite(g.freq_edge)
+
     @pytest.mark.parametrize("L,n", [(-1.0, 16), (0.0, 16), (8.0, 7), (8.0, 4)])
     def test_invalid_arguments(self, L, n):
         with pytest.raises(ValueError):
