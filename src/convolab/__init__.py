@@ -13,7 +13,6 @@ from .fourier import (
     convolve,
     mollify_sweep,
     multiplier_norm_lower_bound,
-    stechkin_check,
 )
 from .grid import (
     Grid,

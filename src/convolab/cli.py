@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import dataclasses
 import json
 import math
 import sys
@@ -24,12 +23,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fourier import Mollifier, mollify_sweep, stechkin_check
+from .fourier import Mollifier, mollify_sweep, multiplier_norm_lower_bound
 from .grid import Grid, make_grid, sample, stacks
-from .limitops import band_limited_probe, density_experiment, limit_operator_sweep
+from .limitops import density_experiment, limit_operator_sweep
 from .maximal import maximal_scan
 from .spaces import SpaceNorm, space_norm, verify_axioms
-from .symbols import InconclusiveError, parse_symbol
+from .symbols import InconclusiveError, parse_symbol, symbol_norms
 
 COMMANDS = ("sweep", "mollify", "stechkin", "maximal-check", "density", "axioms")
 
@@ -202,8 +201,7 @@ def _cmd_sweep(exp: Experiment) -> int:
     if not all(k >= 1 for k in steps):
         raise ConfigError(f"[sweep] h must be at least half a lattice step "
                           f"({dxi / 2:.6g}), got {targets}")
-    probe = band_limited_probe(exp.grid, (k1, k2))
-    rows = limit_operator_sweep(symbol, probe, (k1, k2), steps, exp.space)
+    rows = limit_operator_sweep(symbol, exp.grid, (k1, k2), steps, exp.space)
     columns = "h,norm,bound,within_bound"
     exp.write_csv("sweep", columns, rows)
     exp.write_json("sweep", [dict(zip(columns.split(","), r)) for r in rows])
@@ -233,15 +231,28 @@ def _cmd_stechkin(exp: Experiment) -> int:
     symbol = parse_symbol(exp.section("stechkin").get("symbol", "indicator(-1,1)"))
     trials = exp.trials("stechkin", 20)
     with _overflow_as_usage_error("[space] p", exp.grid):
-        report = stechkin_check(symbol, exp.space, trials, exp.seed, exp.grid)
-    exp.write_json("stechkin", dataclasses.asdict(report))
-    # the sup bound is a theorem only in unweighted L2, the spike probe's
-    # eigenvalue in every space; the ratio is never asserted
-    gates = ([("sup_bound", not report.violation, True)]
-             if exp.space.is_unweighted_l2 else [])
-    return _verdict(f"stechkin: lower={_fmt(report.lower)} "
-                    f"v_norm={_fmt(report.v_norm)} ratio={_fmt(report.ratio)}",
-                    [*gates, ("eigen", report.eigen_gap <= 1e-12, True)])
+        m = symbol(exp.grid.xi)  # the one sample of the symbol at the nodes
+        lower, spike = multiplier_norm_lower_bound(m, exp.space, trials,
+                                                   exp.seed, exp.grid)
+        norms = symbol_norms(symbol)
+    peak = float(np.max(np.abs(m)))
+    # the sup bound is a theorem only in unweighted L2, where the multiplier
+    # norm is max_k |a(xi_k)|; the spike probe's ratio is that eigenvalue in
+    # every space; the ratio to v_norm is never asserted
+    exact = exp.space.is_unweighted_l2
+    violation = bool(exact and lower > norms.sup_norm * (1.0 + 1e-9))
+    ratio = lower / norms.v_norm if norms.v_norm > 0 else math.inf
+    eigen_gap = abs(spike - peak) / peak
+    exp.write_json("stechkin", {
+        "lower": lower, "v_norm": norms.v_norm, "sup_norm": norms.sup_norm,
+        "ratio": ratio,
+        "calibration": ("exact: lower <= sup_norm, the norm at p=2" if exact
+                        else "uncalibrated, empirical ratio"),
+        "violation": violation, "eigen_gap": eigen_gap})
+    gates = [("sup_bound", not violation, True)] if exact else []
+    return _verdict(f"stechkin: lower={_fmt(lower)} "
+                    f"v_norm={_fmt(norms.v_norm)} ratio={_fmt(ratio)}",
+                    [*gates, ("eigen", eigen_gap <= 1e-12, True)])
 
 
 def _worst_gap(rng: np.random.Generator, trials: int, n: int) -> float:

@@ -1,4 +1,4 @@
-"""Convolution operators, mollifier families, and multiplier-norm checks.
+"""Convolution operators, mollifier families, and the multiplier-norm bound.
 
 The multiplier operator is realized diagonally: transform, multiply by the
 symbol sampled at the frequency nodes (no cell averaging, so indicator
@@ -7,6 +7,9 @@ stack (``filter_rows``).  Convolution and mollification multiply by the
 kernel's spectrum, exactly: the mollifier ladder is one stack of spectra.
 Against direct quadrature convolution this differs only by circular wrap
 near the domain boundary, so tests keep supports in the middle half.
+``multiplier_norm_lower_bound`` measures the Rayleigh ratios of the
+multiplier on probe functions; which bound on them is a theorem is the
+``stechkin`` command's to decide.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .grid import (
 )
 from .maximal import maximal_scan
 from .spaces import SpaceNorm, space_norm, space_norms
-from .symbols import Symbol, symbol_norms
+from .symbols import Symbol
 
 # smallest kernel scale the grid resolves, in units of dx
 _MIN_DELTA_CELLS = 0.5
@@ -217,50 +220,3 @@ def multiplier_norm_lower_bound(
         images = space_norms(space, grid, filter_rows(probes, m / peak))
         ratios += (images[live] / nf[live]).tolist()
     return MultiplierLowerBound(peak * max(ratios), peak * ratios[0])
-
-
-@dataclass(frozen=True)
-class StechkinReport:
-    lower: float
-    v_norm: float
-    sup_norm: float
-    ratio: float
-    calibration: str
-    violation: bool
-    eigen_gap: float
-
-
-def stechkin_check(
-    a: Symbol,
-    space: SpaceNorm,
-    trials: int,
-    seed: int,
-    grid: Grid,
-) -> StechkinReport:
-    """Compare the operator-norm lower bound against the variation norm.
-
-    ``ratio = lower / v_norm`` is the reported Stechkin number.  At p=2 the
-    multiplier norm is ``max_k |a(xi_k)|``, at most the sup norm, so
-    ``lower <= sup_norm * (1 + 1e-9)`` is asserted.  For other exponents
-    the constant is not constructive; the ratio is recorded as an
-    empirical observation, never asserted.  ``eigen_gap`` is the relative
-    gap between the spike probe's ratio and ``max_k |a(xi_k)|``, equal in
-    every space.  The symbol is sampled at the nodes once.
-    """
-    m = a(grid.xi)
-    lower, spike = multiplier_norm_lower_bound(m, space, trials, seed, grid)
-    norms = symbol_norms(a)
-    peak = float(np.max(np.abs(m)))
-    ratio = lower / norms.v_norm if norms.v_norm > 0 else math.inf
-    exact = space.is_unweighted_l2
-    violation = bool(exact and lower > norms.sup_norm * (1.0 + 1e-9))
-    return StechkinReport(
-        lower=lower,
-        v_norm=norms.v_norm,
-        sup_norm=norms.sup_norm,
-        ratio=ratio,
-        calibration=("exact: lower <= sup_norm, the norm at p=2" if exact
-                     else "uncalibrated, empirical ratio"),
-        violation=violation,
-        eigen_gap=abs(spike - peak) / peak,
-    )

@@ -7,8 +7,11 @@ on each side of ``W(a)``, so tests can check the identity the sweep relies
 on.  On a lattice shift, with a band-limited input whose band stays inside
 the frequency window, the two agree to machine level.
 ``random_band_limited_probe`` gives the identity tests inputs with an
-uneven spectrum over the band.
+uneven spectrum over the band, and ``out_of_band_mass`` checks that the
+density tests' approximants are confined to their band.
 """
+
+import math
 
 import numpy as np
 
@@ -44,3 +47,16 @@ def random_band_limited_probe(
     hat = bump_profile(u) * (1.0 + 0.5 * coef / max(1, np.max(np.abs(coef))))
     f = dft_pair(GridFunction(grid, hat), "inverse")
     return GridFunction(grid, f.values / float(np.max(np.abs(f.values))))
+
+
+def out_of_band_mass(f: GridFunction, band: tuple[float, float]) -> float:
+    """Spectral energy of ``f`` outside the closed ``band``, relative to all.
+
+    Infinite for the zero function, which is confined to no band.
+    """
+    hat = dft_pair(f, "forward").values
+    inside = (f.grid.xi >= band[0]) & (f.grid.xi <= band[1])
+    energy = np.abs(hat) ** 2
+    total = float(np.sum(energy))
+    outside = float(np.sum(energy[~inside]))
+    return outside / total if total else math.inf

@@ -91,14 +91,17 @@ def differences(want, got, where: str = "", rel_tol: float = 1e-12,
                 abs_tol: float = _ABS_TOL) -> list[tuple]:
     """Where ``got`` departs from ``want``, as ``(where, want, got)``:
     numbers beyond ``rel_tol`` and ``abs_tol``, and anything else (verdicts,
-    flags, names, shapes) at all."""
+    flags, names, shapes, the order of an object's keys) at all."""
     if _is_number(want) and _is_number(got):
         if math.isclose(want, got, rel_tol=rel_tol, abs_tol=abs_tol):
             return []
         return [(where, want, got)]
     if isinstance(want, dict) and isinstance(got, dict):
+        reordered = want.keys() == got.keys() and list(want) != list(got)
         return ([(f"{where}/{k}", want.get(k, "absent"), got.get(k, "absent"))
                  for k in sorted(want.keys() ^ got.keys())]
+                + ([(f"{where} key order", list(want), list(got))]
+                   if reordered else [])
                 + [d for k in want if k in got
                    for d in differences(want[k], got[k], f"{where}/{k}",
                                         rel_tol, abs_tol)])

@@ -16,6 +16,7 @@ from convolab import (Grid, SpaceNorm, SymbolNorms, cli, density_experiment,
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
 from convolab.grid import filter_rows
 from convolab.limitops import SweepRow
+from conjugation import out_of_band_mass
 from reference_runs import ROOT, RUNS
 
 CONFIG = """
@@ -162,8 +163,8 @@ def test_bad_grid_half_width_is_usage_error(value, config_path, tmp_path, capsys
 @pytest.mark.parametrize("p,code", [(3, 0), (2, ASSERTION_FAILURE)])
 def test_sweep_fails_only_an_asserted_bound(p, code, tmp_path, capsys,
                                             monkeypatch):
-    def exceeded(symbol, probe, band, steps, space):
-        return [SweepRow(steps[0] * probe.grid.dxi, 2.0, 1.0, False)]
+    def exceeded(symbol, grid, band, steps, space):
+        return [SweepRow(steps[0] * grid.dxi, 2.0, 1.0, False)]
 
     monkeypatch.setattr(cli, "limit_operator_sweep", exceeded)
     path = tmp_path / "exp.ini"
@@ -210,6 +211,65 @@ def test_stechkin_summary_line_keeps_every_scale(config, scale, line, tmp_path,
     assert capsys.readouterr().out == line + "\n"
 
 
+def run_stechkin(tmp_path, symbol, trials, p=2.0, gamma=0.0):
+    """Run ``stechkin`` on ``symbol`` at L = 8, n = 256 and seed 0: its exit
+    code and its ``stechkin.json`` result (None when none was written)."""
+    path = tmp_path / "stechkin.ini"
+    path.write_text(f"[grid]\nL = 8\nn = 256\n[space]\np = {p}\n"
+                    f"gamma = {gamma}\n[run]\nseed = 0\n"
+                    f"[stechkin]\nsymbol = {symbol}\ntrials = {trials}\n")
+    out = tmp_path / "o"
+    code = main(["stechkin", "--config", str(path), "--out", str(out)])
+    artifact = out / "stechkin.json"
+    result = (json.loads(artifact.read_text())["result"] if artifact.exists()
+              else None)
+    return code, result
+
+
+class TestStechkin:
+    def test_indicator_at_p2(self, tmp_path, capsys):
+        code, report = run_stechkin(tmp_path, "indicator(-1,1)", 10)
+        assert code == 0
+        assert list(report) == ["lower", "v_norm", "sup_norm", "ratio",
+                                "calibration", "violation", "eigen_gap"]
+        assert report["lower"] == pytest.approx(1.0, abs=1e-10)
+        assert report["v_norm"] == pytest.approx(3.0, abs=1e-12)
+        assert report["sup_norm"] == 1.0
+        assert report["ratio"] == pytest.approx(1 / 3, abs=1e-10)
+        assert report["calibration"] == "exact: lower <= sup_norm, the norm at p=2"
+        assert report["violation"] is False
+        assert report["eigen_gap"] <= 1e-12
+        assert capsys.readouterr().out.endswith(" sup_bound=pass eigen=pass\n")
+
+    def test_constant_is_equality_case(self, tmp_path):
+        code, report = run_stechkin(tmp_path, "const(2)", 5)
+        assert code == 0
+        assert report["lower"] == pytest.approx(2.0, abs=1e-10)
+        assert report["v_norm"] == pytest.approx(2.0, abs=1e-12)
+        assert report["ratio"] == pytest.approx(1.0, abs=1e-10)
+        assert report["violation"] is False
+
+    def test_other_exponents_recorded_not_asserted(self, tmp_path, capsys):
+        code, report = run_stechkin(tmp_path, "arctan", 5, p=3.0)
+        assert code == 0
+        assert report["calibration"] == "uncalibrated, empirical ratio"
+        assert report["violation"] is False
+        assert 0.0 < report["ratio"] <= 1.0  # lower bound cannot beat v_norm here
+        assert report["eigen_gap"] <= 1e-12  # the spike probe is exact anywhere
+        # no sup_bound gate outside unweighted L2
+        out = capsys.readouterr().out
+        assert out.endswith(" eigen=pass\n") and "sup_bound" not in out
+
+    def test_zero_symbol_has_no_eigen_check(self, tmp_path, capsys):
+        # max |a| = 0 leaves no eigenvalue to match, and every bound on the
+        # zero operator holds vacuously: the sample is refused
+        code, report = run_stechkin(tmp_path, "const(0)", 2, p=3.0, gamma=-0.5)
+        assert code == USAGE_ERROR and report is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "zero at every frequency node" in err
+
+
 def test_density_json_payload(config_path, tmp_path):
     out = tmp_path / "out"
     main(["density", "--config", str(config_path), "--out", str(out)])
@@ -221,7 +281,7 @@ def test_density_json_payload(config_path, tmp_path):
     grid = make_grid(8.0, 256)
     approx = density_experiment(sample("indicator(-1,1)", grid),
                                 result["epsilon"], SpaceNorm(2.0)).approximant
-    assert limitops._out_of_band_mass(approx, result["band"]) < 1e-9
+    assert out_of_band_mass(approx, result["band"]) < 1e-9
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):
@@ -855,8 +915,7 @@ AUDIT_MUTANTS = [
     [(one_percent_larger, owner, "space_norms") for owner in (spaces, fourier,
                                                               limitops)],
     [(one_percent_larger, Grid, "power_weight")],
-    [(scaled_symbol_norms, owner, "symbol_norms") for owner in (fourier,
-                                                                limitops)],
+    [(scaled_symbol_norms, owner, "symbol_norms") for owner in (cli, limitops)],
 ]
 
 CONFIGS = sorted({config for _, config, _ in RUNS})

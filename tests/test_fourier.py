@@ -25,7 +25,6 @@ from convolab import (
     random_mixture,
     sample,
     space_norm,
-    stechkin_check,
 )
 from convolab.grid import STACK_NODES, filter_rows
 from conftest import (
@@ -468,41 +467,6 @@ class TestMultiplierNormLowerBound:
         got = multiplier_norm_lower_bound(scale * m, space, 5, 1, grid)
         assert got.lower == pytest.approx(scale * want.lower, rel=1e-14)
         assert got.spike == pytest.approx(scale * want.spike, rel=1e-14)
-
-
-class TestStechkin:
-    def test_indicator_at_p2(self, std_grid):
-        report = stechkin_check(parse_symbol("indicator(-1,1)"), L2,
-                                trials=10, seed=0, grid=std_grid)
-        assert report.lower == pytest.approx(1.0, abs=1e-10)
-        assert report.v_norm == pytest.approx(3.0, abs=1e-12)
-        assert report.sup_norm == 1.0
-        assert report.ratio == pytest.approx(1 / 3, abs=1e-10)
-        assert not report.violation
-        assert report.eigen_gap <= 1e-12
-
-    def test_constant_is_equality_case(self, std_grid):
-        report = stechkin_check(parse_symbol("const(2)"), L2, trials=5, seed=0,
-                                grid=std_grid)
-        assert report.lower == pytest.approx(2.0, abs=1e-10)
-        assert report.v_norm == pytest.approx(2.0, abs=1e-12)
-        assert report.ratio == pytest.approx(1.0, abs=1e-10)
-        assert not report.violation
-
-    def test_other_exponents_recorded_not_asserted(self, std_grid):
-        report = stechkin_check(parse_symbol("arctan"), SpaceNorm(3.0),
-                                trials=5, seed=0, grid=std_grid)
-        assert report.calibration.startswith("uncalibrated")
-        assert not report.violation
-        assert 0.0 < report.ratio <= 1.0  # lower bound cannot beat v_norm here
-        assert report.eigen_gap <= 1e-12  # the spike probe is exact anywhere
-
-    def test_zero_symbol_has_no_eigen_check(self, std_grid):
-        # max |a| = 0 leaves no eigenvalue to match, and every bound on the
-        # zero operator holds vacuously: the sample is refused
-        with pytest.raises(ValueError, match="zero at every frequency node"):
-            stechkin_check(parse_symbol("const(0)"), SpaceNorm(3.0, -0.5),
-                           trials=2, seed=0, grid=std_grid)
 
 
 @dataclass(frozen=True)
