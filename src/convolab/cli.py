@@ -82,8 +82,8 @@ def _fmt(x: float) -> str:
 
 def _floats(text: str) -> list[float]:
     vals = [float(v) for v in text.replace(",", " ").split()]
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"values must be finite, got {text!r}")
+    if not (vals and all(math.isfinite(v) for v in vals)):
+        raise ValueError(f"values must be one or more finite numbers, got {text!r}")
     return vals
 
 
@@ -191,17 +191,8 @@ def _cmd_sweep(exp: Experiment) -> int:
     sec = exp.section("sweep")
     symbol = parse_symbol(sec.get("symbol", "indicator(-1,1)"))
     k1, k2 = sec.getfloat("k1", 1.0), sec.getfloat("k2", 2.0)
-    targets = sec.getfloats("h", [4.0, 8.0, 16.0, 32.0])
-    if not targets:
-        raise ConfigError(f"[sweep] h: needs at least one shift, got {sec['h']!r}")
-    dxi = exp.grid.dxi
-    if not all(math.isfinite(t / dxi) for t in targets):
-        raise ConfigError(f"[sweep] h must be below {sys.float_info.max * dxi:.6g}")
-    steps = sorted({round(t / dxi) for t in targets})
-    if not all(k >= 1 for k in steps):
-        raise ConfigError(f"[sweep] h must be at least half a lattice step "
-                          f"({dxi / 2:.6g}), got {targets}")
-    rows = limit_operator_sweep(symbol, exp.grid, (k1, k2), steps, exp.space)
+    rows = limit_operator_sweep(symbol, exp.grid, (k1, k2),
+                                sec.getfloats("h", [4.0, 8.0, 16.0, 32.0]), exp.space)
     columns = "h,norm,bound,within_bound"
     exp.write_csv("sweep", columns, rows)
     exp.write_json("sweep", [dict(zip(columns.split(","), r)) for r in rows])

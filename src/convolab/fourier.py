@@ -82,10 +82,8 @@ class Mollifier:
         The samples are divided by their value at ``x = 0``, the kernel's
         mass, so smoothing is ``filter_rows(f.values, spectrum(delta))``.
         """
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
         g = self.grid
-        if delta < _MIN_DELTA_CELLS * g.dx:
+        if not delta >= _MIN_DELTA_CELLS * g.dx:  # a NaN delta fails too
             raise ValueError(
                 f"delta={delta} below grid resolution ({_MIN_DELTA_CELLS} * dx "
                 f"= {_MIN_DELTA_CELLS * g.dx})"

@@ -6,18 +6,17 @@ lives in a segment K, it acts like the symbol restricted to K + h.  When
 the symbol is (numerically) equivalent to zero at infinity, pushing h
 toward +inf drives the image to zero; the sweep measures that decay row by
 row against the tail-supremum bound with the exact indicator variation
-constant 3.  It builds its own probe, the bump envelope over the band, and
-filters it with the shifted samples ``a(xi + h)`` on the frequency lattice
-``h = m * dxi``, where the identity is exact, all shifts in one stack; the
-modulations are the identity's test oracle.  The density check picks its
-rung from the one stack of ``Mollifier.ladder``; probe and rung are
-band-limited by construction.
+constant 3.  It builds its own probe, the bump envelope over the band,
+rounds each requested shift to the frequency lattice ``h = m * dxi``, where
+the identity is exact, and filters the probe with the samples ``a(xi + h)``
+of all shifts in one stack; the modulations are the identity's test
+oracle.  The density check picks its rung from the one stack of
+``Mollifier.ladder``; probe and rung are band-limited by construction.
 """
 
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,19 +59,20 @@ def limit_operator_sweep(
     symbol: Symbol,
     grid: Grid,
     band: tuple[float, float],
-    steps: Sequence[int],
+    shifts: Sequence[float],
     space: SpaceNorm,
 ) -> list[SweepRow]:
     """Measure the conjugated norms against the tail bound, shift by shift.
 
     The probe is :func:`band_limited_probe` over ``band``, the bump
-    envelope whose spectrum vanishes outside it.  ``steps`` are increasing
-    positive integers m; each names the lattice shift ``h = m * dxi``, the
-    only shifts on which the conjugation identity is exact, and ``band + h``
-    must stay inside the frequency window.  The symbol's declared tail
-    limits must both be zero, or the limit operator is not zero and the
-    tail bound says nothing about it.  A symbol zero at every node
-    ``xi + h`` is refused: every bound would hold vacuously.
+    envelope whose spectrum vanishes outside it.  Each shift rounds to the
+    nearest lattice shift ``h = m * dxi``, where the conjugation identity is
+    exact; the rows run over the distinct steps m >= 1 in increasing order,
+    each reporting its h, and ``band + h`` must stay inside the frequency
+    window.  The symbol's declared tail limits must both be zero, or the
+    limit operator is not zero and the tail bound says nothing about it.  A
+    symbol zero at every node ``xi + h`` is refused: every bound would hold
+    vacuously.
 
     For each shift the row compares ``r = |W(a(. + h)) probe|``, the norm
     of ``e_h W(a) e_{-h} probe``, against ``B = 3 * T * |probe|``; the k
@@ -86,13 +86,16 @@ def limit_operator_sweep(
     """
     probe = band_limited_probe(grid, band)
     lo, hi = band
-    if not steps:
-        raise ValueError("steps must be non-empty")
-    if not all(isinstance(m, Integral) and m > 0 for m in steps):
-        raise ValueError(f"steps must be positive integers, got {list(steps)}")
-    if list(steps) != sorted(set(steps)):
-        raise ValueError("steps must be increasing")
-    shifts = grid.dxi * np.asarray(steps)
+    targets = [float(h) for h in shifts]
+    steps = np.array([h / grid.dxi for h in targets])  # float division: inf, no warning
+    if not np.all(np.isfinite(steps)):
+        raise ValueError(f"shifts must be finite and at most dxi = {grid.dxi:.6g} "
+                         f"times the largest float, got {targets}")
+    steps = np.unique(np.rint(steps))  # sorted, without repeats
+    if not (steps.size and steps[0] >= 1):
+        raise ValueError(f"shifts must be non-empty and each at least half a "
+                         f"lattice step ({grid.dxi / 2:.6g}), got {targets}")
+    shifts = grid.dxi * steps
     if hi + shifts[-1] >= grid.freq_edge:
         raise ValueError("band + max shift leaves the frequency window")
     tail = symbol.tail

@@ -201,7 +201,8 @@ def symbol_norms(a: Symbol) -> SymbolNorms:
     at an endpoint) or a tail limit.  A segment whose differences change
     sign, in Re or Im, apart from its first and last (where a declared jump
     sits), shows the declaration false and raises ``InconclusiveError``.
-    So does a window ``[-W, W]`` too wide for floats, whose nodes overflow.
+    So does a window ``[-W, W]`` too wide for floats, whose nodes overflow,
+    and a sample that is NaN or infinite.
     """
     if a.tail is None:
         raise InconclusiveError(
@@ -214,6 +215,8 @@ def symbol_norms(a: Symbol) -> SymbolNorms:
                                 f"window [-W, W], W = {base[-1]:.6g}, overflows")
     nodes = np.linspace(base[:-1], base[1:], _PER_SEGMENT + 1, axis=1)[:, :-1]
     vals = a(np.concatenate([nodes.ravel(), base[-1:]]))
+    if not np.all(np.isfinite(vals)):
+        raise InconclusiveError(f"symbol {a.label} has a non-finite sample")
     steps = np.diff(vals)
 
     inner = steps.reshape(-1, _PER_SEGMENT)[:, 1:-1]

@@ -104,14 +104,13 @@ def test_criterion_04_limit_operator_decay():
         # compactly supported symbol: exact annihilation once the shifted
         # band leaves the support (inf(band) + h > 1 holds for every h > 0)
         for row in limit_operator_sweep(parse_symbol("indicator(-1,1)"), g,
-                                        (1.0, 2.0), range(1, 121), L2):
+                                        (1.0, 2.0), g.dxi * np.arange(1, 121), L2):
             assert row.norm < 1e-10
             assert row.within_bound
 
         # decaying symbol: doubling the shift quarters the norm
         a = parse_symbol("rational_decay(1)")
-        doubling = [round(v / g.dxi) for v in (8.0, 16.0, 32.0)]
-        rows = limit_operator_sweep(a, g, (1.0, 2.0), doubling, L2)
+        rows = limit_operator_sweep(a, g, (1.0, 2.0), (8.0, 16.0, 32.0), L2)
         for r1, r2 in zip(rows, rows[1:]):
             assert 0.25 / 2 <= r2.norm / r1.norm <= 0.25 * 2
         for row in rows:

@@ -163,8 +163,8 @@ def test_bad_grid_half_width_is_usage_error(value, config_path, tmp_path, capsys
 @pytest.mark.parametrize("p,code", [(3, 0), (2, ASSERTION_FAILURE)])
 def test_sweep_fails_only_an_asserted_bound(p, code, tmp_path, capsys,
                                             monkeypatch):
-    def exceeded(symbol, grid, band, steps, space):
-        return [SweepRow(steps[0] * grid.dxi, 2.0, 1.0, False)]
+    def exceeded(symbol, grid, band, shifts, space):
+        return [SweepRow(shifts[0], 2.0, 1.0, False)]
 
     monkeypatch.setattr(cli, "limit_operator_sweep", exceeded)
     path = tmp_path / "exp.ini"
@@ -307,6 +307,9 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
      ("density", "epsilon = nan"),
      ("density", "f = const(0)"),
      ("sweep", "h = inf"),
+     # an empty list is refused by the config reader, the next two by the
+     # sweep: 0.1 rounds to no lattice step, and 1e308 / dxi overflows
+     ("sweep", "h ="),
      ("sweep", "h = 1e308"),
      ("sweep", "h = -4, 0.1, 4"),
      ("sweep", "k1 = 3"),
@@ -336,7 +339,8 @@ def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys)
     out = tmp_path / "o"
     code = main([command, "--config", str(path), "--out", str(out)])
     assert code == USAGE_ERROR
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(out.glob(f"{command}.*"))
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,8 +210,9 @@ class TestMollifier:
         phi = Mollifier("gaussian", fine_grid)
         with pytest.raises(ValueError, match="resolution"):
             phi.spectrum(0.1 * fine_grid.dx)
-        with pytest.raises(ValueError):
-            phi.spectrum(-1.0)
+        for delta in (-1.0, math.nan):  # NaN would give a NaN spectrum
+            with pytest.raises(ValueError, match="resolution"):
+                phi.spectrum(delta)
         bump = Mollifier("bump_spectrum", fine_grid)
         with pytest.raises(ValueError, match="resolution"):
             bump.spectrum(1.0 / (2 * fine_grid.freq_edge))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,6 @@ from conjugation import (conjugated_apply, modulate, out_of_band_mass,
 from conftest import dft_matrix, identity_residual, tail_sup
 
 L2 = SpaceNorm(2.0)
-
-
-def lattice_steps(grid, targets):
-    return sorted({max(1, round(t / grid.dxi)) for t in targets})
 
 
 class TestModulate:
@@ -130,27 +127,27 @@ class TestConjugatedApply:
 
 class TestLimitOperatorSweep:
     def test_compact_symbol_annihilates_past_threshold(self, std_grid):
-        steps = lattice_steps(std_grid, (1, 2, 4, 8, 16, 32))
+        shifts = (1, 2, 4, 8, 16, 32)
         rows = limit_operator_sweep(parse_symbol("indicator(-1,1)"), std_grid,
-                                    (1.0, 2.0), steps, L2)
+                                    (1.0, 2.0), shifts, L2)
         for row in rows:
             if 1.0 + row.shift > 1.0:  # inf(band) + h beyond supp a
                 assert row.norm < 1e-10
             assert row.within_bound
 
     def test_rational_decay_quarters_per_doubling(self, std_grid):
-        steps = lattice_steps(std_grid, (8.0, 16.0, 32.0))
+        shifts = (8.0, 16.0, 32.0)
         rows = limit_operator_sweep(parse_symbol("rational_decay(1)"), std_grid,
-                                    (1.0, 2.0), steps, L2)
+                                    (1.0, 2.0), shifts, L2)
         for r1, r2 in zip(rows, rows[1:]):
             ratio = r2.norm / r1.norm
             assert 0.25 / 2 <= ratio <= 0.25 * 2
         assert all(r.within_bound for r in rows)
 
     def test_monotone_decay_for_decaying_tail(self, std_grid):
-        steps = lattice_steps(std_grid, (4, 6, 8, 12, 16, 24, 32))
+        shifts = (4, 6, 8, 12, 16, 24, 32)
         rows = limit_operator_sweep(parse_symbol("rational_decay(1)"), std_grid,
-                                    (1.0, 2.0), steps, L2)
+                                    (1.0, 2.0), shifts, L2)
         for r1, r2 in zip(rows, rows[1:]):
             assert r2.norm <= r1.norm + 1e-10
 
@@ -164,17 +161,16 @@ class TestLimitOperatorSweep:
         grid = make_grid(L, n)
         a = parse_symbol("rational_decay(1)")
         f = band_limited_probe(grid, (1.0, 2.0))
-        rows = limit_operator_sweep(a, grid, (1.0, 2.0),
-                                    lattice_steps(grid, targets), space)
+        rows = limit_operator_sweep(a, grid, (1.0, 2.0), targets, space)
         floor = 1e-14 * space_norm(space, f)
         for row in rows:
             want = space_norm(space, conjugated_apply(a, row.shift, f))
             assert abs(row.norm - want) <= max(1e-12 * want, floor)
 
     def test_other_exponent_reports_variation_bound(self, std_grid):
-        steps = lattice_steps(std_grid, (8.0, 16.0))
+        shifts = (8.0, 16.0)
         rows = limit_operator_sweep(parse_symbol("rational_decay(1)"), std_grid,
-                                    (1.0, 2.0), steps, SpaceNorm(3.0))
+                                    (1.0, 2.0), shifts, SpaceNorm(3.0))
         assert all(r.bound > 0 for r in rows)
 
     @pytest.mark.parametrize("space,tail", [
@@ -184,24 +180,36 @@ class TestLimitOperatorSweep:
     def test_bound_is_three_tail_norms_times_probe(self, std_grid, space, tail):
         a = parse_symbol("rational_decay(1)")
         f = band_limited_probe(std_grid, (1.0, 2.0))
-        steps = lattice_steps(std_grid, (8.0, 16.0))
-        rows = limit_operator_sweep(a, std_grid, (1.0, 2.0), steps, space)
+        shifts = (8.0, 16.0)
+        rows = limit_operator_sweep(a, std_grid, (1.0, 2.0), shifts, space)
         nf = space_norm(space, f)
         for row in rows:
             assert row.bound == 3.0 * tail(a, 1.0 + row.shift) * nf
 
+    def test_shifts_round_to_sorted_distinct_steps(self, std_grid):
+        # 8.1, 8.0, 4.1 and 4.0 lie 21, 20, 10 and 10 lattice steps out
+        a = parse_symbol("rational_decay(1)")
+        lattice = std_grid.dxi * np.array([10, 20, 21])
+        rows = limit_operator_sweep(a, std_grid, (1.0, 2.0),
+                                    (8.1, 4.0, 8.0, 4.1), L2)
+        assert [r.shift for r in rows] == lattice.tolist()
+        assert rows == limit_operator_sweep(a, std_grid, (1.0, 2.0), lattice, L2)
+
     def test_config_validation(self, std_grid):
         a = parse_symbol("const(1)")
-        good = lattice_steps(std_grid, (4.0,))
-        # a step is a whole number of lattice steps, never a float, so an
-        # off-lattice shift cannot be asked for
-        for steps in ([1.234], [10.0], [0], [8, 4], [4, 4], []):
-            with pytest.raises(ValueError, match="steps must be"):
-                limit_operator_sweep(a, std_grid, (1.0, 2.0), steps, L2)
+        # below half a lattice step a shift rounds to the zero step; 1e308
+        # is finite, but 1e308 / dxi is not
+        for shifts, match in [([], "half a lattice step"),
+                              ([0.1], "half a lattice step"),
+                              ([-4.0, 4.0], "half a lattice step"),
+                              ([math.nan], "finite"), ([math.inf], "finite"),
+                              ([1e308], "finite")]:
+            with pytest.raises(ValueError, match=match):
+                limit_operator_sweep(a, std_grid, (1.0, 2.0), shifts, L2)
         with pytest.raises(ValueError, match="window"):
-            limit_operator_sweep(a, std_grid, (1.0, 2.0), [130], L2)
+            limit_operator_sweep(a, std_grid, (1.0, 2.0), [130.0], L2)
         with pytest.raises(ValueError, match="band must be an interval"):
-            limit_operator_sweep(a, std_grid, (2.0, 1.0), good, L2)
+            limit_operator_sweep(a, std_grid, (2.0, 1.0), (4.0,), L2)
 
     @pytest.mark.parametrize("text", ["arctan", "const(1)",
                                       "truncate(arctan,3)"])
@@ -209,8 +217,7 @@ class TestLimitOperatorSweep:
         # the limit operator of such a symbol is not zero, so the tail bound
         # would pass a sweep the theorem does not cover
         with pytest.raises(ValueError, match="not equivalent to zero at infinity"):
-            limit_operator_sweep(parse_symbol(text), std_grid, (1.0, 2.0),
-                                 lattice_steps(std_grid, (4.0,)), L2)
+            limit_operator_sweep(parse_symbol(text), std_grid, (1.0, 2.0), (4.0,), L2)
 
 
 @dataclass(frozen=True)

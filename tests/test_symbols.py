@@ -143,6 +143,15 @@ class TestSymbolNorms:
         norms = symbol_norms(parse_symbol("shift(arctan,1e307)"))
         assert norms == pytest.approx((math.pi / 2, math.pi, 1.5 * math.pi))
 
+    def test_non_finite_sample_is_inconclusive(self):
+        # a NaN norm would let stechkin's sup gate, lower > nan, pass
+        a = parse_symbol("rational_decay(1)")
+        one_nan = Symbol(lambda x: np.where(x == 0.0, np.nan, a(x)),
+                         a.breakpoints, a.tail, "one_nan")  # 0 is a sample node
+        for bad in (shift_symbol(a, math.nan), one_nan):
+            with pytest.raises(InconclusiveError, match="non-finite"):
+                symbol_norms(bad)
+
     @pytest.mark.parametrize("a,refused", [
         pytest.param(_sin_inverse(), True, id="sin_inverse"),
         pytest.param(_oscillating_imag(), True, id="oscillating_imag"),

@@ -1,4 +1,4 @@
-"""No library module imports a name it never uses.
+"""No library or test module imports a name it never uses.
 
 A deletion that leaves an import behind (``dataclasses`` once a dataclass
 is gone, a function no caller is left for) keeps the module importable, so
@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "convolab"
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*(ROOT / "src" / "convolab").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,8 +38,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["dataclasses", "symbol_norms"]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"),
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
