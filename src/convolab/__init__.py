@@ -27,7 +27,6 @@ from .grid import (
 )
 from .limitops import (
     band_limited_probe,
-    density_experiment,
     limit_operator_sweep,
 )
 from .maximal import maximal_function, maximal_scan

@@ -25,7 +25,7 @@ import numpy as np
 
 from .fourier import Mollifier, mollify_sweep, multiplier_norm_lower_bound
 from .grid import Grid, make_grid, sample, stacks
-from .limitops import density_experiment, limit_operator_sweep
+from .limitops import limit_operator_sweep
 from .maximal import maximal_scan
 from .spaces import SpaceNorm, space_norm, verify_axioms
 from .symbols import InconclusiveError, parse_symbol, symbol_norms
@@ -307,14 +307,21 @@ def _cmd_density(exp: Experiment) -> int:
     sec = exp.section("density")
     f = sample(sec.get("f", "indicator(-1,1)"), exp.grid)
     eps = sec.getfloat("epsilon", 0.1)
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ConfigError(f"[density] epsilon: epsilon must be positive and "
+                          f"finite, got {eps}")
     with _overflow_as_usage_error("[density] f", exp.grid):
-        result = density_experiment(f, eps, exp.space)
-    exp.write_json("density", {
-        "delta": result.delta, "achieved": result.achieved,
-        "band": list(result.band), "epsilon": eps})
-    return _verdict(f"density: delta={_fmt(result.delta)} "
-                    f"achieved={_fmt(result.achieved)} epsilon={_fmt(eps)}",
-                    [("within_epsilon", result.achieved < eps, True)])
+        deltas, _, errors = Mollifier("bump_spectrum", exp.grid).ladder(f, exp.space)
+    # the first rung within eps, or the closest one when none gets there;
+    # each rung's spectrum vanishes outside [-1/delta, 1/delta]
+    below = np.flatnonzero(errors < eps)
+    i = int(below[0]) if below.size else int(np.argmin(errors))
+    delta, achieved = deltas[i], float(errors[i])
+    exp.write_json("density", {"delta": delta, "achieved": achieved,
+                               "band": [-1.0 / delta, 1.0 / delta], "epsilon": eps})
+    return _verdict(f"density: delta={_fmt(delta)} "
+                    f"achieved={_fmt(achieved)} epsilon={_fmt(eps)}",
+                    [("within_epsilon", achieved < eps, True)])
 
 
 def _gaussian_closed_form(space: SpaceNorm, grid: Grid) -> dict:

@@ -65,7 +65,7 @@ class Mollifier:
     through the finite window).  ``kernel`` is the unit-scale kernel,
     ``majorant`` its radial majorant and ``majorant_l1`` the majorant's
     mass.  ``ladder`` smooths down the one ladder of scales, set by the
-    grid alone, that ``mollify_sweep`` and ``density_experiment`` share.
+    grid alone, that the ``mollify`` and ``density`` commands share.
     """
 
     kind: str

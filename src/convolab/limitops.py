@@ -1,4 +1,4 @@
-"""Decay sweeps of the limit operators, band-limited probes and density.
+"""Decay sweeps of the limit operators and their band-limited probes.
 
 Conjugating the convolution operator by a modulation shifts its symbol,
 ``e_h W(a) e_{-h} = W(a(. + h))``: on a band-limited input whose spectrum
@@ -10,18 +10,15 @@ constant 3.  It builds its own probe, the bump envelope over the band,
 rounds each requested shift to the frequency lattice ``h = m * dxi``, where
 the identity is exact, and filters the probe with the samples ``a(xi + h)``
 of all shifts in one stack; the modulations are the identity's test
-oracle.  The density check picks its rung from the one stack of
-``Mollifier.ladder``; probe and rung are band-limited by construction.
+oracle.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fourier import Mollifier
 from .grid import Grid, GridFunction, bump_profile, dft_pair, filter_rows
 from .spaces import SpaceNorm, space_norm, space_norms
 from .symbols import Symbol, symbol_norms, tail_truncate
@@ -38,7 +35,8 @@ def band_limited_probe(grid: Grid, band: tuple[float, float]) -> GridFunction:
     if not lo < hi:
         raise ValueError(f"band must be an interval, got {band}")
     if hi >= grid.freq_edge or lo <= -grid.freq_edge:
-        raise ValueError(f"band {band} exceeds the frequency window")
+        raise ValueError(f"band {band} exceeds the frequency window edge "
+                         f"pi/dx = {grid.freq_edge:.6g}")
     env = bump_profile((2.0 * grid.xi - (lo + hi)) / (hi - lo))
     f = dft_pair(GridFunction(grid, env), "inverse")
     peak = float(np.max(np.abs(f.values)))
@@ -97,7 +95,9 @@ def limit_operator_sweep(
                          f"lattice step ({grid.dxi / 2:.6g}), got {targets}")
     shifts = grid.dxi * steps
     if hi + shifts[-1] >= grid.freq_edge:
-        raise ValueError("band + max shift leaves the frequency window")
+        raise ValueError(f"band {band} + largest lattice shift {shifts[-1]:.6g} "
+                         f"ends at {hi + shifts[-1]:.6g}, past the frequency "
+                         f"window edge pi/dx = {grid.freq_edge:.6g}")
     tail = symbol.tail
     if tail is not None and (tail.limit_neg != 0 or tail.limit_pos != 0):
         raise ValueError(
@@ -119,33 +119,3 @@ def limit_operator_sweep(
         bound = 3.0 * (tail.sup_norm if p2 else tail.v_norm) * nf
         rows.append(SweepRow(h, r, bound, bool(r <= bound + 1e-8)))
     return rows
-
-
-class DensityResult(NamedTuple):
-    approximant: GridFunction
-    delta: float
-    achieved: float
-    band: tuple[float, float]
-
-
-def density_experiment(
-    f: GridFunction, eps: float, space: SpaceNorm
-) -> DensityResult:
-    """Approximate ``f`` by a band-limited function within ``eps``.
-
-    Smooths ``f`` down the bump kernel's ladder ``Mollifier.ladder``
-    (delta = min(1, L), halved down to the grid floor) and returns the
-    first rung with ``|f * phi_delta - f| < eps`` or, when no rung gets
-    there, the rung that came closest; callers compare ``achieved`` with
-    ``eps``.  Each rung's spectrum vanishes exactly outside
-    ``[-1/delta, 1/delta]``, a band that the floor keeps inside the
-    frequency window, so no separate smoothing step is needed.
-    """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    deltas, smoothed, errors = Mollifier("bump_spectrum", f.grid).ladder(f, space)
-    below = np.flatnonzero(errors < eps)
-    i = int(below[0]) if below.size else int(np.argmin(errors))
-    approx = GridFunction(f.grid, smoothed[i])
-    band = (-1.0 / deltas[i], 1.0 / deltas[i])
-    return DensityResult(approx, deltas[i], float(errors[i]), band)

@@ -48,11 +48,8 @@ The sums are counted from each split, so rounding does not grow with the
 length of the whole array.  Both routes must agree to 1e-12; the oracle
 defines correctness.
 
-``maximal-check`` scans its noise trials in draw order, in the stacks of
-``grid.stacks`` with the budget ``cli._CHUNK_NODES`` = 4096 nodes.  The
-caller and one worker thread take the next ``(route, stack)`` scan from
-one shared queue until none is left: scans share no state, and the
-oracle's subtractions, divisions and max reductions release the GIL.
+Scans share no state, so threads may run them at once, and the oracle's
+subtractions, divisions and max reductions release the GIL.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Tolerances are pinned here and nowhere else.
 """
 
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -15,7 +16,6 @@ from convolab import (
     Mollifier,
     SpaceNorm,
     band_limited_probe,
-    density_experiment,
     dft_pair,
     limit_operator_sweep,
     make_grid,
@@ -28,6 +28,7 @@ from convolab import (
     symbol_norms,
     verify_axioms,
 )
+from convolab.cli import main
 from convolab.grid import filter_rows
 from conjugation import out_of_band_mass, random_band_limited_probe
 from conftest import identity_residual, tail_sup
@@ -175,13 +176,19 @@ def test_criterion_07_band_limited_kernel():
             assert np.max(np.abs(hat[outside])) < 1e-9
 
 
-def test_criterion_08_density():
+def test_criterion_08_density(tmp_path):
     with criterion(8, 10.0, "band-limited approximant within eps = 0.1"):
+        config = tmp_path / "density.ini"
+        config.write_text("[grid]\nL = 16\nn = 4096\n"
+                          "[density]\nf = indicator(-1,1)\nepsilon = 0.1\n")
+        assert main(["density", "--config", str(config), "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "density.json").read_text())["result"]
+        assert result["achieved"] < 0.1
         g = make_grid(16.0, 4096)
+        spectrum = Mollifier("bump_spectrum", g).spectrum(result["delta"])
         chi = sample("indicator(-1,1)", g)
-        result = density_experiment(chi, 0.1, L2)
-        assert result.achieved < 0.1
-        assert out_of_band_mass(result.approximant, result.band) < 1e-9
+        approx = GridFunction(g, filter_rows(chi.values, spectrum))
+        assert out_of_band_mass(approx, result["band"]) < 1e-9
 
 
 def test_criterion_09_stechkin_at_p2():

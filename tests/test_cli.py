@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convolab import (Grid, SpaceNorm, SymbolNorms, cli, density_experiment,
-                      fourier, limitops, make_grid, parse_symbol, sample, spaces)
+from convolab import (Grid, GridFunction, SpaceNorm, SymbolNorms, cli, fourier,
+                      limitops, make_grid, parse_symbol, sample, space_norm,
+                      spaces)
 from convolab.cli import ASSERTION_FAILURE, USAGE_ERROR, main
 from convolab.grid import filter_rows
 from convolab.limitops import SweepRow
@@ -270,18 +271,121 @@ class TestStechkin:
         assert "zero at every frequency node" in err
 
 
+def run_density(tmp_path, grid, eps, f="indicator(-1,1)"):
+    """Exit code and ``density.json`` result of ``density`` on ``f`` at
+    ``eps`` in L2 on ``grid``; the result is None when nothing is written."""
+    path = tmp_path / "density.ini"
+    path.write_text(f"[grid]\nL = {grid.half_width!r}\nn = {grid.size}\n"
+                    f"[density]\nf = {f}\nepsilon = {eps!r}\n")
+    out = tmp_path / "density"
+    code = main(["density", "--config", str(path), "--out", str(out)])
+    artifact = out / "density.json"
+    return code, (json.loads(artifact.read_text())["result"]
+                  if artifact.exists() else None)
+
+
+def kept_rung(f, result):
+    """The rung of ``Mollifier.ladder`` that ``result`` reports: the first
+    whose error is below epsilon, or the closest when none is.  Its error
+    is ``achieved`` bit for bit and its spectrum lies in ``band``."""
+    phi = fourier.Mollifier("bump_spectrum", f.grid)
+    deltas, _, errors = phi.ladder(f, SpaceNorm(2.0))
+    below = np.flatnonzero(errors < result["epsilon"])
+    i = int(below[0]) if below.size else int(np.argmin(errors))
+    assert result["delta"] == deltas[i]
+    assert result["achieved"] == errors[i]
+    assert result["band"] == [-1.0 / deltas[i], 1.0 / deltas[i]]
+    approx = GridFunction(f.grid, filter_rows(f.values, phi.spectrum(deltas[i])))
+    assert out_of_band_mass(approx, result["band"]) < 1e-9
+    return approx
+
+
 def test_density_json_payload(config_path, tmp_path):
     out = tmp_path / "out"
     main(["density", "--config", str(config_path), "--out", str(out)])
     payload = json.loads((out / "density.json").read_text())
     result = payload["result"]
-    assert set(result) == {"delta", "achieved", "band", "epsilon"}
+    assert list(result) == ["delta", "achieved", "band", "epsilon"]
     assert result["achieved"] < result["epsilon"]
     # the approximant the payload describes: the rung of that delta
-    grid = make_grid(8.0, 256)
-    approx = density_experiment(sample("indicator(-1,1)", grid),
-                                result["epsilon"], SpaceNorm(2.0)).approximant
-    assert out_of_band_mass(approx, result["band"]) < 1e-9
+    kept_rung(sample("indicator(-1,1)", make_grid(8.0, 256)), result)
+
+
+class TestDensityExperiment:
+    def test_indicator_reaches_tenth(self, tmp_path, capsys):
+        g = make_grid(16.0, 4096)
+        code, result = run_density(tmp_path, g, 0.1)
+        assert code == 0 and result["achieved"] < 0.1
+        kept_rung(sample("indicator(-1,1)", g), result)
+
+    def test_band_limited_input_converges_immediately(self, fine_grid, tmp_path,
+                                                     capsys, monkeypatch):
+        # the bump filtered by the delta = 0.5 spectrum lives in [-2, 2]
+        spectrum = fourier.Mollifier("bump_spectrum", fine_grid).spectrum(0.5)
+        probe = GridFunction(fine_grid, filter_rows(
+            sample("bump", fine_grid).values, spectrum))
+        monkeypatch.setattr(cli, "sample", lambda spec, grid: probe)
+        code, result = run_density(tmp_path, fine_grid, 0.25)
+        assert code == 0 and result["achieved"] < 0.25
+        assert result["delta"] == 1.0  # first scale tried already suffices
+        kept_rung(probe, result)
+
+    def test_huge_epsilon_still_returns_genuine_approximant(self, fine_grid,
+                                                           tmp_path, capsys):
+        chi = sample("indicator(-1,1)", fine_grid)
+        eps = 10.0 * space_norm(SpaceNorm(2.0), chi)
+        code, result = run_density(tmp_path, fine_grid, eps)
+        assert code == 0 and result["achieved"] < eps
+        # no shortcut: the result is a genuinely mollified band-limited probe
+        assert space_norm(SpaceNorm(2.0), kept_rung(chi, result)) > 0.0
+
+    def test_unreachable_floor_reports_best(self, std_grid, tmp_path, capsys):
+        chi = sample("indicator(-1,1)", std_grid)
+        code, result = run_density(tmp_path, std_grid, 1e-6)
+        assert code == ASSERTION_FAILURE and result["achieved"] >= 1e-6
+        assert result["delta"] == 0.5 * std_grid.dx
+        # the closest rung is still a genuine band-limited approximant
+        approx = kept_rung(chi, result)
+        error = GridFunction(std_grid, approx.values - chi.values)
+        assert result["achieved"] == space_norm(SpaceNorm(2.0), error)
+
+    def test_grid_floor_reports_best_error(self, fine_grid, tmp_path, capsys):
+        # on (16, 1024) the floor rung dx/2 = 1/64 is the closest, at 0.110
+        chi = sample("indicator(-1,1)", fine_grid)
+        code, result = run_density(tmp_path, fine_grid, 0.1)
+        assert code == ASSERTION_FAILURE and result["delta"] == 0.015625
+        _, _, errors = fourier.Mollifier("bump_spectrum", fine_grid).ladder(
+            chi, SpaceNorm(2.0))
+        assert result["achieved"] == min(errors) == errors[-1]
+        assert 0.11 < result["achieved"] < 0.111
+
+    @pytest.mark.parametrize("L", [20.0, 24.0])
+    def test_ladder_ends_on_the_grid_floor(self, L, tmp_path, capsys):
+        # dx/2 is no power of two here, so the last rung is the floor itself
+        g = make_grid(L, 256)
+        code, missed = run_density(tmp_path, g, 1e-6)
+        assert code == ASSERTION_FAILURE and missed["achieved"] >= 1e-6
+        assert missed["delta"] == 0.5 * g.dx
+        code, floor = run_density(tmp_path, g, missed["achieved"] * (1 + 1e-12))
+        assert code == 0 and floor["delta"] == 0.5 * g.dx
+        kept_rung(sample("indicator(-1,1)", g), floor)
+
+    def test_epsilon_validated(self, std_grid, tmp_path, capsys):
+        for eps in (0.0, -1.0):
+            assert run_density(tmp_path, std_grid, eps, "bump") == (USAGE_ERROR, None)
+            err = capsys.readouterr().err
+            assert err.startswith("error: [density] epsilon") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, std_grid, eps, tmp_path, capsys):
+        assert run_density(tmp_path, std_grid, eps, "bump") == (USAGE_ERROR, None)
+        err = capsys.readouterr().err
+        assert err.startswith("error: [density] epsilon") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_zero_function_rejected(self, std_grid, tmp_path, capsys):
+        assert run_density(tmp_path, std_grid, 0.1, "const(0)") == (USAGE_ERROR, None)
+        assert "vacuously" in capsys.readouterr().err
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):
@@ -313,7 +417,10 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
      ("sweep", "h = 1e308"),
      ("sweep", "h = -4, 0.1, 4"),
      ("sweep", "k1 = 3"),
+     # the band, or the band shifted by the largest lattice shift, leaves
+     # the frequency window |xi| < pi/dx = 50.2655
      ("sweep", "k2 = 100"),
+     ("sweep", "h = 60"),
      ("stechkin", "symbol = indicator(2,1)"),
      ("stechkin", "symbol = rational_decay(0)"),
      ("stechkin", "symbol = shift(arctan)"),
@@ -342,6 +449,8 @@ def test_bad_command_inputs_are_usage_errors(command, setting, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(out.glob(f"{command}.*"))
+    if setting in ("k2 = 100", "h = 60"):
+        assert "50.2655" in err
 
 
 @pytest.mark.parametrize("space", ["p = inf", "p = 1", "p = 1\ngamma = -0.5",
@@ -868,10 +977,10 @@ MUTANTS = {
 # target fine.ini sets at its own grid (0.1 against the floor rung's 0.110).
 # axioms' A1..A5 fail under the broken norms of test_spaces.py, and its
 # closed_form under the audit's space_norms mutant below.  sweep's
-# within_bound has no failing mutant yet (ROADMAP, carried-over item 1):
-# its bound 3 * tail_sup * |probe| held even under a 1.5x multiplier, and
-# the multiplier mutant no longer reaches sweep, which filters its stack of
-# shifted spectra with filter_rows.
+# within_bound has no failing mutant yet (ROADMAP item 22): its tail bound
+# held even under a 1.5x multiplier, and the multiplier mutant no longer
+# reaches sweep, which filters its stack of shifted spectra with
+# limitops' filter_rows.
 @pytest.mark.parametrize("command,config,mutant,gate", [
     ("stechkin", "quick.ini", "multiplier", "sup_bound"),
     ("stechkin", "fine.ini", "multiplier", "sup_bound"),
@@ -927,8 +1036,10 @@ CONFIGS = sorted({config for _, config, _ in RUNS})
 # The reference runs that no audit mutant makes exit 2, and the ROADMAP
 # item that will give each a gate a 1% error fails.
 UNGUARDED = {
-    **{f"sweep {config}": "items 1, 16 and 12: the tail bound, not r(h)"
-       for config in CONFIGS},
+    **{f"sweep {config}": "a leakage check: every bound is 0 and r is "
+       "rounding noise" for config in CONFIGS if "quick" in config},
+    **{f"sweep {config}": "item 22: no gate compares r(h) with a second route"
+       for config in CONFIGS if "fine" in config},
     **{f"density {config}": "item 17: some rung below eps, not its error"
        for config in CONFIGS},
     # the closed-form gate is asserted at gamma = 0 only until item 12

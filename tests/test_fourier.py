@@ -13,8 +13,8 @@ from convolab import (
     Symbol,
     apply_multiplier,
     band_limited_probe,
+    cli,
     convolve,
-    density_experiment,
     dft_pair,
     fourier,
     make_grid,
@@ -259,6 +259,18 @@ class TestMollifier:
         assert not got.imag.any()
 
 
+def density_command(f, phi, out):
+    """The ``density`` command at epsilon 1e-6 on phi's grid, whose ``f``,
+    ``indicator(-1,1)``, must be the ``f`` given."""
+    assert np.array_equal(f.values, sample("indicator(-1,1)", phi.grid).values)
+    config = out / "density.ini"
+    config.write_text(f"[grid]\nL = {phi.grid.half_width!r}\nn = {phi.grid.size}\n"
+                      "[density]\nf = indicator(-1,1)\nepsilon = 1e-6\n")
+    # 1e-6 is below every rung's error: the run fails its gate, not its input
+    assert cli.main(["density", "--config", str(config),
+                     "--out", str(out)]) == cli.ASSERTION_FAILURE
+
+
 class TestMollifySweep:
     # on the fine grid (16, 1024) the ladder is 1 .. dx/2 = 1/64
 
@@ -319,12 +331,12 @@ class TestMollifySweep:
             Mollifier("gaussian", grid).ladder(f, SpaceNorm(2.0, gamma))
 
     @pytest.mark.parametrize("caller, norm_calls", [
-        (lambda f, phi: phi.ladder(f, L2), 1),
-        (lambda f, phi: mollify_sweep(f, phi, L2), 2),
-        (lambda f, phi: density_experiment(f, 1e-6, L2), 1)],
-        ids=["ladder", "mollify_sweep", "density_experiment"])
+        (lambda f, phi, out: phi.ladder(f, L2), 1),
+        (lambda f, phi, out: mollify_sweep(f, phi, L2), 2),
+        (density_command, 1)],
+        ids=["ladder", "mollify_sweep", "density"])
     def test_ladder_is_one_filter_call_and_one_norm_call(
-            self, caller, norm_calls, fine_grid, monkeypatch):
+            self, caller, norm_calls, fine_grid, tmp_path, capsys, monkeypatch):
         # every rung in one (rungs, n) stack: one filter call and one norm
         # call on smoothed - f; mollify_sweep adds the smoothed norms
         calls = []
@@ -340,7 +352,7 @@ class TestMollifySweep:
         spy("filter_rows")
         spy("space_norms")
         f = sample("indicator(-1,1)", fine_grid)
-        caller(f, Mollifier("bump_spectrum", fine_grid))
+        caller(f, Mollifier("bump_spectrum", fine_grid), tmp_path)
         stack = (7, fine_grid.size)  # delta = 1 .. 1/64
         assert calls == [("filter_rows", stack),
                          *[("space_norms", stack)] * norm_calls]

@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from convolab import (
     Mollifier,
     SpaceNorm,
     band_limited_probe,
-    density_experiment,
     dft_pair,
     limit_operator_sweep,
     make_grid,
@@ -285,69 +285,17 @@ class TestS0TestFunction:
             s0_test_function("gaussian(12,1)", 1.0, fine_grid)
 
 
-class TestDensityExperiment:
-    def test_indicator_reaches_tenth(self):
-        g = make_grid(16.0, 4096)
-        chi = sample("indicator(-1,1)", g)
-        result = density_experiment(chi, 0.1, L2)
-        assert result.achieved < 0.1
-        assert out_of_band_mass(result.approximant, result.band) < 1e-9
-
-    def test_band_limited_input_converges_immediately(self, fine_grid):
-        probe = s0_test_function("bump", 0.5, fine_grid)
-        result = density_experiment(probe.values, 0.25, L2)
-        assert result.achieved < 0.25
-        assert result.delta == 1.0  # first scale tried already suffices
-
-    def test_huge_epsilon_still_returns_genuine_approximant(self, fine_grid):
-        chi = sample("indicator(-1,1)", fine_grid)
-        eps = 10.0 * space_norm(L2, chi)
-        result = density_experiment(chi, eps, L2)
-        assert result.achieved < eps
-        assert out_of_band_mass(result.approximant, result.band) < 1e-9
-        # no shortcut: the result is a genuinely mollified band-limited probe
-        assert space_norm(L2, result.approximant) > 0.0
-
-    def test_unreachable_floor_reports_best(self, std_grid):
-        chi = sample("indicator(-1,1)", std_grid)
-        result = density_experiment(chi, 1e-6, L2)
-        assert result.achieved >= 1e-6
-        assert result.delta == 0.5 * std_grid.dx
-        # the closest rung is still a genuine band-limited approximant
-        assert out_of_band_mass(result.approximant, result.band) < 1e-9
-        error = GridFunction(std_grid, result.approximant.values - chi.values)
-        assert result.achieved == space_norm(L2, error)
-
-    def test_grid_floor_reports_best_error(self, fine_grid):
-        # on (16, 1024) the floor rung dx/2 = 1/64 is the closest, at 0.110
-        chi = sample("indicator(-1,1)", fine_grid)
-        result = density_experiment(chi, 0.1, L2)
-        assert result.delta == 0.015625
-        _, _, errors = Mollifier("bump_spectrum", fine_grid).ladder(chi, L2)
-        assert result.achieved == min(errors) == errors[-1]
-        assert 0.11 < result.achieved < 0.111
-
-    @pytest.mark.parametrize("L", [20.0, 24.0])
-    def test_ladder_ends_on_the_grid_floor(self, L):
-        # dx/2 is no power of two here, so the last rung is the floor itself
-        g = make_grid(L, 256)
-        chi = sample("indicator(-1,1)", g)
-        missed = density_experiment(chi, 1e-6, L2)
-        assert missed.achieved >= 1e-6
-        assert missed.delta == 0.5 * g.dx
-        floor = density_experiment(chi, missed.achieved * (1 + 1e-12), L2)
-        assert floor.delta == 0.5 * g.dx
-        assert out_of_band_mass(floor.approximant, floor.band) < 1e-9
-
-    def test_epsilon_validated(self, std_grid):
-        with pytest.raises(ValueError):
-            density_experiment(sample("bump", std_grid), 0.0, L2)
-
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
-    def test_non_finite_epsilon_rejected(self, std_grid, eps):
-        with pytest.raises(ValueError, match="finite"):
-            density_experiment(sample("bump", std_grid), eps, L2)
-
-    def test_zero_function_rejected(self, std_grid):
-        with pytest.raises(ValueError, match="vacuously"):
-            density_experiment(sample("const(0)", std_grid), 0.1, L2)
+def test_the_readme_library_tour_runs(capsys):
+    # the tour's python block, run as printed: its sweep rounds the shifts
+    # 8, 16, 32 to the lattice steps 20, 41, 81, and its last line prints
+    # the norm of W(a(. + h)) f, the conjugation identity's other side
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tour = readme.split("\n## Library tour\n", 1)[1]
+    source = tour.split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope = {}
+    exec(compile(source, "README.md: Library tour", "exec"), scope)
+    printed = capsys.readouterr().out.splitlines()
+    rows, grid = scope["rows"], scope["grid"]
+    assert [round(r.shift / grid.dxi) for r in rows] == [20, 41, 81]
+    assert len(printed) == len(rows) + 1
+    assert float(printed[-1]) == pytest.approx(rows[-1].norm, rel=1e-12, abs=0)
