@@ -35,7 +35,8 @@ COMMANDS = ("sweep", "mollify", "stechkin", "maximal-check", "density", "axioms"
 USAGE_ERROR, ASSERTION_FAILURE = 1, 2
 
 # Largest grid size a run accepts: the oracle scan of maximal-check takes
-# O(n^2) time and every command allocates several n-point arrays.
+# O(n^2) time, though its means never take more than maximal._TILE_MEANS
+# floats, and every command allocates several n-point arrays.
 MAX_GRID_N = 2**16
 
 # Most random trials a command accepts: the probe harnesses draw every
@@ -43,18 +44,23 @@ MAX_GRID_N = 2**16
 MAX_TRIALS = 10**5
 
 # maximal-check scans its noise trials in stacks of at most this many
-# nodes: 16 trials at n = 256, 4 at n = 1024.  A stack this size keeps the
-# oracle's row-block buffer near 1 MB; stacking every trial at once costs
-# peak memory and runs slower.  The caller and one worker take the stacks'
-# fast and oracle scans from one queue; 2048-node stacks lose overlap, and
-# 8192-node ones run faster but raise a fine run's peak RSS by 2.3 to
-# 3.8 MB (6 to 9%).
-_CHUNK_NODES = 4096
+# nodes: 32 trials at n = 256, 8 at n = 1024.  The oracle's tiles keep its
+# window means within 1 MB at any height, so a taller stack makes fewer
+# numpy calls per trial; the fast route's O(k n) temporaries grow with it,
+# and 16384-node stacks raised the maximal benchmark's peak RSS from 42.7
+# to 44.1-45.4 MB.  The caller and one worker take the stacks' fast and
+# oracle scans from one queue; 2048-node stacks lose overlap.
+_CHUNK_NODES = 8192
 
 
 # mollify: an error at most this fraction of the norm of f is at rounding
 # level (const(1) reads 0, then 4.4e-16), so it counts as converged
 _ROUNDING_FLOOR = 1e-12
+
+
+# the probe norms of stechkin and axioms overflow in the p-th powers or in
+# dx times their sum, dx = 2L/n: either key can be the one to change
+_NORM_KEYS = "[space] p or [grid] L"
 
 
 class ConfigError(Exception):
@@ -221,7 +227,7 @@ def _cmd_mollify(exp: Experiment) -> int:
 def _cmd_stechkin(exp: Experiment) -> int:
     symbol = parse_symbol(exp.section("stechkin").get("symbol", "indicator(-1,1)"))
     trials = exp.trials("stechkin", 20)
-    with _overflow_as_usage_error("[space] p", exp.grid):
+    with _overflow_as_usage_error(_NORM_KEYS, exp.grid):
         m = symbol(exp.grid.xi)  # the one sample of the symbol at the nodes
         lower, spike = multiplier_norm_lower_bound(m, exp.space, trials,
                                                    exp.seed, exp.grid)
@@ -348,7 +354,7 @@ def _gaussian_closed_form(space: SpaceNorm, grid: Grid) -> dict:
 
 def _cmd_axioms(exp: Experiment) -> int:
     trials = exp.trials("axioms", 50)
-    with _overflow_as_usage_error("[space] p", exp.grid):
+    with _overflow_as_usage_error(_NORM_KEYS, exp.grid):
         checks = verify_axioms(exp.space, trials, exp.seed, exp.grid)
         closed = _gaussian_closed_form(exp.space, exp.grid)
     exp.write_json("axioms", [

@@ -23,10 +23,16 @@ along its rows and the mask of windows that start after the node.  Every
 mean is the same subtraction and division as in a scan of one start node
 at a time with the same sums, and a max is exact, so the result is
 bit-identical to that scan; a 2-D stack of rows gets each row's scan, bit
-for bit.  A block of k rows of r start nodes and w end nodes writes its
-means into the first k*r*w entries of one flat buffer, as a contiguous
-(k, r, w) array; its divisors are windows of one ramp of window lengths,
-one window per row, so no (r, n) divisor table is stored.
+for bit.  At most ``_TILE_MEANS`` means are held at a time: a block of k
+rows of r start nodes whose k*r*w means do not fit takes its w end nodes
+in tiles, right to left, each written into the front of one flat buffer as
+a contiguous array.  Every tile writes its column maxima past the head
+into a (k, n) array and folds its row maxima into the carried ones; the
+leftmost tile holds the head, whose column r takes the folded row maxima.
+A stack too tall for a tile of 2r end columns is scanned in groups of
+rows, so the working set is the budget plus O(k*n) for any stack.  The
+divisors are windows of one ramp of window lengths, one window per row, so
+no (r, n) divisor table is stored.
 
 ``fast`` merges blocks bottom-up over the prefix-sum graph: the best
 window containing a node is the steepest chord of the prefix sums across
@@ -68,15 +74,35 @@ _BASE_SIZE = 128
 # to 4096.
 _ROW_BLOCK = 32
 
+# The all-windows scan holds at most this many window means (1 MB) at a
+# time, however tall the stack: taller stacks make fewer calls per row.
+_TILE_MEANS = 2**17
+
+
+def _tile(S: np.ndarray, lens: np.ndarray, buf: np.ndarray,
+          r: int, c0: int, c1: int) -> np.ndarray:
+    # means of the windows from a block's r start nodes to its end columns
+    # c0..c1-1, written into the front of ``buf`` as a contiguous array
+    means = buf[:S.shape[0] * r * (c1 - c0)].reshape(-1, r, c1 - c0)
+    np.subtract(S[:, None, c0 + 1:c1 + 1], S[:, :r, None], out=means)
+    np.divide(means, lens[:r, c0:c1], out=means)
+    return means
+
 
 def _oracle_scan(av: np.ndarray) -> np.ndarray:
     # rows of a 2-D stack are scanned side by side, each as on its own
     stack = np.atleast_2d(av)
     k, n = stack.shape
+    rows = min(_ROW_BLOCK, n)
+    # a stack too tall for tiles of 2r end columns is scanned in groups of
+    # rows, each group as its own stack
+    group = max(1, _TILE_MEANS // (2 * rows * rows))
+    if k > group:
+        return np.concatenate([_oracle_scan(stack[g:g + group])
+                               for g in range(0, k, group)])
     # one buffer of prefix sums, refilled from each block's first start node
     S = np.zeros((k, n + 1))
     out = np.zeros((k, n))
-    rows = min(_ROW_BLOCK, n)
     # row i of a block starts at a0 + i and column j ends at a0 + j; a
     # window that ends before it starts gets length 1 and a mean <= 0
     # (av >= 0), so it never raises a real window's suffix max.  Row i of
@@ -85,24 +111,35 @@ def _oracle_scan(av: np.ndarray) -> np.ndarray:
     ramp = np.maximum(np.arange(1.0 - rows, n + 1), 1.0)
     lens = np.lib.stride_tricks.sliding_window_view(ramp, n)[:0:-1]
     before = np.tri(rows, k=-1, dtype=bool)
-    # each block's means fill the front of one flat buffer, contiguous
-    buf = np.empty(k * rows * n)
+    # each tile's means fill the front of one flat buffer; a tile holds at
+    # most _TILE_MEANS of them, and at least 2r end columns
+    width = max(2 * rows, _TILE_MEANS // (k * rows))
+    buf = np.empty(k * rows * min(width, n))
+    cols = np.empty((k, n))
     for a0 in range(0, n, rows):
         r, w = min(rows, n - a0), n - a0
         np.cumsum(stack[:, a0:], axis=1, out=S[:, 1:w + 1])
-        means = buf[:k * r * w].reshape(k, r, w)
-        np.subtract(S[:, None, 1:w + 1], S[:, :r, None], out=means)
-        np.divide(means, lens[:r, :w], out=means)
+        # tiles right to left, the head's last.  Every row starts before
+        # the nodes past the first r columns, so the best window holding
+        # one of them is a suffix max of the column max over the end node;
+        # each tile writes its column maxima and folds in its row maxima
+        row_max = None
+        for c0 in range(width * ((w - 1) // width), -1, -width):
+            c1 = min(c0 + width, w)
+            means = _tile(S, lens, buf, r, c0, c1)
+            if c1 > r:
+                lo = max(c0, r)
+                tail = means[:, :, lo - c0:]
+                tail.max(axis=1, out=cols[:, lo:c1])
+                tile_max = tail.max(axis=2)
+                row_max = tile_max if row_max is None else np.maximum(
+                    row_max, tile_max, out=row_max)
         if w > r:
-            # every row starts before the nodes past the first r columns,
-            # so the best window holding one of them is a suffix max of
-            # the column max over the end node
-            tail = means[:, :, r:]
-            cols = tail.max(axis=1)[:, ::-1]
-            best = np.maximum.accumulate(cols, axis=1)[:, ::-1]
-            np.maximum(out[:, a0 + r:], best, out=out[:, a0 + r:])
+            best = cols[:, r:w][:, ::-1]
+            np.maximum.accumulate(best, axis=1, out=best)
+            np.maximum(out[:, a0 + r:], cols[:, r:w], out=out[:, a0 + r:])
             # column r stands for the whole tail in the head's suffix max
-            means[:, :, r] = tail.max(axis=2)
+            means[:, :, r] = row_max
         # suffix max over the end node in the head and its tail column:
         # best window [a..b] with b >= j
         rev = means[:, :, r::-1]

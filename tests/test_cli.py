@@ -761,8 +761,9 @@ def shipped_trials(config):
 @pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
 def test_maximal_check_fails_on_a_wrong_fast_scan_of_the_last_trial(
         config, tmp_path, capsys, monkeypatch):
-    # quick's 20 trials end in a ragged chunk of 4: a gap in the last row
-    # of the last chunk fails only if the loop reaches every trial
+    # quick's 20 trials fill one stack and fine's 50 end in a ragged stack
+    # of 2: a gap in the last row of the last stack fails only if the loop
+    # reaches every trial
     trials, _, _ = shipped_trials(config)
     exact, seen = cli.maximal_scan, []
 
@@ -842,8 +843,30 @@ def test_worst_gap_equals_a_serial_scan_of_the_same_draws(config):
     assert worst.hex() == serial_worst_gap(trials, n, seed).hex()
 
 
+@pytest.mark.parametrize("config", ["quick.ini", "fine.ini"])
+def test_worst_gap_does_not_depend_on_the_stack_size(config, monkeypatch):
+    # from stacks of 2 or 8 rows to every trial in one stack, whose oracle
+    # scan and fast leaves take their end columns in tiles
+    trials, n, seed = shipped_trials(config)
+    gaps = set()
+    for nodes in (2048, 4096, 8192, 65536):
+        monkeypatch.setattr(cli, "_CHUNK_NODES", nodes)
+        gaps.add(cli._worst_gap(np.random.default_rng(seed), trials, n).hex())
+    assert len(gaps) == 1
+
+
+@pytest.mark.parametrize("config,worst", [("quick.ini", "1.55431223448e-15"),
+                                          ("fine.ini", "2.22044604925e-15")])
+def test_maximal_check_worst_gap_is_pinned(config, worst, tmp_path, capsys):
+    # the artifact reference check's absolute tolerance, 1e-14, cannot see
+    # a gap of a few ulp move
+    assert run_shipped("maximal-check", config, tmp_path) == 0
+    assert maximal_check_rows(tmp_path / "out")[0][:2] == ["fast_vs_oracle", worst]
+
+
 def test_worst_gap_takes_each_scan_once_under_rapid_thread_switches(monkeypatch):
     # 40 stacks of 32 short rows: the two threads meet at the queue often
+    monkeypatch.setattr(cli, "_CHUNK_NODES", 4096)
     trials, n, seed = 1280, 128, 3
     serial = serial_worst_gap(trials, n, seed)
     exact, lock, taken = cli.maximal_scan, threading.Lock(), []
@@ -1260,10 +1283,24 @@ def test_space_exponent_whose_powers_overflow_is_usage_error(command, p, tmp_pat
     out = tmp_path / "o"
     assert main([command, "--config", path, "--out", str(out)]) == USAGE_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error: [space] p: values too large on the grid "
-                          "L=8 n=256 (")
+    assert err.startswith("error: [space] p or [grid] L: values too large on "
+                          "the grid L=8 n=256 (")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["axioms", "stechkin"])
+def test_grid_whose_norms_overflow_is_usage_error_naming_the_width(
+        command, tmp_path, capsys):
+    # at p = 2 the powers are finite; dx = 2L/n times their sum is not, and
+    # the error named only [space] p
+    assert run_shipped(command, "quick.ini", tmp_path,
+                       "--grid-L", "1e308") == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: [space] p or [grid] L: values too large on "
+                          "the grid L=1e+308 n=256 (")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def shipped_with(config, tmp_path, section, key, value):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,57 @@ class TestOracleRowBlocks:
             for row, av in zip(got, inputs):
                 want = _row_loop_scan(av, row_block=maximal._ROW_BLOCK)
                 assert np.array_equal(row, want), n
+
+    @pytest.mark.parametrize("row_block, budget, sizes",
+                             [(None, 100, (*_EDGE_SIZES, 1000, 1024)),
+                              (64, 300, (*_EDGE_SIZES, 1000, 1024)),
+                              (1, 5, _EDGE_SIZES)],
+                             ids=["32-rows", "64-rows", "1-row"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    def test_bit_identical_to_row_loop_across_tiles(
+            self, row_block, budget, sizes, stacked, rng, monkeypatch):
+        # a budget below 2 r^2 means per row: each block wider than the
+        # first tile takes its end columns in several tiles, the rightmost
+        # of them ragged, and a stack of three is scanned in groups of rows
+        # (one row at 32 and 64 rows per block, two at one)
+        monkeypatch.setattr(maximal, "_TILE_MEANS", budget)
+        if row_block is not None:
+            monkeypatch.setattr(maximal, "_ROW_BLOCK", row_block)
+        exact, tiles = maximal._tile, []
+
+        def spy(S, lens, buf, r, c0, c1):
+            tiles.append((len(S), c0, c1))
+            return exact(S, lens, buf, r, c0, c1)
+
+        monkeypatch.setattr(maximal, "_tile", spy)
+        for n in sizes:
+            inputs = _scan_inputs(n, rng)
+            got = (maximal._oracle_scan(np.stack(inputs)) if stacked
+                   else [maximal._oracle_scan(av) for av in inputs])
+            for row, av in zip(got, inputs):
+                want = _row_loop_scan(av, row_block=maximal._ROW_BLOCK)
+                assert np.array_equal(row, want), n
+        # several tiles to a block, whole and ragged ones right of the first
+        assert len({c1 - c0 for _, c0, c1 in tiles if c0 > 0}) > 1
+        if stacked:
+            assert min(k for k, _, _ in tiles) < len(inputs)
+
+
+@pytest.mark.parametrize("shape", [(8, 1024), (64, 128), (1, 32768), (256, 128)])
+def test_oracle_memory_stays_within_the_tile_budget(shape):
+    # a tile holds at most _TILE_MEANS means; the rest is O(k n): prefix
+    # sums, output, column maxima and the ramp of window lengths, and the
+    # iteration buffers of numpy's ufuncs on strided views (three operands
+    # of getbufsize() floats).  256 rows are four groups.  With a whole
+    # row block at a time these read 2.4, 2.4, 9.5 and 9.1 MB
+    av = np.abs(np.random.default_rng(0).normal(size=shape))
+    tracemalloc.start()
+    try:
+        maximal._oracle_scan(av)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (maximal._TILE_MEANS + 5 * av.size + 3 * np.getbufsize())
 
 
 class TestStackedFastScan:
